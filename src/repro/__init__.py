@@ -15,10 +15,9 @@ Subpackage map::
     repro.resilience  fault injection + HPX-style replay/replicate
     repro.perf        roofline / STREAM / counters / cost models
     repro.exhibits    one function per paper table & figure
-    repro.sim         discrete-event primitives
 """
 
-from . import exhibits, hardware, perf, reporting, sim, simd
+from . import exhibits, hardware, perf, reporting, simd
 from .config import Config, default_config
 from .errors import ReproError
 
@@ -32,7 +31,6 @@ __all__ = [
     "hardware",
     "perf",
     "reporting",
-    "sim",
     "simd",
     "__version__",
 ]

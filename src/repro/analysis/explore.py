@@ -39,9 +39,8 @@ Every run is replayable: the choice trace is a list of indices into the
 canonically ordered ready set at each decision point, and a violating
 schedule is greedily minimized and written as a JSON replay file that
 ``repro analyze --replay FILE`` re-executes bit-identically.  All runs
-force ``runtime.deterministic_replay`` on, which disables the object
-pools and the parcel batcher (object reuse across schedules would leak
-identity into the probes).
+force ``parcel.batching`` off (flush timing would couple the parcel
+structure to the schedule) and run on the virtual backend only.
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 from ..config import Config
-from ..errors import DeadlockError, RuntimeStateError, ValidationError
+from ..errors import ConfigError, DeadlockError, RuntimeStateError, ValidationError
 from ..runtime import context as ctx
 from ..runtime import instrument
 from ..runtime.futures import pending_demand_states
@@ -362,8 +361,13 @@ def _run_schedule(app: ExploreApp, strategy: Any) -> ScheduleOutcome:
     overrides = dict(app.config)
     overrides.setdefault("threads.scheduler", app.scheduler)
     overrides.setdefault("runtime.quiescence", "ignore")
-    overrides["runtime.deterministic_replay"] = True
+    overrides["parcel.batching"] = False
     config = Config().replace(**{k.replace(".", "__"): v for k, v in overrides.items()})
+    if config.get_str("runtime.backend") != "virtual":
+        raise ConfigError(
+            "schedule exploration requires runtime.backend='virtual': "
+            "real OS scheduling cannot be replayed"
+        )
 
     status, error, graph_dot = "ok", "", None
     result: Any = None
@@ -410,11 +414,11 @@ def _run_schedule(app: ExploreApp, strategy: Any) -> ScheduleOutcome:
                     + overload.parcels_shed
                     + rt.parcelport.parcels_dead_lettered
                 )
-            skip = getattr(rt, "_preexisting_demands", set())
+            skip = getattr(rt, "_preexisting_demands", ())
             pending = sorted(
                 label
                 for state, label in pending_demand_states()
-                if id(state) not in skip
+                if state not in skip
             )
             if app.invariant is not None:
                 invariant_error = app.invariant(rt, result)

@@ -3,8 +3,7 @@
 A :class:`Config` is an immutable-ish mapping of dotted keys
 (``"threads.scheduler"``, ``"parcel.latency_us"``) with typed accessors and
 validation.  The defaults reproduce the configuration used in the paper:
-one worker per physical core, first-touch NUMA placement, work-stealing
-scheduling, and network-overlap enabled.
+pinned workers, work-stealing scheduling, and network-overlap enabled.
 """
 
 from __future__ import annotations
@@ -19,12 +18,8 @@ __all__ = ["Config", "default_config"]
 _DEFAULTS: dict[str, Any] = {
     # Thread subsystem (HPX thread-manager analogue).
     "threads.scheduler": "work-stealing",  # work-stealing | static | fifo
-    "threads.per_core": 1,  # paper pins one worker per physical core
     "threads.steal_attempts": 4,  # victims probed before idling
     "threads.pin": True,  # hwloc-bind analogue
-    # AGAS.
-    "agas.refcount": True,
-    "agas.migration": True,
     # Parcel subsystem.
     "parcel.serialize": True,  # serialize args even in-process (catches bugs)
     "parcel.zero_copy": True,  # loopback fast path: encode (validate+charge) but skip decode
@@ -40,36 +35,18 @@ _DEFAULTS: dict[str, Any] = {
     # Reliable delivery (consulted only when a FaultInjector is installed).
     "parcel.retry": True,  # retransmit lost parcels on ack-timeout
     "parcel.retry_max_attempts": 8,  # total transmissions before dead-letter
-    "parcel.retry_timeout_s": 0.0,  # base ack-timeout; 0 = derive from network RTO
-    "parcel.retry_max_timeout_s": 0.0,  # backoff cap; 0 = 64x the base timeout
-    "parcel.retry_backoff": 2.0,  # exponential backoff factor
     "parcel.retry_jitter": 0.0,  # seeded backoff jitter fraction (0 = synchronized)
     # Overload protection (repro.resilience.overload).  Off by default so
     # unprotected runs stay bit-identical with the committed benchmark
-    # baselines; the chaos/storm paths switch it on explicitly.  The
-    # dead-letter-queue bound applies regardless (0 = unbounded).
+    # baselines; the chaos/storm paths switch it on explicitly.
     "overload.enabled": False,
     "overload.credits": 32,  # per-destination send credits (replenished on ack)
-    "overload.max_inflight": 64,  # hard cap on un-acked parcels per destination
-    "overload.max_queue_depth": 128,  # dest backlog at which LOW parcels defer/shed
     "overload.defer_base_s": 1e-4,  # base virtual delay before a deferred re-admit
     "overload.defer_max": 3,  # LOW deferrals before the parcel is shed
-    "overload.dlq_max": 1024,  # dead-letter queue bound, oldest evicted first
-    "overload.breaker_threshold": 3,  # consecutive dead-letters that open the breaker
-    "overload.breaker_reset_s": 1e-3,  # open -> half-open probe delay (virtual s)
-    "overload.phi_window": 32,  # inter-arrival samples kept per peer
     "overload.phi_throttle": 3.0,  # suspicion at which credit ceilings halve
     "overload.phi_suspect": 8.0,  # suspicion at which the breaker opens
     "overload.phi_confirm": 16.0,  # suspicion at which the peer is confirmed dead
-    # Parallel algorithms.
-    "algorithms.chunker": "auto",  # auto | static
-    "algorithms.min_chunk": 1,
-    # NUMA placement.
-    "numa.first_touch": True,  # block allocator, OpenMP schedule(static)-like
-    # Checkpoint/restart (consulted by the resilient stencil drivers and
-    # repro.resilience.checkpoint.CheckpointStore).
-    "checkpoint.interval": 0,  # epoch length in app steps; 0 = crash-triggered only
-    "checkpoint.keep": 2,  # retained epochs (>= 2 enables corruption fallback)
+    # Checkpoint/restart cost model (repro.resilience.checkpoint).
     "checkpoint.cost_base_s": 1e-6,  # fixed virtual cost per save/restore
     "checkpoint.cost_per_byte_s": 1e-9,  # virtual seconds per serialized byte
     # Execution backend: where the localities live.  "virtual" is the
@@ -85,18 +62,11 @@ _DEFAULTS: dict[str, Any] = {
     # Quiescence policy: what to do when the job drains with demanded
     # futures (dataflow/when_* targets, channel reads) left unfulfilled.
     "runtime.quiescence": "warn",  # warn | raise | ignore
-    # Deterministic replay (schedule exploration): disables every object
-    # pool (thread shells, parcel shells, execution frames) and the
-    # parcel batcher so object identity and send grouping cannot leak
-    # state between explored schedules.  repro.analysis.explore forces
-    # this on for every run it controls.
-    "runtime.deterministic_replay": False,
     # Determinism.
     "seed": 0,
 }
 
 _VALID_SCHEDULERS = ("work-stealing", "static", "fifo")
-_VALID_CHUNKERS = ("auto", "static")
 _VALID_QUIESCENCE = ("warn", "raise", "ignore")
 _VALID_BACKENDS = ("virtual", "multiprocess")
 _VALID_START_METHODS = ("auto", "fork", "spawn")
@@ -138,11 +108,6 @@ class Config(Mapping[str, Any]):
             raise ConfigError(
                 f"threads.scheduler must be one of {_VALID_SCHEDULERS}, got {sched!r}"
             )
-        chunker = self._values["algorithms.chunker"]
-        if chunker not in _VALID_CHUNKERS:
-            raise ConfigError(
-                f"algorithms.chunker must be one of {_VALID_CHUNKERS}, got {chunker!r}"
-            )
         quiescence = self._values["runtime.quiescence"]
         if quiescence not in _VALID_QUIESCENCE:
             raise ConfigError(
@@ -166,20 +131,10 @@ class Config(Mapping[str, Any]):
             raise ConfigError("runtime.mp_stall_timeout_s must be positive")
         if int(self._values["runtime.mp_sync_rounds"]) < 1:
             raise ConfigError("runtime.mp_sync_rounds must be >= 1")
-        if int(self._values["threads.per_core"]) < 1:
-            raise ConfigError("threads.per_core must be >= 1")
         if int(self._values["threads.steal_attempts"]) < 0:
             raise ConfigError("threads.steal_attempts must be >= 0")
-        if int(self._values["algorithms.min_chunk"]) < 1:
-            raise ConfigError("algorithms.min_chunk must be >= 1")
         if int(self._values["parcel.retry_max_attempts"]) < 1:
             raise ConfigError("parcel.retry_max_attempts must be >= 1")
-        if float(self._values["parcel.retry_timeout_s"]) < 0:
-            raise ConfigError("parcel.retry_timeout_s must be non-negative")
-        if float(self._values["parcel.retry_max_timeout_s"]) < 0:
-            raise ConfigError("parcel.retry_max_timeout_s must be non-negative")
-        if float(self._values["parcel.retry_backoff"]) < 1.0:
-            raise ConfigError("parcel.retry_backoff must be >= 1.0")
         if not 0.0 <= float(self._values["parcel.retry_jitter"]) <= 1.0:
             raise ConfigError("parcel.retry_jitter must be in [0, 1]")
         if int(self._values["parcel.batch_max_parcels"]) < 1:
@@ -190,22 +145,10 @@ class Config(Mapping[str, Any]):
             raise ConfigError("parcel.batch_linger_s must be non-negative")
         if int(self._values["overload.credits"]) < 1:
             raise ConfigError("overload.credits must be >= 1")
-        if int(self._values["overload.max_inflight"]) < 1:
-            raise ConfigError("overload.max_inflight must be >= 1")
-        if int(self._values["overload.max_queue_depth"]) < 1:
-            raise ConfigError("overload.max_queue_depth must be >= 1")
         if float(self._values["overload.defer_base_s"]) <= 0:
             raise ConfigError("overload.defer_base_s must be positive")
         if int(self._values["overload.defer_max"]) < 0:
             raise ConfigError("overload.defer_max must be >= 0")
-        if int(self._values["overload.dlq_max"]) < 0:
-            raise ConfigError("overload.dlq_max must be >= 0 (0 = unbounded)")
-        if int(self._values["overload.breaker_threshold"]) < 1:
-            raise ConfigError("overload.breaker_threshold must be >= 1")
-        if float(self._values["overload.breaker_reset_s"]) <= 0:
-            raise ConfigError("overload.breaker_reset_s must be positive")
-        if int(self._values["overload.phi_window"]) < 2:
-            raise ConfigError("overload.phi_window must be >= 2")
         throttle = float(self._values["overload.phi_throttle"])
         suspect = float(self._values["overload.phi_suspect"])
         confirm = float(self._values["overload.phi_confirm"])
@@ -213,10 +156,6 @@ class Config(Mapping[str, Any]):
             raise ConfigError(
                 "phi thresholds must satisfy 0 < throttle <= suspect <= confirm"
             )
-        if int(self._values["checkpoint.interval"]) < 0:
-            raise ConfigError("checkpoint.interval must be >= 0 (0 disables)")
-        if int(self._values["checkpoint.keep"]) < 1:
-            raise ConfigError("checkpoint.keep must be >= 1")
         if float(self._values["checkpoint.cost_base_s"]) < 0:
             raise ConfigError("checkpoint.cost_base_s must be non-negative")
         if float(self._values["checkpoint.cost_per_byte_s"]) < 0:

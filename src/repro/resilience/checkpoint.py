@@ -20,7 +20,7 @@ provide defaults, so most objects checkpoint for free.
 top: the resilient drivers quiesce at an epoch boundary (the barrier is
 the blocking ``when_all`` over the partitions' step futures -- nothing
 else is runnable when it fires), save all partitions as one epoch, and
-keep the last ``checkpoint.keep`` epochs.  Saving is not free: each
+keep the last ``keep`` epochs.  Saving is not free: each
 save/restore charges ``checkpoint.cost_base_s +
 checkpoint.cost_per_byte_s * size`` virtual seconds to the calling task
 through the cost model, and bumps the runtime's ``/checkpoints{total}``
@@ -214,13 +214,11 @@ class CheckpointStore:
     def __init__(
         self,
         runtime: "Runtime | None" = None,
-        keep: int | None = None,
+        keep: int = 2,
         directory: str | os.PathLike[str] | None = None,
     ) -> None:
-        if keep is None:
-            keep = runtime.config.get_int("checkpoint.keep") if runtime else 2
         if keep < 1:
-            raise ConfigError("checkpoint.keep must be at least 1")
+            raise ConfigError("keep must be at least 1")
         self.runtime = runtime
         self.keep = keep
         self.directory = os.fspath(directory) if directory is not None else None

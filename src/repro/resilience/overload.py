@@ -11,7 +11,7 @@ an unprotected one:
 
 * **Admission control with priority-aware shedding** -- LOW-priority
   parcels toward a destination whose backlog exceeds
-  ``overload.max_queue_depth`` (or whose credits ran dry) are *deferred*
+  ``OverloadPolicy.max_queue_depth`` (or whose credits ran dry) are *deferred*
   with seeded exponential backoff, and shed to the bounded dead-letter
   queue with a :class:`~repro.errors.ParcelShedError` (carrying a
   retry-after hint) once ``overload.defer_max`` deferrals are spent.
@@ -21,12 +21,12 @@ an unprotected one:
   when an ack (handler completion) returns a credit.  A storm toward one
   slow locality therefore throttles *at the sender* instead of flooding
   the destination's queue.
-* **Per-destination circuit breakers** -- ``overload.breaker_threshold``
+* **Per-destination circuit breakers** -- ``OverloadPolicy.breaker_threshold``
   consecutive dead-letters open the breaker (fail-fast sheds, stalled
   parcels purged, destination escalated into
   :attr:`~repro.runtime.parcel.parcelport.Parcelport.suspected_dead` so
   the PR-4 recovery drivers react to breaker state); after
-  ``overload.breaker_reset_s`` virtual seconds one half-open probe is
+  ``OverloadPolicy.breaker_reset_s`` virtual seconds one half-open probe is
   allowed through, and its ack closes the breaker again.
 * **A phi-accrual failure detector** -- per-peer inter-arrival windows
   of ack times yield a continuous suspicion level
@@ -73,7 +73,8 @@ EventHook = Callable[[str, float, Optional[int], dict], None]
 
 @dataclass(frozen=True)
 class OverloadPolicy:
-    """Frozen snapshot of the ``overload.*`` configuration knobs."""
+    """Admission-control parameters; ``from_config`` fills the fields
+    that have an ``overload.*`` key, the rest keep these defaults."""
 
     credits: int = 32
     max_inflight: int = 64
@@ -92,13 +93,8 @@ class OverloadPolicy:
     def from_config(cls, config: "Config") -> "OverloadPolicy":
         return cls(
             credits=config.get_int("overload.credits"),
-            max_inflight=config.get_int("overload.max_inflight"),
-            max_queue_depth=config.get_int("overload.max_queue_depth"),
             defer_base_s=config.get_float("overload.defer_base_s"),
             defer_max=config.get_int("overload.defer_max"),
-            breaker_threshold=config.get_int("overload.breaker_threshold"),
-            breaker_reset_s=config.get_float("overload.breaker_reset_s"),
-            phi_window=config.get_int("overload.phi_window"),
             phi_throttle=config.get_float("overload.phi_throttle"),
             phi_suspect=config.get_float("overload.phi_suspect"),
             phi_confirm=config.get_float("overload.phi_confirm"),

@@ -16,8 +16,8 @@ speedup on the virtual clock.
 What the virtual clock guarantees and this backend does not: virtual
 timestamps are only locally monotonic (cross-process ``makespan`` is not
 a job-wide clock), and anything defined *in terms of* the virtual clock
--- fault-injection windows, overload credits, deterministic replay, the
-modelled interconnects -- is rejected up front with a
+-- fault-injection windows, overload credits, the modelled
+interconnects -- is rejected up front with a
 :class:`~repro.errors.ConfigError` (see
 ``Runtime._check_distributed_config``).
 
@@ -651,20 +651,17 @@ def _worker_entry(
     """Worker process main: build a fresh Runtime and serve the pipe.
 
     Module-level (spawn-picklable) and defensive about forked state: the
-    parent's context stack, probes, and replay bracket must not leak into
-    this process.
+    parent's context stack and probes must not leak into this process.
     """
     import traceback
 
     from ...config import Config
     from .. import context as ctx
-    from .. import instrument, replay
+    from .. import instrument
     from ..runtime import Runtime
 
     ctx._stack.clear()
     instrument.probe = None
-    if replay.deterministic:
-        replay.disable()
     try:
         config = Config.from_mapping(
             {**config_values, "runtime.quiescence": "ignore"}

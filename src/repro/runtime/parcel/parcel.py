@@ -105,39 +105,6 @@ class Parcel:
         #: on ack or dead-letter; retransmissions keep the credit).
         self.holds_credit = False
 
-    def reinit(
-        self,
-        source_locality: int,
-        payload: bytes,
-        target_gid: Optional[Gid],
-        target_locality: Optional[int],
-        send_time: float,
-    ) -> "Parcel":
-        """Reset a recycled shell for a brand-new logical parcel.
-
-        Used by the runtime's object pool on the (trusted, validated)
-        hot path: every slot is re-assigned -- including a fresh
-        ``parcel_id``, so tracing/dedupe never confuse two logical
-        parcels that happened to share a shell -- and every transport
-        annex returns to its construction default.
-        """
-        self.source_locality = source_locality
-        self.payload = payload
-        self.target_gid = target_gid
-        self.target_locality = target_locality
-        self.send_time = send_time
-        self.parcel_id = next(_ids)
-        self.attempts = 0
-        self.size_bytes = len(payload) + 64
-        self.reply_promise = None
-        self.by_ref_body = None
-        self.fire_and_forget = False
-        self.unreachable_destination = None
-        self.priority = None
-        self.deferrals = 0
-        self.holds_credit = False
-        return self
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         target = (
             f"gid={self.target_gid}"

@@ -117,8 +117,8 @@ class Parcelport:
         #: first-time sends are coalesced per destination (see
         #: :mod:`repro.runtime.parcel.batcher`).
         self.batcher: "ParcelBatcher | None" = None
-        #: Dead-letter queue bound (0 = unbounded); the runtime sets it
-        #: from ``overload.dlq_max``.  Oldest entries are evicted first;
+        #: Dead-letter queue bound (0 = unbounded); the runtime installs
+        #: its own.  Oldest entries are evicted first;
         #: assigning a smaller bound trims (and counts) immediately.
         self._dlq_max = 0
         self.parcels_sent = 0
@@ -211,35 +211,29 @@ class Parcelport:
 
     def _transmit(self, parcel: Parcel) -> float:
         router = self._router
-        if router is None:
-            raise ParcelError("parcelport has no router installed (runtime not booted)")
+        assert router is not None  # send() refuses to start without one
         arrival = self._arrival_time(parcel)
         parcel.attempts += 1
-        if self.fault_injector is None:
-            # Fault-free fast path: no fates to draw, no loss machinery.
-            router(parcel, arrival)
-            self.parcels_sent += 1
-            self.bytes_sent += parcel.size_bytes
-            self.parcels_delivered += 1
-            latency = arrival - parcel.send_time
-            if latency > 0.0:
-                self.latency_total_s += latency
-            return arrival
-        fate = self.fault_injector.parcel_fate(parcel, parcel.attempts)
-        if fate.lost:
-            # The parcel left the NIC but never usably arrived: it counts
-            # as sent, then the loss machinery decides retry vs dead-letter.
-            self.parcels_sent += 1
-            self.bytes_sent += parcel.size_bytes
-            if fate.kind == "corrupt":
-                self.parcels_corrupted += 1
-                self._handle_loss(parcel, "corrupted in flight")
-            else:
-                self.parcels_dropped += 1
-                self._handle_loss(parcel, "dropped in flight")
-            return arrival
-        if fate.kind == "delay":
-            arrival += fate.extra_delay_s
+        injector = self.fault_injector
+        # Without an injector there is no fate to draw and every
+        # loss/delay/duplicate branch below is skipped.
+        fate = None if injector is None else injector.parcel_fate(parcel, parcel.attempts)
+        if fate is not None:
+            if fate.lost:
+                # The parcel left the NIC but never usably arrived: it
+                # counts as sent, then the loss machinery decides retry vs
+                # dead-letter.
+                self.parcels_sent += 1
+                self.bytes_sent += parcel.size_bytes
+                if fate.kind == "corrupt":
+                    self.parcels_corrupted += 1
+                    self._handle_loss(parcel, "corrupted in flight")
+                else:
+                    self.parcels_dropped += 1
+                    self._handle_loss(parcel, "dropped in flight")
+                return arrival
+            if fate.kind == "delay":
+                arrival += fate.extra_delay_s
         router(parcel, arrival)
         # Statistics move only after the router accepted the parcel: a
         # raising router must not leave phantom counts behind.
@@ -249,16 +243,17 @@ class Parcelport:
         latency = arrival - parcel.send_time
         if latency > 0.0:
             self.latency_total_s += latency
-        if fate.kind == "delay":
-            self.parcels_delayed += 1
-        if fate.kind == "duplicate":
-            dup_arrival = arrival + fate.extra_delay_s
-            router(parcel, dup_arrival)
-            self.parcels_sent += 1
-            self.bytes_sent += parcel.size_bytes
-            self.parcels_delivered += 1
-            self.latency_total_s += max(0.0, dup_arrival - parcel.send_time)
-            self.parcels_duplicated += 1
+        if fate is not None:
+            if fate.kind == "delay":
+                self.parcels_delayed += 1
+            if fate.kind == "duplicate":
+                dup_arrival = arrival + fate.extra_delay_s
+                router(parcel, dup_arrival)
+                self.parcels_sent += 1
+                self.bytes_sent += parcel.size_bytes
+                self.parcels_delivered += 1
+                self.latency_total_s += max(0.0, dup_arrival - parcel.send_time)
+                self.parcels_duplicated += 1
         return arrival
 
     def report_loss(

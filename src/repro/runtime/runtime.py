@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import sys
 import warnings
+import weakref
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from ..config import Config, default_config
@@ -31,7 +32,6 @@ from ..errors import (
 from ..hardware.registry import MachineModel, machine as machine_lookup
 from . import context as ctx
 from . import instrument
-from . import replay
 from .context import _stack as _context_stack
 from .futures import pending_demand_states
 from .actions import get_action
@@ -57,6 +57,10 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["Runtime"]
 
 _INF = float("inf")
+
+#: Dead-letter queue bound, oldest evicted first: a long outage window
+#: must not grow the queue without limit, admission control or not.
+_DLQ_MAX = 1024
 
 
 class Runtime:
@@ -175,9 +179,7 @@ class Runtime:
             self.parcelport.fault_injector = fault_injector
             self.parcelport.retry_policy = self._retry_policy_from_config()
             self.parcelport.install_retry_scheduler(self._schedule_parcel_retry)
-        # The dead-letter queue is bounded regardless of admission control
-        # (a long outage window must not grow it without limit).
-        self.parcelport.dlq_max = self.config.get_int("overload.dlq_max")
+        self.parcelport.dlq_max = _DLQ_MAX
         self._overload = None
         if self.config.get_bool("overload.enabled"):
             from ..resilience.overload import OverloadController
@@ -187,18 +189,8 @@ class Runtime:
         # Parcel coalescing (see repro.runtime.parcel.batcher): per-
         # destination batches flushed on size/bytes/linger by the
         # progress engine.
-        # Deterministic replay (schedule exploration) forbids every
-        # reuse/coalescing optimisation whose observable behaviour
-        # depends on object identity or flush timing: the parcel-shell
-        # pool and the batcher below, plus the thread-shell and frame
-        # pools inside each ThreadPool (those read the same flag via
-        # repro.runtime.replay).
-        self._deterministic_replay = (
-            self.config.get_bool("runtime.deterministic_replay")
-            or replay.deterministic
-        )
         self._batcher = None
-        if self.config.get_bool("parcel.batching") and not self._deterministic_replay:
+        if self.config.get_bool("parcel.batching"):
             from .parcel.batcher import ParcelBatcher
 
             self._batcher = ParcelBatcher(
@@ -209,50 +201,21 @@ class Runtime:
                 linger_s=self.config.get_float("parcel.batch_linger_s"),
             )
             self.parcelport.batcher = self._batcher
-        # Parcel-shell object pool.  Without fault injection or admission
-        # control a parcel is unreferenced the moment its handler
-        # finishes (no retries, no dedupe set, no credit bookkeeping), so
-        # the hot loop recycles shells instead of allocating.  Any
-        # at-least-once machinery disables the pool outright.
-        self._parcel_pool: list[Parcel] | None = (
-            []
-            if (
-                fault_injector is None
-                and self._overload is None
-                and not self._deterministic_replay
-            )
-            else None
-        )
         self._started = False
-        # Config-driven replay mode brackets the module-level flag for
-        # the lifetime of this runtime so the thread pools (which cannot
-        # see the config) observe it too; closed in stop().
-        self._replay_bracket = False
-        if (
-            self.config.get_bool("runtime.deterministic_replay")
-            and not replay.deterministic
-        ):
-            replay.enable()
-            self._replay_bracket = True
 
     def _check_distributed_config(self, fault_injector: "FaultInjector | None") -> None:
         """Reject features whose semantics are defined on the virtual clock.
 
         The multiprocess backend runs on real wall time, so outage
-        windows, credit timing, schedule replay, and modelled
-        interconnects have no meaning there -- failing eagerly beats
-        silently measuring something else.
+        windows, credit timing, and modelled interconnects have no
+        meaning there -- failing eagerly beats silently measuring
+        something else.
         """
         requires = "requires the virtual-clock backend (runtime.backend='virtual')"
         if fault_injector is not None:
             raise ConfigError(
                 f"fault injection {requires}: outage windows and parcel "
                 "faults are defined on the virtual clock"
-            )
-        if self.config.get_bool("runtime.deterministic_replay") or replay.deterministic:
-            raise ConfigError(
-                f"deterministic replay / schedule exploration {requires}: "
-                "real OS scheduling cannot be replayed"
             )
         if self.config.get_bool("overload.enabled"):
             raise ConfigError(
@@ -279,22 +242,16 @@ class Runtime:
 
     def _retry_policy_from_config(self) -> RetryPolicy:
         """Reliable-delivery knobs, with the base ack-timeout derived from
-        the network's round-trip estimate unless pinned explicitly."""
-        base = self.config.get_float("parcel.retry_timeout_s")
-        if base <= 0:
-            if isinstance(self.parcelport, NetworkParcelport):
-                base = self.parcelport.interconnect.rto_estimate(256, self.n_localities)
-            else:
-                base = 1e-5
-        cap = self.config.get_float("parcel.retry_max_timeout_s")
-        if cap <= 0:
-            cap = 64.0 * base
+        the network's round-trip estimate and the backoff capped at 64x."""
+        if isinstance(self.parcelport, NetworkParcelport):
+            base = self.parcelport.interconnect.rto_estimate(256, self.n_localities)
+        else:
+            base = 1e-5
         return RetryPolicy(
             enabled=self.config.get_bool("parcel.retry"),
             max_attempts=self.config.get_int("parcel.retry_max_attempts"),
             base_timeout_s=base,
-            max_timeout_s=cap,
-            backoff=self.config.get_float("parcel.retry_backoff"),
+            max_timeout_s=64.0 * base,
             jitter=self.config.get_float("parcel.retry_jitter"),
             seed=self.config.get_int("seed"),
         )
@@ -320,8 +277,12 @@ class Runtime:
             )
         )
         # Demands created before this run (e.g. by an earlier runtime in
-        # the same process) are not this job's lost continuations.
-        self._preexisting_demands = {id(s) for s, _ in pending_demand_states()}
+        # the same process) are not this job's lost continuations.  Held
+        # weakly, like the registry itself: the id of a state collected
+        # mid-run can be handed to one of this job's own states.
+        self._preexisting_demands = weakref.WeakSet(
+            state for state, _ in pending_demand_states()
+        )
         self._started = True
         return self
 
@@ -346,12 +307,6 @@ class Runtime:
             finally:
                 ctx.pop()
                 self._started = False
-                self._close_replay_bracket()
-
-    def _close_replay_bracket(self) -> None:
-        if self._replay_bracket:
-            self._replay_bracket = False
-            replay.disable()
 
     def __enter__(self) -> "Runtime":
         return self.start()
@@ -364,7 +319,6 @@ class Runtime:
                 self.backend.abort()
                 ctx.pop()
                 self._started = False
-                self._close_replay_bracket()
 
     # Queries ------------------------------------------------------------------
     def here(self) -> Locality:
@@ -581,10 +535,10 @@ class Runtime:
         mode = self.config.get_str("runtime.quiescence")
         if mode == "ignore":
             return
-        skip = getattr(self, "_preexisting_demands", set())
+        skip = getattr(self, "_preexisting_demands", ())
         pending = sorted(
             label for state, label in pending_demand_states()
-            if id(state) not in skip
+            if state not in skip
         )
         if not pending:
             return
@@ -629,7 +583,7 @@ class Runtime:
         self.agas.resolve(gid)  # validate the target exists up front
         payload, by_ref = self._encode((("__component__", method, gid), args, kwargs))
         source, send_time = self._source_and_time()
-        parcel = self._new_parcel(source, payload, gid, None, send_time)
+        parcel = Parcel(source, payload, gid, None, send_time)
         parcel.by_ref_body = by_ref
         return self._ship(parcel)
 
@@ -646,7 +600,7 @@ class Runtime:
         self.agas.resolve(gid)  # validate the target exists up front
         payload, by_ref = self._encode((("__component__", method, gid), args, kwargs))
         source, send_time = self._source_and_time()
-        parcel = self._new_parcel(source, payload, gid, None, send_time)
+        parcel = Parcel(source, payload, gid, None, send_time)
         parcel.by_ref_body = by_ref
         parcel.fire_and_forget = True
         parcel.reply_promise = Promise()
@@ -673,7 +627,7 @@ class Runtime:
         self.locality(locality_id)  # validate
         payload, by_ref = self._encode((("__plain__", fn, None), args, kwargs or {}))
         source, send_time = self._source_and_time()
-        parcel = self._new_parcel(source, payload, None, locality_id, send_time)
+        parcel = Parcel(source, payload, None, locality_id, send_time)
         parcel.by_ref_body = by_ref
         parcel.fire_and_forget = True
         parcel.reply_promise = Promise()
@@ -692,38 +646,11 @@ class Runtime:
         self.locality(locality_id)  # validate
         payload, by_ref = self._encode((("__plain__", fn, None), args, kwargs))
         source, send_time = self._source_and_time()
-        parcel = self._new_parcel(source, payload, None, locality_id, send_time)
+        parcel = Parcel(source, payload, None, locality_id, send_time)
         parcel.by_ref_body = by_ref
         return self._ship(parcel)
 
     # Parcel plumbing ---------------------------------------------------------------
-    def _new_parcel(
-        self,
-        source_locality: int,
-        payload: bytes,
-        target_gid: Gid | None,
-        target_locality: int | None,
-        send_time: float,
-    ) -> Parcel:
-        """A fresh logical parcel, recycling a pooled shell when possible.
-
-        The pool only exists when no fault injector and no overload
-        controller are installed -- the configurations under which a
-        parcel is provably unreferenced once its handler returns.
-        """
-        pool = self._parcel_pool
-        if pool:
-            return pool.pop().reinit(
-                source_locality, payload, target_gid, target_locality, send_time
-            )
-        return Parcel(
-            source_locality=source_locality,
-            payload=payload,
-            target_gid=target_gid,
-            target_locality=target_locality,
-            send_time=send_time,
-        )
-
     def _encode(self, parcel_body: tuple) -> tuple[bytes, tuple | None]:
         """Serialize a parcel body.
 
@@ -877,17 +804,7 @@ class Runtime:
             else:
                 if not parcel.fire_and_forget:
                     self._reply(promise, result, destination, parcel.source_locality)
-            # With no injector and no overload controller nothing holds a
-            # reference past this point (no retries, dedupe, or credit
-            # bookkeeping), so the shell is recycled for the next send.
-            # Early returns above (migration reship) keep their parcel.
-            if shell_pool is not None and len(shell_pool) < 512:
-                parcel.payload = b""
-                parcel.by_ref_body = None
-                parcel.reply_promise = None
-                shell_pool.append(parcel)
 
-        shell_pool = self._parcel_pool
         controller = self.parcelport.overload
         if controller is not None:
             inner = handler
@@ -1001,7 +918,7 @@ class Runtime:
         if not hasattr(self, "_preexisting_demands"):
             return 0
         states = pending_demand_states()
-        self._preexisting_demands.update(id(state) for state, _ in states)
+        self._preexisting_demands.update(state for state, _ in states)
         if instrument.probe is not None:
             instrument.probe.forgiven(self)
         return len(states)

@@ -73,25 +73,6 @@ class HpxThread:
         ready_time: float = 0.0,
         priority: "ThreadPriority" = None,  # type: ignore[assignment]
     ) -> None:
-        self.reinit(fn, args, kwargs, description, ready_time, priority)
-
-    def reinit(
-        self,
-        fn: Callable[..., Any],
-        args: tuple = (),
-        kwargs: dict | None = None,
-        description: str = "",
-        ready_time: float = 0.0,
-        priority: "ThreadPriority" = None,  # type: ignore[assignment]
-    ) -> "HpxThread":
-        """Reset a recycled shell for a brand-new logical task.
-
-        Used by the thread pool's shell freelist: every slot is
-        re-assigned -- including a fresh ``tid`` and a *fresh*
-        :class:`~repro.runtime.futures.Promise` (the old promise's shared
-        state may outlive the task in user hands) -- so a recycled shell
-        is indistinguishable from a newly constructed one.
-        """
         if not callable(fn):
             raise RuntimeStateError(f"task body must be callable, got {fn!r}")
         self.tid = next(_ids)
@@ -108,7 +89,6 @@ class HpxThread:
         self._cost = 0.0
         self._deps_time = 0.0
         self._promise = Promise()
-        return self
 
     @property
     def description(self) -> str:

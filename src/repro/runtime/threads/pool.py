@@ -24,19 +24,13 @@ from ...errors import DeadlockError, RuntimeStateError
 from .. import context as ctx
 from ..context import _stack as _context_stack
 from .. import instrument
-from .. import replay
 from ..futures import Future
-from .hpx_thread import _NO_KWARGS, HpxThread, ThreadPriority, ThreadState
+from .hpx_thread import HpxThread, ThreadPriority, ThreadState
 from .scheduler import Scheduler, WorkStealingScheduler, make_scheduler
 
 __all__ = ["ThreadPool"]
 
 _INF = float("inf")
-
-
-def _parked() -> None:  # pragma: no cover - never called
-    """Placeholder body installed on recycled shells so a parked shell
-    never pins the finished task's user callable."""
 
 
 class _Worker:
@@ -88,11 +82,6 @@ class ThreadPool:
         #: the overload storm harness asserts this stays bounded.
         self.peak_pending = 0
         self.failures: list[tuple[HpxThread, BaseException]] = []
-        #: Freelist of finished task shells (see :meth:`_recycle`) --
-        #: spawn-heavy loops reinit a parked shell instead of allocating.
-        self._shell_pool: list[HpxThread] = []
-        #: Freelist of execution-context frames (scoped to one _execute).
-        self._frame_pool: list = []
         self._help_depth = 0
         self._in_flight = 0
         # Backrefs installed by Locality/Runtime so task frames carry them.
@@ -183,25 +172,7 @@ class ThreadPool:
                 ready_time = frame.task.current_virtual_time()
             else:
                 ready_time = self.makespan
-        shells = self._shell_pool
-        if shells and not replay.deterministic:
-            task = shells.pop().reinit(
-                fn,
-                args,
-                kwargs,
-                description=description,
-                ready_time=ready_time,
-                priority=priority,
-            )
-        else:
-            task = HpxThread(
-                fn,
-                args,
-                kwargs,
-                description=description,
-                ready_time=ready_time,
-                priority=priority,
-            )
+        task = HpxThread(fn, args, kwargs, description, ready_time, priority)
         if instrument.enabled and (probe := instrument.probe) is not None:
             probe.task_created(ctx.current_task(), task)
         self.scheduler.push(task, worker_hint=worker)
@@ -268,24 +239,7 @@ class ThreadPool:
                     runtime = outer.runtime
                 if locality is None:
                     locality = outer.locality
-        # Frames live exactly for the duration of one _execute (nothing
-        # retains them past the pop below), so they are recycled from a
-        # per-pool freelist; ``frame.pool`` is ``self`` on every reuse.
-        frames = None if replay.deterministic else self._frame_pool
-        if frames:
-            frame = frames.pop()
-            frame.runtime = runtime
-            frame.locality = locality
-            frame.worker_id = worker.worker_id
-            frame.task = task
-        else:
-            frame = ctx.ExecutionContext(
-                runtime=runtime,
-                locality=locality,
-                pool=self,
-                worker_id=worker.worker_id,
-                task=task,
-            )
+        frame = ctx.ExecutionContext(runtime, locality, self, worker.worker_id, task)
         # Balanced push/pop inlined as list ops -- this pair runs once
         # per task and the function-call overhead of ctx.push/ctx.pop is
         # measurable at that rate.
@@ -311,40 +265,11 @@ class ThreadPool:
         finally:
             self._in_flight -= 1
             _context_stack.pop()
-            frame.task = None
-            frame.extras = None
-            if frames is not None:
-                frames.append(frame)
         if task.finish_time > worker.available_at:
             worker.available_at = task.finish_time
         worker.tasks_run += 1
         worker.busy_time += task.cost
         self.tasks_executed += 1
-
-    def _recycle(self, task: HpxThread) -> None:
-        """Park a finished task's shell on the freelist for reuse.
-
-        Called by the dispatch loops *after* ``self._execute`` returns --
-        i.e. after any tracer wrapper patched over ``_execute`` has read
-        the task's final fields.  Skipped entirely when a probe is
-        attached (probes keep task references in wait/creation graphs)
-        and for failed tasks (``self.failures`` keeps them for
-        post-mortem).  The shell's user references are dropped so a
-        parked shell never pins a closure, its arguments, or a result.
-        """
-        if (
-            replay.deterministic
-            or instrument.enabled
-            or len(self._shell_pool) >= 1024
-        ):
-            return
-        failures = self.failures
-        if failures and failures[-1][0] is task:
-            return
-        task.fn = _parked
-        task.args = ()
-        task.kwargs = _NO_KWARGS
-        self._shell_pool.append(task)
 
     def step_one(self) -> bool:
         """Execute exactly one queued task; False if none was available."""
@@ -352,7 +277,6 @@ class ThreadPool:
         if task is None:
             return False
         self._execute(task, worker)
-        self._recycle(task)
         return True
 
     def next_start_hint(self) -> float:
@@ -397,7 +321,6 @@ class ThreadPool:
                         "dependencies (cooperative deadlock)"
                     )
                 self._execute(task, worker)
-                self._recycle(task)
         finally:
             self._help_depth -= 1
 
@@ -412,7 +335,6 @@ class ThreadPool:
             if task is None:
                 return predicate()
             self._execute(task, worker)
-            self._recycle(task)
         return True
 
     def run_all(self) -> float:
@@ -422,7 +344,6 @@ class ThreadPool:
             if task is None:  # pragma: no cover - scheduler invariant
                 raise DeadlockError("scheduler reports work but yields none")
             self._execute(task, worker)
-            self._recycle(task)
         return self.makespan
 
     def reset_clock(self) -> None:

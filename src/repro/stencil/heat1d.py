@@ -507,7 +507,7 @@ class DistributedHeat1D:
         self,
         steps: int,
         max_recovery_rounds: int = 3,
-        checkpoint_every: int | None = None,
+        checkpoint_every: int = 0,
     ) -> np.ndarray:
         """Run ``steps`` steps, surviving parcel loss and locality outages.
 
@@ -517,7 +517,7 @@ class DistributedHeat1D:
         locality is confirmed permanently dead -- decommissions it,
         re-homes its partitions onto the survivors, and restarts from the
         last coordinated checkpoint epoch (``checkpoint_every`` steps
-        apart; default from the ``checkpoint.interval`` config knob).
+        apart; 0 = crash-triggered epochs only).
         The result is bit-identical to a fault-free :meth:`run`.
         """
         if self.runtime.distributed:

@@ -373,7 +373,7 @@ class DistributedJacobi2D:
         self,
         steps: int,
         max_recovery_rounds: int = 3,
-        checkpoint_every: int | None = None,
+        checkpoint_every: int = 0,
     ) -> np.ndarray:
         """Run ``steps`` steps, surviving parcel loss and locality outages.
 

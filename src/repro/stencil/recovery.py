@@ -166,21 +166,18 @@ def run_with_recovery(
     resend_stuck: ResendStuck,
     *,
     max_recovery_rounds: int = 3,
-    checkpoint_every: int | None = None,
+    checkpoint_every: int = 0,
 ) -> None:
     """Advance all partitions ``steps`` steps, surviving faults.
 
-    ``checkpoint_every`` (epoch length in steps; default from
-    ``checkpoint.interval``, 0 to disable periodic epochs) controls the
-    coordinated-snapshot cadence.  An initial epoch is always taken when
-    checkpointing is active *or* the fault schedule contains a permanent
-    crash -- without a baseline, a crash before the first boundary would
-    be unrecoverable.  Checkpoint/restore time is charged through the
+    ``checkpoint_every`` (epoch length in steps; 0 disables periodic
+    epochs) controls the coordinated-snapshot cadence.  An initial epoch
+    is always taken when checkpointing is active *or* the fault schedule
+    contains a permanent crash -- without a baseline, a crash before the
+    first boundary would be unrecoverable.  Checkpoint/restore time is charged through the
     cost model (``checkpoint.cost_*`` knobs) and surfaces in the
     ``/checkpoints{total}`` perfcounters.
     """
-    if checkpoint_every is None:
-        checkpoint_every = runtime.config.get_int("checkpoint.interval")
     start = parts[0].steps_done
     target = start + steps
     injector = runtime.fault_injector

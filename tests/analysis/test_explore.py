@@ -1,4 +1,4 @@
-"""Schedule-space explorer: corpus bugs, DPOR pruning, replay, pools.
+"""Schedule-space explorer: corpus bugs, DPOR pruning, replay.
 
 The seeded-bug corpus lives in ``tests/analysis/corpus``: each app's
 bug is invisible to a single (default-schedule) run under the dynamic
@@ -22,10 +22,7 @@ from repro.analysis.explore import (
     get_app,
     replay_file,
 )
-from repro.config import Config
-from repro.errors import ValidationError
-from repro.runtime import instrument, replay
-from repro.runtime.runtime import Runtime
+from repro.errors import ConfigError, ValidationError
 
 BUGGY = [name for name, (_, kind) in CORPUS.items() if kind is not None]
 CLEAN = [name for name, (_, kind) in CORPUS.items() if kind is None]
@@ -168,7 +165,7 @@ def test_replay_file_rejects_foreign_json(tmp_path):
 
 def test_exploration_is_deterministic():
     """Two identical explorations agree choice-for-choice -- nothing
-    (pooled shells, batching, global counters) leaks between runs."""
+    (batching, global counters) leaks between runs."""
     app, _ = CORPUS["corpus/conservation"]
     first = explore(app, strategy="random", seed=11, minimize=False)
     second = explore(app, strategy="random", seed=11, minimize=False)
@@ -179,44 +176,18 @@ def test_exploration_is_deterministic():
 
 
 # ---------------------------------------------------------------------------
-# The deterministic-replay guard really disables the object pools
+# What exploration needs from the runtime: no coalescing, virtual backend
 # ---------------------------------------------------------------------------
 
 
-def _churn(pool, n=6):
-    def work():
-        return None
-
-    for _ in range(n):
-        pool.submit(work).get()
-    return None
+def _probe_app(name, config, build=None):
+    app, _ = CORPUS["corpus/race_fixed"]
+    return type(app)(name=name, build=build or app.build, n_localities=1,
+                     workers_per_locality=1, config=config)
 
 
-def test_replay_guard_disables_shell_and_frame_pools():
-    cfg = Config().replace(runtime__deterministic_replay=True)
-    with Runtime(n_localities=1, workers_per_locality=1, config=cfg) as rt:
-        assert replay.deterministic
-        pool = rt.localities[0].pool
-        rt.run(lambda: _churn(pool))
-        assert pool._shell_pool == []
-        assert pool._frame_pool == []
-        assert rt._parcel_pool is None
-        assert rt._batcher is None
-    assert not replay.deterministic  # bracket closed with the runtime
-
-
-def test_pools_recycle_without_the_guard():
-    """Control case: the same workload does reuse shells normally."""
-    with Runtime(n_localities=1, workers_per_locality=1) as rt:
-        assert not replay.deterministic
-        assert not instrument.enabled
-        pool = rt.localities[0].pool
-        rt.run(lambda: _churn(pool))
-        assert len(pool._shell_pool) > 0
-        assert len(pool._frame_pool) > 0
-
-
-def test_explorer_forces_the_guard_even_without_config():
+def test_explorer_runs_with_the_batcher_off_even_when_the_app_asks_for_it():
+    """Flush timing would couple the parcel structure to the schedule."""
     app, _ = CORPUS["corpus/race_fixed"]
     seen = []
 
@@ -224,15 +195,20 @@ def test_explorer_forces_the_guard_even_without_config():
         inner = app.build(rt)
 
         def job():
-            seen.append(replay.deterministic)
+            seen.append(rt._batcher)
             return inner()
 
         return job
 
-    probe_app = type(app)(name="corpus/_guard_probe", build=build,
-                          n_localities=1, workers_per_locality=1)
-    explore(probe_app, budget=2, minimize=False)
-    assert seen and all(seen)
+    probe = _probe_app("corpus/_batching_probe", {"parcel.batching": True}, build)
+    explore(probe, budget=2, minimize=False)
+    assert seen and all(batcher is None for batcher in seen)
+
+
+def test_explorer_rejects_a_non_virtual_backend():
+    probe = _probe_app("corpus/_mp_probe", {"runtime.backend": "multiprocess"})
+    with pytest.raises(ConfigError, match="virtual"):
+        explore(probe, budget=2, minimize=False)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ as wrong answers far downstream.  The runtime itself must now flag that
 when no sanitizer is attached.
 """
 
+import gc
 import warnings
 
 import pytest
@@ -21,11 +22,17 @@ from repro.runtime.runtime import Runtime
 
 def _wire_future_cycle():
     """Two dataflows forming a dependency cycle through a promise:
-    f1 needs p1, f2 needs f1, and only f2's continuation would set p1."""
+    f1 needs p1, f2 needs f1, and only f2's continuation would set p1.
+
+    Returns p1 for the caller to hold until shutdown: a reachable lost
+    chain.  (A cycle nobody references is garbage, not a hang -- the
+    demand registry is weak on purpose -- so whether it is still there at
+    the drain would depend on when the collector last ran.)"""
     p1 = Promise()
     f1 = dataflow(lambda x: x, p1.get_future())
     f2 = dataflow(lambda x: x, f1)
     f2.then(lambda f: p1.set_value(f.get()))
+    return p1
 
 
 def test_two_future_cycle_raises_under_quiescence_raise():
@@ -34,13 +41,30 @@ def test_two_future_cycle_raises_under_quiescence_raise():
         with Runtime(
             n_localities=1, workers_per_locality=2, config=config
         ) as rt:
-            rt.run(_wire_future_cycle)
+            held = rt.run(_wire_future_cycle)
+    assert not held.is_ready()
 
 
 def test_two_future_cycle_warns_by_default():
     with pytest.warns(QuiescenceWarning, match="dataflow"):
         with Runtime(n_localities=1, workers_per_locality=2) as rt:
-            rt.run(_wire_future_cycle)
+            held = rt.run(_wire_future_cycle)
+    assert not held.is_ready()
+
+
+def test_states_collected_mid_run_do_not_mask_this_jobs_lost_chains():
+    """A demand that pre-dates the run is forgiven, but only while it is
+    alive: once collected, its address is free for one of this job's own
+    states, which must still be reported."""
+    stale = Promise()
+    dataflow(lambda x: x, stale.get_future())
+    config = Config(runtime__quiescence="raise")
+    held = []
+    with pytest.raises(DeadlockError, match=r"with 60 demanded"):
+        with Runtime(n_localities=1, workers_per_locality=2, config=config) as rt:
+            del stale
+            gc.collect()
+            held.extend(rt.run(_wire_future_cycle) for _ in range(20))
 
 
 def test_quiescence_ignore_mode_is_silent():

@@ -1,8 +1,8 @@
 """Multiprocess backend rejects virtual-clock-only features eagerly.
 
-Outage windows, credit timing, schedule replay, and modelled
-interconnects are all *virtual-time* constructs; combining them with
-real OS processes would silently measure something else.  Every combo
+Outage windows, credit timing, and modelled interconnects are all
+*virtual-time* constructs; combining them with real OS processes would
+silently measure something else.  Every combo
 must fail fast with a :class:`~repro.errors.ConfigError` at Runtime
 construction (or at the resilient entry point), never mid-run.
 """
@@ -25,12 +25,6 @@ def test_rejects_fault_injector():
     injector = FaultInjector(seed=0, drop_rate=0.5)
     with pytest.raises(ConfigError, match="fault injection"):
         Runtime(n_localities=2, config=_mp_config(), fault_injector=injector)
-
-
-def test_rejects_deterministic_replay():
-    config = _mp_config(**{"runtime.deterministic_replay": True})
-    with pytest.raises(ConfigError, match="replay"):
-        Runtime(n_localities=2, config=config)
 
 
 def test_rejects_overload_protection():

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from repro.hardware import DomainBandwidthModel, machine, machine_names
 from repro.runtime.agas import AgasService
 from repro.runtime.parcel import deserialize, serialize
-from repro.sim import EventQueue
 
 
 @given(
@@ -50,17 +49,6 @@ def test_transfer_time_monotone_in_bytes(name, data):
     small = data.draw(st.integers(min_value=0, max_value=10**6))
     extra = data.draw(st.integers(min_value=0, max_value=10**6))
     assert net.transfer_time(small + extra) >= net.transfer_time(small)
-
-
-@given(times=st.lists(st.floats(min_value=0, max_value=1e6, allow_nan=False), max_size=100))
-def test_event_queue_pops_sorted(times):
-    queue = EventQueue()
-    for t in times:
-        queue.push(t, lambda: None)
-    popped = []
-    while queue:
-        popped.append(queue.pop().time)
-    assert popped == sorted(times)
 
 
 @given(ops=st.lists(st.integers(min_value=1, max_value=5), max_size=30))

@@ -41,14 +41,28 @@ def test_pool_validation():
 def test_exception_goes_to_future_and_failures():
     pool = ThreadPool(1)
 
-    def boom():
+    def boom(tag):
         raise ValueError("boom")
 
-    future = pool.submit(boom)
+    future = pool.submit(boom, "kept for the postmortem")
     pool.run_all()
     with pytest.raises(ValueError):
         future.get()
     assert len(pool.failures) == 1
+    # The failure record still knows what it ran, and with what.
+    task, exc = pool.failures[0]
+    assert task.fn is boom
+    assert task.args == ("kept for the postmortem",)
+    assert task.description == "boom"
+    assert isinstance(exc, ValueError)
+
+
+def test_spawns_draw_strictly_increasing_tids():
+    pool = ThreadPool(2)
+    futures = [pool.submit(lambda: ctx.current_task().tid) for _ in range(10_000)]
+    pool.run_all()
+    tids = [future.get() for future in futures]
+    assert all(a < b for a, b in zip(tids, tids[1:]))
 
 
 def test_virtual_time_parallel_tasks():

@@ -206,6 +206,26 @@ def test_fan_out_across_localities():
         assert rt.run(main) == [0, 2, 4, 6]
 
 
+def test_sends_draw_strictly_increasing_parcel_ids():
+    with Runtime(n_localities=2, workers_per_locality=1) as rt:
+        route = rt.parcelport._router
+        routed = []
+
+        def recording_router(parcel, arrival):
+            routed.append(parcel.parcel_id)
+            route(parcel, arrival)
+
+        rt.parcelport.install_router(recording_router)
+
+        def main():
+            futures = [rt.async_at(1, double, i) for i in range(1000)]
+            return sum(f.get() for f in futures)
+
+        assert rt.run(main) == 999_000
+    assert len(routed) == 1000
+    assert all(a < b for a, b in zip(routed, routed[1:]))
+
+
 def test_progress_all_quiesces():
     with Runtime(workers_per_locality=2) as rt:
         def main():
