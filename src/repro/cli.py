@@ -23,13 +23,6 @@ Commands mirror the evaluation workflow:
                                      distributed demo under the dynamic
                                      detectors, ``--lint`` the static
                                      pass (default: all three)
-* ``bench``                       -- the perf-regression suite: real
-                                     wall-clock cost of the runtime's hot
-                                     paths plus the virtual-time results
-                                     they produce, written as
-                                     schema-versioned JSON; ``--baseline``
-                                     diffs against a committed artifact
-                                     (see ``docs/performance.md``)
 * ``run``                         -- run a distributed stencil end-to-end,
                                      optionally under a seeded fault
                                      schedule (``--crash LOC@T``,
@@ -285,14 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the wait-for graph as Graphviz DOT (with --deadlocks: "
         "the demo run's graph; with --explore: the first deadlock found)",
     )
-
-    p_bench = sub.add_parser(
-        "bench",
-        help="perf-regression suite: wall-clock hot-path benchmarks with "
-        "virtual-time determinism checks (see repro bench --help)",
-        add_help=False,
-    )
-    p_bench.add_argument("bench_args", nargs=argparse.REMAINDER)
 
     p_run = sub.add_parser(
         "run",
@@ -1235,14 +1220,6 @@ def _cmd_jobs(args: argparse.Namespace) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if argv[:1] == ["bench"]:
-        # Dispatched before the main parse: argparse's REMAINDER cannot
-        # carry leading options through a subparser, and bench owns its
-        # own argument set (see repro.bench.main / repro bench --help).
-        from . import bench
-
-        return bench.main(argv[1:])
     args = build_parser().parse_args(argv)
     if args.command == "machines":
         print(_cmd_machines())
@@ -1273,10 +1250,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(_cmd_trace(args.nodes, args.steps, args.export, args.metrics))
     elif args.command == "analyze":
         return _cmd_analyze(args)
-    elif args.command == "bench":
-        from . import bench
-
-        return bench.main(args.bench_args)
     elif args.command == "run":
         return _cmd_run(args)
     elif args.command == "jobs":

@@ -60,15 +60,42 @@ def _heat_run(scheduler: str, batching: bool, **extra):
         return field, _fingerprint(rt)
 
 
+def _echo_len(payload, i):
+    return len(payload) + i
+
+
+def _storm_run(scheduler: str, batching: bool):
+    """300 same-destination parcels in flight at once: the batcher's best case."""
+    n = 300
+    payload = list(range(64))
+    with Runtime(
+        n_localities=2,
+        workers_per_locality=2,
+        config=_config(scheduler, batching),
+    ) as rt:
+
+        def main() -> int:
+            futures = [rt.async_at(1, _echo_len, payload, i) for i in range(n)]
+            return sum(f.get() for f in futures)
+
+        total = rt.run(main)
+        assert total == sum(len(payload) + i for i in range(n))
+        return total, _fingerprint(rt)
+
+
 @pytest.mark.parametrize("scheduler", SCHEDULERS)
-def test_batching_heat1d_bit_identical(scheduler):
-    field_off, fp_off = _heat_run(scheduler, batching=False)
-    field_on, fp_on = _heat_run(scheduler, batching=True)
+@pytest.mark.parametrize("run", [_heat_run, _storm_run], ids=["heat1d", "storm"])
+def test_batching_bit_identical(run, scheduler):
+    out_off, fp_off = run(scheduler, batching=False)
+    out_on, fp_on = run(scheduler, batching=True)
     assert fp_on == fp_off
-    np.testing.assert_array_equal(field_on, field_off)
-    np.testing.assert_array_equal(
-        field_on, heat1d_reference(U0, 20, Heat1DParams())
-    )
+    np.testing.assert_array_equal(out_on, out_off)
+
+
+@pytest.mark.parametrize("scheduler", SCHEDULERS)
+def test_batched_heat1d_matches_reference(scheduler):
+    field, _ = _heat_run(scheduler, batching=True)
+    np.testing.assert_array_equal(field, heat1d_reference(U0, 20, Heat1DParams()))
 
 
 @pytest.mark.parametrize("batch_max", [2, 4, 64])

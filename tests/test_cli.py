@@ -138,6 +138,13 @@ def test_missing_command_rejected():
         main([])
 
 
+def test_bench_is_an_unknown_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+
 def test_parser_lists_all_exhibits():
     parser = build_parser()
     # Smoke: help text builds without error.
