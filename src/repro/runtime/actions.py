@@ -76,7 +76,7 @@ def async_(fn: Callable[..., Any], *args: Any, **kwargs: Any) -> Future:
 
 def apply(fn: Callable[..., Any], *args: Any, **kwargs: Any) -> None:
     """Fire-and-forget spawn (HPX ``hpx::post``/``apply``)."""
-    _current_pool().submit(fn, *args, kwargs=kwargs or None)
+    _current_pool().post(fn, *args, kwargs=kwargs or None)
 
 
 def sync(fn: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:

@@ -6,6 +6,12 @@ maintains reference counts, and performs migration.  Resolution is the
 *only* way to find an object: callers must not cache the home locality,
 because migration invalidates it -- exactly the property the migration
 tests exercise.
+
+What resolution hands back is the table's own :class:`_Entry`, and that
+handle may be *carried* (a parcel does, from send to delivery) because
+nothing about it goes stale silently: migration rewrites ``home`` in
+place, and ``unregister`` / the last ``decref`` clear ``alive`` -- the
+one condition under which a holder must resolve the GID again.
 """
 
 from __future__ import annotations
@@ -19,13 +25,20 @@ __all__ = ["AgasService"]
 
 
 class _Entry:
-    __slots__ = ("obj", "home", "refcount", "pinned")
+    """One row of the AGAS table, and the handle :meth:`AgasService.entry`
+    resolves a GID to."""
+
+    __slots__ = ("obj", "home", "refcount", "pinned", "alive")
 
     def __init__(self, obj: Any, home: int) -> None:
         self.obj = obj
         self.home = home
         self.refcount = 1  # the creating reference
         self.pinned = 0  # active local accesses; migration must wait
+        #: False once the row left the table (unregister, refcount zero):
+        #: a carried handle is then stale and the GID must be looked up
+        #: again, which raises unless it was registered anew.
+        self.alive = True
 
 
 class AgasService:
@@ -75,9 +88,18 @@ class AgasService:
         """Forcefully unbind (used by tests/teardown); returns the object."""
         entry = self._lookup(gid)
         del self._table[gid]
+        entry.alive = False
         return entry.obj
 
     # Resolution ------------------------------------------------------------------
+    def entry(self, gid: Gid) -> _Entry:
+        """The live table row for ``gid``: home, object, pin count.
+
+        The handle stays correct across migration (``home`` is updated
+        in place); only ``alive`` turning False invalidates it.
+        """
+        return self._lookup(gid)
+
     def resolve(self, gid: Gid) -> tuple[int, Any]:
         """Current ``(home locality, object)`` for ``gid``."""
         entry = self._lookup(gid)
@@ -116,6 +138,7 @@ class AgasService:
         entry.refcount -= credits
         if entry.refcount == 0:
             del self._table[gid]
+            entry.alive = False
             if self.on_destroy is not None:
                 self.on_destroy(gid, entry.obj)
             return 0

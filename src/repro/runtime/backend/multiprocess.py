@@ -186,9 +186,11 @@ class _PipeBackend(ExecutionBackend):
         )
         parcel.fire_and_forget = faf
         parcel.priority = priority
-        promise = Promise()
-        parcel.reply_promise = promise
         if token is not None:
+            # Two-way: the origin holds the caller's promise under
+            # ``token``; this stand-in relays the outcome back to it.
+            promise = Promise()
+            parcel.reply_promise = promise
             origin, seq = token
             backend = self
 
@@ -221,15 +223,11 @@ class _PipeBackend(ExecutionBackend):
             return
         self.replies_received += 1
         value = decode_message(data)
-        pool = self.runtime.localities[self.my_id].pool
-
-        def deliver() -> None:
-            if ok:
-                promise.set_value(value)
-            else:
-                promise.set_exception(value)
-
-        pool.submit(deliver, description="remote-reply")
+        self.runtime.localities[self.my_id].pool.post(
+            promise.set_value if ok else promise.set_exception,
+            value,
+            description="remote-reply",
+        )
 
     # AGAS mirroring --------------------------------------------------------
     def component_registered(
@@ -284,10 +282,10 @@ class _PipeBackend(ExecutionBackend):
         """Run every runnable task in this process, then flush."""
         runtime = self.runtime
         while True:
-            loc, hint = runtime._next_locality()
-            if loc is None:
+            pool, worker, hint = runtime._next_locality()
+            if pool is None:
                 break
-            runtime._step_locality(loc, hint)
+            pool.dispatch(worker, hint)
             self.maybe_service()
         batcher = runtime._batcher
         if batcher is not None and batcher.pending:

@@ -284,7 +284,7 @@ class Future:
                     promise.set_exception(exc)
 
             if frame is not None and frame.pool is not None:
-                frame.pool.submit(body, description="continuation")
+                frame.pool.post(body, description="continuation")
             else:
                 body()
 
@@ -459,7 +459,7 @@ def _arm_timer(fire: Callable[[], None], timeout: float) -> None:
     # before the timer, so fire-at-deadline counts as ready.
     from .threads.hpx_thread import ThreadPriority
 
-    pool.submit(
+    pool.post(
         fire,
         ready_time=pool.now + timeout,
         description="when_all-timeout",

@@ -111,7 +111,7 @@ class Channel:
 
         from ..threads.hpx_thread import ThreadPriority
 
-        pool.submit(
+        pool.post(
             fire,
             ready_time=pool.now + timeout,
             description=f"channel-timeout:{self.name}",

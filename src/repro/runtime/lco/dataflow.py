@@ -49,7 +49,9 @@ def dataflow(fn: Callable[..., Any], *args: Any, **kwargs: Any) -> Future:
     def launch(_: Future | None) -> None:
         frame = _context_stack[-1] if _context_stack else None
         if frame is not None and frame.pool is not None:
-            frame.pool.submit(body, description=f"dataflow:{name}")
+            # Detached: ``body`` fulfils ``promise`` itself, so the
+            # thread's own result would have no reader.
+            frame.pool.post(body, description=("dataflow:%s", name))
         else:
             body()
 

@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import itertools
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 from ...errors import ParcelError
 from ..agas.gid import Gid
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..agas.service import _Entry
+    from ..futures import Promise
 
 __all__ = ["Parcel"]
 
@@ -24,8 +28,9 @@ class Parcel:
 
     A parcel is a hot-path object (one per action invocation), so it is
     a plain ``__slots__`` class: every transport-layer annex the runtime
-    or parcelport may attach (``reply_promise``, ``by_ref_body``,
-    ``fire_and_forget``, ``unreachable_destination``) is a declared slot
+    or parcelport may attach (``target_entry``, ``reply_promise``,
+    ``by_ref_body``, ``fire_and_forget``, ``unreachable_destination``)
+    is a declared slot
     with a cheap default instead of a dynamic attribute, and the wire
     size is computed exactly once at construction -- the payload bytes
     are immutable for the parcel's lifetime, retransmissions included.
@@ -36,6 +41,7 @@ class Parcel:
         "payload",
         "target_gid",
         "target_locality",
+        "target_entry",
         "send_time",
         "parcel_id",
         "attempts",
@@ -71,6 +77,11 @@ class Parcel:
         self.payload = payload
         self.target_gid = target_gid
         self.target_locality = target_locality
+        #: AGAS row ``target_gid`` resolved to at send, so routing and
+        #: delivery need no further lookups.  Process-local: it never
+        #: goes on the wire, and a parcel built from wire bytes (None
+        #: here) resolves on arrival.
+        self.target_entry: _Entry | None = None
         #: Virtual send time at the source.
         self.send_time = send_time
         self.parcel_id = next(_ids) if parcel_id is None else parcel_id
@@ -81,8 +92,9 @@ class Parcel:
         #: once -- statistics and the transfer-time model reuse it on
         #: every (re)transmission instead of re-measuring the bytes.
         self.size_bytes = len(payload) + 64
-        #: Reply promise for two-way invocations (None for bare sends).
-        self.reply_promise: Any = None
+        #: Reply promise for two-way invocations (None for one-way sends,
+        #: whose result nobody can read).
+        self.reply_promise: Promise | None = None
         #: Decoded body carried by reference (zero-copy fast path or the
         #: ``parcel.serialize=False`` ablation); None means the receiver
         #: must deserialize ``payload``.

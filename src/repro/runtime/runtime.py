@@ -53,6 +53,7 @@ from .threads.pool import ThreadPool
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..resilience.faults import FaultInjector
+    from .agas.service import _Entry
 
 __all__ = ["Runtime"]
 
@@ -351,37 +352,35 @@ class Runtime:
         return self._remote is not None
 
     # Progress engine -------------------------------------------------------------
-    def _next_locality(self) -> tuple[Locality | None, float]:
-        """The locality whose queued work can start earliest, with the
-        (outage-deferred) start hint; ``(None, inf)`` when nothing is
-        queued anywhere."""
-        best: Locality | None = None
+    def _next_locality(self) -> tuple[ThreadPool | None, Any, float]:
+        """The one scan of a dispatch: ``(pool, worker, hint)`` of the
+        locality whose queued work can start earliest -- its pool, that
+        pool's earliest worker and the (outage-deferred) start time --
+        or ``(None, None, inf)`` when nothing is queued anywhere.
+
+        Callers hand ``worker`` and ``hint`` straight to
+        ``pool.dispatch``.
+        """
+        best_pool: ThreadPool | None = None
+        best_worker = None
         best_hint = _INF
         injector = self.fault_injector
         decommissioned = self.decommissioned
         for loc in self.localities:
             if decommissioned and loc.locality_id in decommissioned:
                 continue
-            hint = loc.pool.next_start_hint()
-            if hint == _INF:
+            pool = loc.pool
+            if not pool.scheduler.size:
                 continue
+            worker = pool.earliest_worker()
+            hint = worker.available_at
             if injector is not None:
                 hint = injector.defer_until_up(loc.locality_id, hint)
             if hint < best_hint:
                 best_hint = hint
-                best = loc
-        return best, best_hint
-
-    def _step_locality(self, loc: Locality, hint: float) -> None:
-        pool = loc.pool
-        # Outage deferral can only push a hint past the pool's own value
-        # when an injector is installed; skip the re-derivation otherwise.
-        if self.fault_injector is not None and hint > pool.next_start_hint():
-            # The node is rebooting after a scheduled outage: its cores
-            # become available again at the end of the window.
-            for worker in pool.workers:
-                worker.available_at = max(worker.available_at, hint)
-        pool.step_one()
+                best_pool = pool
+                best_worker = worker
+        return best_pool, best_worker, best_hint
 
     def _raise_stalled(self) -> None:
         probe = instrument.probe
@@ -426,21 +425,21 @@ class Runtime:
             # while local work is still running.
             if remote is not None and remote.maybe_service():
                 continue
-            loc, hint = self._next_locality()
+            pool, worker, hint = self._next_locality()
             # Coalesced parcels whose linger expires before the next task
             # starts go out first (hint is inf on a stall, draining every
             # open batch before declaring deadlock); a flush enqueues
             # handler tasks, so re-evaluate from the top.
             if batcher is not None and batcher.pending and batcher.flush_due(hint):
                 continue
-            if loc is None:
+            if pool is None:
                 # Nothing runnable here, but the awaited value may be on
                 # its way from another process: block on the transport
                 # before diagnosing a stall.
                 if remote is not None and remote.on_stall():
                     continue
                 self._raise_stalled()
-            self._step_locality(loc, hint)
+            pool.dispatch(worker, hint)
         # The predicate can flip mid-task (e.g. the awaited future
         # resolves) with sends of that very task still parked in a batch.
         # Unbatched they would already be on the wire: drain them.
@@ -459,20 +458,20 @@ class Runtime:
             while not predicate():
                 if remote is not None and remote.maybe_service():
                     continue
-                loc, hint = self._next_locality()
+                pool, worker, hint = self._next_locality()
                 if (
                     batcher is not None
                     and batcher.pending
                     and batcher.flush_due(min(hint, deadline))
                 ):
                     continue
-                if loc is None or hint > deadline:
+                if pool is None or hint > deadline:
                     # A non-blocking transport poll (timed waits must not
                     # park on the pipe) may still unblock the predicate.
-                    if loc is None and remote is not None and remote.poll():
+                    if pool is None and remote is not None and remote.poll():
                         continue
                     return predicate()
-                self._step_locality(loc, hint)
+                pool.dispatch(worker, hint)
             return True
         finally:
             # Exit-drain, bounded by the deadline: parcels sent by tasks
@@ -580,10 +579,11 @@ class Runtime:
 
     def invoke_async(self, gid: Gid, method: str, *args: Any, **kwargs: Any) -> Future:
         """Invoke a component action where the component lives (parcel)."""
-        self.agas.resolve(gid)  # validate the target exists up front
+        entry = self.agas.entry(gid)  # the one lookup; validates the target
         payload, by_ref = self._encode((("__component__", method, gid), args, kwargs))
         source, send_time = self._source_and_time()
         parcel = Parcel(source, payload, gid, None, send_time)
+        parcel.target_entry = entry
         parcel.by_ref_body = by_ref
         return self._ship(parcel)
 
@@ -597,13 +597,13 @@ class Runtime:
         deposits, event signals) cost one transfer instead of two --
         which matters on platforms that cannot hide network time.
         """
-        self.agas.resolve(gid)  # validate the target exists up front
+        entry = self.agas.entry(gid)  # the one lookup; validates the target
         payload, by_ref = self._encode((("__component__", method, gid), args, kwargs))
         source, send_time = self._source_and_time()
         parcel = Parcel(source, payload, gid, None, send_time)
+        parcel.target_entry = entry
         parcel.by_ref_body = by_ref
         parcel.fire_and_forget = True
-        parcel.reply_promise = Promise()
         self.parcelport.send(parcel)
 
     def apply_at(
@@ -630,7 +630,6 @@ class Runtime:
         parcel = Parcel(source, payload, None, locality_id, send_time)
         parcel.by_ref_body = by_ref
         parcel.fire_and_forget = True
-        parcel.reply_promise = Promise()
         parcel.priority = priority
         self.parcelport.send(parcel)
 
@@ -694,9 +693,9 @@ class Runtime:
         ``pool.now``, which would re-fetch the frame) keeps the send
         path lean.
         """
-        frame = ctx.current_or_none()
-        if frame is None:
+        if not _context_stack:
             return 0, 0.0
+        frame = _context_stack[-1]
         locality = frame.locality
         source = locality.locality_id if locality is not None else 0
         pool = frame.pool
@@ -710,8 +709,22 @@ class Runtime:
     def _destination_of(self, parcel: Parcel) -> int:
         if parcel.target_locality is not None:
             return parcel.target_locality
+        entry = parcel.target_entry
+        if entry is None or not entry.alive:
+            entry = self._resolve_target(parcel)
+        return entry.home
+
+    def _resolve_target(self, parcel: Parcel) -> "_Entry":
+        """Look a component parcel's GID up again.
+
+        For a parcel that arrived as wire bytes (no handle) or whose
+        handle went stale because the row left the table since the send;
+        raises :class:`~repro.errors.UnknownGidError` for a destroyed
+        object.
+        """
         assert parcel.target_gid is not None
-        return self.agas.home_of(parcel.target_gid)
+        entry = parcel.target_entry = self.agas.entry(parcel.target_gid)
+        return entry
 
     def _ship(self, parcel: Parcel) -> Future:
         """Attach a reply promise and hand the parcel to the port (which
@@ -761,77 +774,76 @@ class Runtime:
                 destination=destination,
             )
             return
-        dest_pool = self.localities[destination].pool
-        promise: Promise = parcel.reply_promise
         by_ref = parcel.by_ref_body
-        head, args, kwargs = by_ref if by_ref is not None else deserialize(parcel.payload)
-        kind = head[0]
-
-        def handler() -> None:
-            try:
-                if kind == "__component__":
-                    _, method, gid = head
-                    home, component = self.agas.resolve(gid)
-                    if home != destination:
-                        # The object migrated between send and delivery:
-                        # forward the parcel to its new home (AGAS routing).
-                        self._reship(parcel, promise)
-                        return
-                    if self.fault_injector is not None and self._duplicate_delivery(
-                        parcel
-                    ):
-                        return
-                    self.agas.pin(gid)
-                    try:
-                        result = component.act(method, *args, **kwargs)
-                    finally:
-                        self.agas.unpin(gid)
-                elif kind == "__plain__":
-                    if self.fault_injector is not None and self._duplicate_delivery(
-                        parcel
-                    ):
-                        return
-                    fn = head[1]
-                    if isinstance(fn, str):
-                        fn = get_action(fn)
-                    result = fn(*args, **kwargs)
-                else:  # pragma: no cover - defensive
-                    raise ParcelError(f"unknown parcel kind {kind!r}")
-            except BaseException as exc:  # noqa: BLE001 - forwarded
-                if parcel.fire_and_forget:
-                    raise  # surface in the destination pool's failure list
-                self._reply(promise, exc, destination, parcel.source_locality, is_error=True)
-            else:
-                if not parcel.fire_and_forget:
-                    self._reply(promise, result, destination, parcel.source_locality)
-
-        controller = self.parcelport.overload
-        if controller is not None:
-            inner = handler
-
-            def handler() -> None:  # noqa: F811 - deliberate ack wrapper
-                # Handler completion is the ack: it returns the send
-                # credit, feeds the phi detector, and closes breakers.
-                # Early returns (migration reship, duplicate dedupe) ack
-                # too -- on_ack's holds_credit flip keeps the release
-                # exactly-once, and a reshipped parcel re-admits fresh.
-                try:
-                    inner()
-                finally:
-                    frame = _context_stack[-1] if _context_stack else None
-                    now = (
-                        frame.task.current_virtual_time()
-                        if frame is not None and frame.task is not None
-                        else arrival_time
-                    )
-                    controller.on_ack(parcel, destination, now)
-
-        dest_pool.submit(
-            handler,
+        body = by_ref if by_ref is not None else deserialize(parcel.payload)
+        # The handler replies through ``reply_promise`` (or, one-way,
+        # raises into the pool's failure list): its own result has no
+        # reader, so it runs detached.
+        self.localities[destination].pool.post(
+            self._handle_parcel
+            if self.parcelport.overload is None
+            else self._handle_parcel_and_ack,
+            parcel,
+            destination,
+            body,
             ready_time=arrival_time,
-            description=f"parcel#{parcel.parcel_id}",
+            description=("parcel#%d", parcel.parcel_id),
             priority=parcel.priority,
         )
+
+    def _handle_parcel(self, parcel: Parcel, destination: int, body: tuple) -> None:
+        """Run a delivered parcel's action (the handler HPX-thread's body)."""
+        head, args, kwargs = body
+        kind = head[0]
+        try:
+            if kind == "__component__":
+                entry = parcel.target_entry
+                if not entry.alive:  # destroyed (or re-registered) in flight
+                    entry = self._resolve_target(parcel)
+                if entry.home != destination:
+                    # The object migrated between send and delivery:
+                    # forward the parcel to its new home (AGAS routing).
+                    self._reship(parcel)
+                    return
+                if self.fault_injector is not None and self._duplicate_delivery(parcel):
+                    return
+                entry.pinned += 1  # AgasService.pin/unpin, on the handle
+                try:
+                    result = entry.obj.act(head[1], *args, **kwargs)
+                finally:
+                    entry.pinned -= 1
+            elif kind == "__plain__":
+                if self.fault_injector is not None and self._duplicate_delivery(parcel):
+                    return
+                fn = head[1]
+                if isinstance(fn, str):
+                    fn = get_action(fn)
+                result = fn(*args, **kwargs)
+            else:  # pragma: no cover - defensive
+                raise ParcelError(f"unknown parcel kind {kind!r}")
+        except BaseException as exc:  # noqa: BLE001 - forwarded
+            if parcel.fire_and_forget:
+                raise  # surface in the destination pool's failure list
+            self._reply(
+                parcel.reply_promise, exc, destination, parcel.source_locality, is_error=True
+            )
+        else:
+            if not parcel.fire_and_forget:
+                self._reply(parcel.reply_promise, result, destination, parcel.source_locality)
+
+    def _handle_parcel_and_ack(self, parcel: Parcel, destination: int, body: tuple) -> None:
+        """:meth:`_handle_parcel` under overload admission control.
+
+        Handler completion is the ack: it returns the send credit, feeds
+        the phi detector, and closes breakers.  Early returns (migration
+        reship, duplicate dedupe) ack too -- on_ack's holds_credit flip
+        keeps the release exactly-once, and a reshipped parcel re-admits
+        fresh.
+        """
+        try:
+            self._handle_parcel(parcel, destination, body)
+        finally:
+            self.parcelport.overload.on_ack(parcel, destination, self._send_time())
 
     def _schedule_parcel_resume(self, parcel: Parcel, at_time: float) -> None:
         """Re-send a stalled or deferred parcel at virtual ``at_time``.
@@ -849,7 +861,7 @@ class Runtime:
             parcel.send_time = max(pool.now, at_time)  # repro-lint: disable=PX811
             self.parcelport.send(parcel)
 
-        pool.submit(
+        pool.post(
             resume,
             ready_time=at_time,
             description=f"parcel-resume#{parcel.parcel_id}",
@@ -870,7 +882,7 @@ class Runtime:
             parcel.send_time = pool.now  # repro-lint: disable=PX811
             self.parcelport.retransmit(parcel)
 
-        pool.submit(
+        pool.post(
             retransmit,
             ready_time=at_time,
             description=f"parcel-retry#{parcel.parcel_id}",
@@ -923,9 +935,8 @@ class Runtime:
             instrument.probe.forgiven(self)
         return len(states)
 
-    def _reship(self, parcel: Parcel, promise: Promise) -> None:
+    def _reship(self, parcel: Parcel) -> None:
         parcel.send_time = self._send_time()
-        parcel.reply_promise = promise
         self.parcelport.send(parcel)
 
     def _reply(
@@ -956,14 +967,9 @@ class Runtime:
             # this task already coalesced toward the caller must not be
             # overtaken by it, so close that destination's batch first.
             self._batcher.flush_destination(to_locality)
-        source_pool = self.localities[to_locality].pool
-
-        def deliver() -> None:
-            if is_error:
-                promise.set_exception(value)
-            else:
-                promise.set_value(value)
-
-        source_pool.submit(
-            deliver, ready_time=send_time + delay, description="parcel-reply"
+        self.localities[to_locality].pool.post(
+            promise.set_exception if is_error else promise.set_value,
+            value,
+            ready_time=send_time + delay,
+            description="parcel-reply",
         )

@@ -1,7 +1,9 @@
 """The lightweight HPX-thread (task) object.
 
 An HPX-thread is far lighter than an OS thread: a callable, a promise for
-its result, and scheduling metadata.  Here it also carries the virtual-
+its result (none when it was posted *detached*, ``hpx::post``: nobody
+can read the result, so nothing is allocated to hold it), and scheduling
+metadata.  Here it also carries the virtual-
 time bookkeeping: when it became runnable (``ready_time``), how much
 virtual compute it has accrued (:meth:`accrue_cost`), and the latest
 completion time of any future it consumed (:meth:`note_dependency`).  Its
@@ -17,14 +19,19 @@ from typing import Any, Callable
 from ...errors import RuntimeStateError
 from ..futures import Future, Promise
 
-__all__ = ["HpxThread", "ThreadState", "ThreadPriority"]
+__all__ = ["HpxThread", "Label", "ThreadState", "ThreadPriority"]
 
 _ids = itertools.count(1)
 
 #: Shared empty-kwargs sentinel: tasks only ever ``**``-unpack their
 #: kwargs, so the (overwhelmingly common) no-kwargs spawn can share one
 #: dict instead of allocating a fresh one per HPX-thread.
-_NO_KWARGS: dict = {}
+_NO_KWARGS: dict[str, Any] = {}
+
+#: A task label: the text itself, or ``(format, *args)`` that
+#: :attr:`HpxThread.description` ``%``-formats when a tracer, probe or
+#: error message asks -- the spawn path stores it and moves on.
+Label = str | tuple[Any, ...]
 
 
 class ThreadState(enum.Enum):
@@ -42,6 +49,12 @@ class ThreadPriority(enum.IntEnum):
     LOW = 0
     NORMAL = 1
     HIGH = 2
+
+
+# Enum member access goes through a descriptor on every read; the spawn
+# path reads these two once per HPX-thread.
+_PENDING = ThreadState.PENDING
+_NORMAL = ThreadPriority.NORMAL
 
 
 class HpxThread:
@@ -67,11 +80,12 @@ class HpxThread:
     def __init__(
         self,
         fn: Callable[..., Any],
-        args: tuple = (),
-        kwargs: dict | None = None,
-        description: str = "",
+        args: tuple[Any, ...] = (),
+        kwargs: dict[str, Any] | None = None,
+        description: Label = "",
         ready_time: float = 0.0,
-        priority: "ThreadPriority" = None,  # type: ignore[assignment]
+        priority: "ThreadPriority | None" = None,
+        detached: bool = False,
     ) -> None:
         if not callable(fn):
             raise RuntimeStateError(f"task body must be callable, got {fn!r}")
@@ -80,32 +94,41 @@ class HpxThread:
         self.args = args
         self.kwargs = kwargs if kwargs else _NO_KWARGS
         self._description = description
-        self.state = ThreadState.PENDING
-        self.priority = ThreadPriority.NORMAL if priority is None else ThreadPriority(priority)
+        self.state = _PENDING
+        self.priority = _NORMAL if priority is None else ThreadPriority(priority)
         self.ready_time = ready_time if type(ready_time) is float else float(ready_time)
         self.start_time = 0.0
         self.finish_time = 0.0
         self.worker_id: int | None = None
         self._cost = 0.0
         self._deps_time = 0.0
-        self._promise = Promise()
+        self._promise = None if detached else Promise()
 
     @property
     def description(self) -> str:
         """Human-readable label, defaulting to the body's ``__name__``.
 
         Resolved lazily: only tracers, probes and error paths read it,
-        so the (hot) spawn path should not pay the ``getattr``.
+        so the (hot) spawn path pays neither the ``getattr`` nor the
+        string formatting of a :data:`Label`.
         """
-        return self._description or getattr(self.fn, "__name__", "task")
+        label = self._description
+        if not label:
+            return str(getattr(self.fn, "__name__", "task"))
+        if isinstance(label, str):
+            return label
+        return str(label[0] % label[1:])
 
     # Result plumbing ----------------------------------------------------------
     def get_future(self) -> Future:
         """Future for this task's return value."""
+        if self._promise is None:
+            raise RuntimeStateError("a detached HPX-thread has no future")
         return self._promise.get_future()
 
     @property
-    def promise(self) -> Promise:
+    def promise(self) -> Promise | None:
+        """The result promise; None for a detached (posted) thread."""
         return self._promise
 
     # Virtual-time accounting ----------------------------------------------------

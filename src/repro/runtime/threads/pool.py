@@ -25,12 +25,17 @@ from .. import context as ctx
 from ..context import _stack as _context_stack
 from .. import instrument
 from ..futures import Future
-from .hpx_thread import HpxThread, ThreadPriority, ThreadState
+from .hpx_thread import HpxThread, Label, ThreadPriority, ThreadState
 from .scheduler import Scheduler, WorkStealingScheduler, make_scheduler
 
 __all__ = ["ThreadPool"]
 
 _INF = float("inf")
+
+# Enum member access goes through a descriptor on every read; the
+# dispatch path writes these once per task.
+_RUNNING = ThreadState.RUNNING
+_TERMINATED = ThreadState.TERMINATED
 
 
 class _Worker:
@@ -134,14 +139,16 @@ class ThreadPool:
 
         Models the work a dead node takes with it: each dropped task's
         promise is broken, so anything still waiting on it observes
-        :class:`~repro.errors.BrokenPromiseError` instead of hanging.
-        Returns the number of tasks discarded.
+        :class:`~repro.errors.BrokenPromiseError` instead of hanging (a
+        detached task has no promise and no waiter).  Returns the number
+        of tasks discarded.
         """
         dropped = self.scheduler.drain()
         for task in dropped:
-            task.state = ThreadState.TERMINATED
-            if not task.promise.is_ready():
-                task.promise.break_promise()
+            task.state = _TERMINATED
+            promise = task.promise
+            if promise is not None and not promise.is_ready():
+                promise.break_promise()
         return len(dropped)
 
     # Submission ------------------------------------------------------------------
@@ -152,7 +159,7 @@ class ThreadPool:
         kwargs: dict[str, Any] | None = None,
         worker: int | None = None,
         ready_time: float | None = None,
-        description: str = "",
+        description: Label = "",
         priority: ThreadPriority | None = None,
     ) -> Future:
         """Queue ``fn(*args)`` as a new HPX-thread; returns its future.
@@ -164,39 +171,85 @@ class ThreadPool:
         default a task becomes ready at the submitter's current virtual
         time with normal priority.
         """
+        return self._spawn(
+            fn, args, kwargs, worker, ready_time, description, priority, False
+        ).get_future()
+
+    def post(
+        self,
+        fn: Callable[..., Any],
+        *args: Any,
+        kwargs: dict[str, Any] | None = None,
+        worker: int | None = None,
+        ready_time: float | None = None,
+        description: Label = "",
+        priority: ThreadPriority | None = None,
+    ) -> None:
+        """:meth:`submit` without a result: a detached HPX-thread
+        (``hpx::post``).
+
+        For work whose future nobody could read -- one-way parcel
+        handlers, continuation bodies that fulfil their own promise,
+        reply deliveries.  No promise, shared state or future is
+        allocated; the task is scheduled, counted and probed like any
+        other, and an exception it raises still lands in
+        :attr:`failures`.
+        """
+        self._spawn(fn, args, kwargs, worker, ready_time, description, priority, True)
+
+    def _spawn(
+        self,
+        fn: Callable[..., Any],
+        args: tuple[Any, ...],
+        kwargs: dict[str, Any] | None,
+        worker: int | None,
+        ready_time: float | None,
+        description: Label,
+        priority: ThreadPriority | None,
+        detached: bool,
+    ) -> HpxThread:
         if ready_time is None:
             # Inlined ``self.now``: one stack peek instead of a property
-            # call -- submit is the busiest entry point in the runtime.
+            # call -- spawning is the busiest entry point in the runtime.
             frame = _context_stack[-1] if _context_stack else None
             if frame is not None and frame.pool is self and frame.task is not None:
                 ready_time = frame.task.current_virtual_time()
             else:
                 ready_time = self.makespan
-        task = HpxThread(fn, args, kwargs, description, ready_time, priority)
+        task = HpxThread(fn, args, kwargs, description, ready_time, priority, detached)
         if instrument.enabled and (probe := instrument.probe) is not None:
             probe.task_created(ctx.current_task(), task)
-        self.scheduler.push(task, worker_hint=worker)
-        depth = len(self.scheduler)
-        if depth > self.peak_pending:
-            self.peak_pending = depth
-        return task.get_future()
+        scheduler = self.scheduler
+        scheduler.push(task, worker)
+        if scheduler.size > self.peak_pending:
+            self.peak_pending = scheduler.size
+        return task
 
     # Execution -------------------------------------------------------------------
-    def _next(self) -> tuple[HpxThread, _Worker] | tuple[None, None]:
-        """Pick the (task, worker) pair that can start earliest.
+    def earliest_worker(self) -> _Worker:
+        """The worker that frees up first (lowest id on ties).
 
-        A single min-scan replaces sorting every worker per dispatch:
         ``self.workers`` is stored in id order and the strict ``<`` keeps
-        the lowest id on availability ties, so the worker tried first is
-        exactly the one the old sort put first.  Only when that worker's
-        acquire fails (a static scheduler with an empty bound queue, or
-        a thief out of attempts) does the full sorted fallback run.
+        the lowest id on availability ties.  This is *the* scan of a
+        dispatch: the runtime's locality scan takes its start hint from
+        the worker found here and hands the same worker to
+        :meth:`dispatch`.
         """
         workers = self.workers
         best = workers[0]
         for worker in workers:
             if worker.available_at < best.available_at:
                 best = worker
+        return best
+
+    def _take(self, best: _Worker) -> tuple[HpxThread, _Worker] | tuple[None, None]:
+        """A task for ``best`` (the earliest worker), or for the next
+        earliest worker that can find one.
+
+        Only when ``best``'s acquire fails (a static scheduler with an
+        empty bound queue, or a thief out of attempts) does the sorted
+        fallback over the other workers run.
+        """
         controller = self.controller
         if controller is not None:
             # Schedule-exploration seam: surface the whole ready set and
@@ -214,7 +267,7 @@ class ThreadPool:
         task = self.scheduler.acquire(best.worker_id)
         if task is not None:
             return task, best
-        for worker in sorted(workers, key=lambda w: (w.available_at, w.worker_id)):
+        for worker in sorted(self.workers, key=lambda w: (w.available_at, w.worker_id)):
             if worker is best:
                 continue
             task = self.scheduler.acquire(worker.worker_id)
@@ -222,12 +275,35 @@ class ThreadPool:
                 return task, worker
         return None, None
 
+    def _next(self) -> tuple[HpxThread, _Worker] | tuple[None, None]:
+        """Pick the (task, worker) pair that can start earliest."""
+        return self._take(self.earliest_worker())
+
+    def dispatch(self, best: _Worker, not_before: float = 0.0) -> bool:
+        """Execute one queued task; False if none was available.
+
+        ``best`` is what :meth:`earliest_worker` returned.  ``not_before``
+        lies past ``best``'s own clock only when the node is down until
+        then (a scheduled outage): every core becomes available again at
+        the end of the window, and the earliest worker is chosen anew.
+        """
+        if not_before > best.available_at:
+            for worker in self.workers:
+                if worker.available_at < not_before:
+                    worker.available_at = not_before
+            best = self.earliest_worker()
+        task, worker = self._take(best)
+        if task is None:
+            return False
+        self._execute(task, worker)
+        return True
+
     def _execute(self, task: HpxThread, worker: _Worker) -> None:
         task.worker_id = worker.worker_id
         available_at = worker.available_at
         ready_time = task.ready_time
         task.start_time = available_at if available_at >= ready_time else ready_time
-        task.state = ThreadState.RUNNING
+        task.state = _RUNNING
         runtime = self.runtime
         locality = self.locality
         if runtime is None or locality is None:
@@ -249,17 +325,20 @@ class ThreadPool:
         try:
             if probe is not None:
                 probe.task_started(task)
+            promise = task._promise
             try:
                 result = task.fn(*task.args, **task.kwargs)
             except BaseException as exc:  # noqa: BLE001 - forwarded via future
-                task.state = ThreadState.TERMINATED
+                task.state = _TERMINATED
                 task.finish_time = task.current_virtual_time()
-                task._promise.set_exception(exc)
+                if promise is not None:
+                    promise.set_exception(exc)
                 self.failures.append((task, exc))
             else:
-                task.state = ThreadState.TERMINATED
+                task.state = _TERMINATED
                 task.finish_time = task.current_virtual_time()
-                task._promise.set_value(result)
+                if promise is not None:
+                    promise.set_value(result)
             if probe is not None:
                 probe.task_finished(task)
         finally:
@@ -268,31 +347,15 @@ class ThreadPool:
         if task.finish_time > worker.available_at:
             worker.available_at = task.finish_time
         worker.tasks_run += 1
-        worker.busy_time += task.cost
+        worker.busy_time += task._cost
         self.tasks_executed += 1
 
-    def step_one(self) -> bool:
-        """Execute exactly one queued task; False if none was available."""
-        task, worker = self._next()
-        if task is None:
-            return False
-        self._execute(task, worker)
-        return True
-
     def next_start_hint(self) -> float:
-        """Lower bound on when this pool's next task could start.
-
-        Used by the runtime to step pools in approximately causal order.
-        Returns +inf when nothing is queued.
-        """
-        if not len(self.scheduler):
+        """Lower bound on when this pool's next task could start;
+        +inf when nothing is queued."""
+        if not self.scheduler.size:
             return _INF
-        workers = self.workers
-        hint = workers[0].available_at
-        for worker in workers:
-            if worker.available_at < hint:
-                hint = worker.available_at
-        return hint
+        return self.earliest_worker().available_at
 
     def run_until(self, predicate: Callable[[], bool]) -> None:
         """Execute queued tasks until ``predicate()`` is true.

@@ -7,9 +7,10 @@ the *placement decisions* (which worker runs which task, and when a
 steal happens), which is what matters for the virtual-time model; they
 need no locks because execution is single-threaded.
 
-Everything here is hot: ``__len__`` runs on every progress-engine step
-and ``acquire`` on every task dispatch, so the queues keep explicit
-size counters (no per-call sums over deques) and the work-stealing
+Everything here is hot: the queue depth is read on every
+progress-engine step and ``acquire`` runs on every task dispatch, so
+every scheduler keeps its depth in a plain ``size`` attribute (no
+per-call sums over deques, no method call to read it) and the work-stealing
 scheduler keeps a live set of victims that actually hold stealable
 work, so thieves stop probing obviously-empty queues.
 """
@@ -39,6 +40,7 @@ _PRIORITIES = (ThreadPriority.HIGH, ThreadPriority.NORMAL, ThreadPriority.LOW)
 
 _NORMAL = ThreadPriority.NORMAL
 _HIGH = ThreadPriority.HIGH
+_LOW = ThreadPriority.LOW
 
 
 class _PriorityDeques:
@@ -264,6 +266,9 @@ class Scheduler:
         if n_workers < 1:
             raise RuntimeStateError("scheduler needs at least one worker")
         self.n_workers = n_workers
+        #: Queued tasks, maintained by every push/acquire/drain/remove;
+        #: what ``len(scheduler)`` returns, readable without a call.
+        self.size = 0
 
     def push(self, task: HpxThread, worker_hint: Optional[int] = None) -> None:
         """Queue a task, optionally bound/hinted to a worker."""
@@ -294,7 +299,7 @@ class Scheduler:
         raise NotImplementedError
 
     def __len__(self) -> int:
-        raise NotImplementedError
+        return self.size
 
     def pending_low(self) -> int:
         """Queued LOW-priority (sheddable background) tasks.
@@ -324,22 +329,27 @@ class FifoScheduler(Scheduler):
     def push(self, task: HpxThread, worker_hint: Optional[int] = None) -> None:
         self._check_worker(worker_hint)
         self._queue.push(task)
+        self.size += 1
 
     def acquire(self, worker_id: int) -> Optional[HpxThread]:
         self._check_worker(worker_id)
-        return self._queue.pop_front()
+        task = self._queue.pop_front()
+        if task is not None:
+            self.size -= 1
+        return task
 
     def drain(self) -> list[HpxThread]:
+        self.size = 0
         return self._queue.drain()
 
     def snapshot(self) -> list[HpxThread]:
         return self._queue.snapshot()
 
     def remove(self, task: HpxThread) -> bool:
-        return self._queue.remove(task)
-
-    def __len__(self) -> int:
-        return self._queue.size
+        removed = self._queue.remove(task)
+        if removed:
+            self.size -= 1
+        return removed
 
     def pending_low(self) -> int:
         return self._queue.size - self._queue.regular
@@ -359,29 +369,29 @@ class StaticScheduler(Scheduler):
         super().__init__(n_workers)
         self._queues = [_PriorityDeques() for _ in range(n_workers)]
         self._rr = 0
-        self._count = 0
 
     def push(self, task: HpxThread, worker_hint: Optional[int] = None) -> None:
-        self._check_worker(worker_hint)
         if worker_hint is None:
             worker_hint = self._rr
             self._rr = (self._rr + 1) % self.n_workers
+        else:
+            self._check_worker(worker_hint)
         task.worker_id = worker_hint
         self._queues[worker_hint].push(task)
-        self._count += 1
+        self.size += 1
 
     def acquire(self, worker_id: int) -> Optional[HpxThread]:
         self._check_worker(worker_id)
         task = self._queues[worker_id].pop_front()
         if task is not None:
-            self._count -= 1
+            self.size -= 1
         return task
 
     def drain(self) -> list[HpxThread]:
         drained: list[HpxThread] = []
         for queue in self._queues:
             drained.extend(queue.drain())
-        self._count = 0
+        self.size = 0
         return drained
 
     def snapshot(self) -> list[HpxThread]:
@@ -393,12 +403,9 @@ class StaticScheduler(Scheduler):
     def remove(self, task: HpxThread) -> bool:
         for queue in self._queues:
             if queue.remove(task):
-                self._count -= 1
+                self.size -= 1
                 return True
         return False
-
-    def __len__(self) -> int:
-        return self._count
 
     def pending_low(self) -> int:
         return sum(q.size - q.regular for q in self._queues)
@@ -428,17 +435,17 @@ class WorkStealingScheduler(Scheduler):
             n_workers - 1 if steal_attempts is None else min(steal_attempts, n_workers - 1)
         )
         self.steals = 0  # statistic: successful steals
-        self._count = 0
         self._stealable: set[int] = set()
 
     def push(self, task: HpxThread, worker_hint: Optional[int] = None) -> None:
-        self._check_worker(worker_hint)
         if worker_hint is None:
             worker_hint = self._rr
             self._rr = (self._rr + 1) % self.n_workers
+        else:
+            self._check_worker(worker_hint)
         self._queues[worker_hint].push(task)
-        self._count += 1
-        if task.priority is not ThreadPriority.LOW:
+        self.size += 1
+        if task.priority is not _LOW:
             self._stealable.add(worker_hint)
 
     def acquire(self, worker_id: int) -> Optional[HpxThread]:
@@ -446,7 +453,7 @@ class WorkStealingScheduler(Scheduler):
         own = self._queues[worker_id]
         task = own.pop_front()
         if task is not None:
-            self._count -= 1
+            self.size -= 1
             if not own.regular:
                 self._stealable.discard(worker_id)
             task.worker_id = worker_id
@@ -464,7 +471,7 @@ class WorkStealingScheduler(Scheduler):
             if not queue.regular:
                 stealable.discard(victim)
             if task is not None:
-                self._count -= 1
+                self.size -= 1
                 task.worker_id = worker_id
                 self.steals += 1
                 return task
@@ -474,7 +481,7 @@ class WorkStealingScheduler(Scheduler):
         drained: list[HpxThread] = []
         for queue in self._queues:
             drained.extend(queue.drain())
-        self._count = 0
+        self.size = 0
         self._stealable.clear()
         return drained
 
@@ -487,14 +494,11 @@ class WorkStealingScheduler(Scheduler):
     def remove(self, task: HpxThread) -> bool:
         for worker_id, queue in enumerate(self._queues):
             if queue.remove(task):
-                self._count -= 1
+                self.size -= 1
                 if not queue.regular:
                     self._stealable.discard(worker_id)
                 return True
         return False
-
-    def __len__(self) -> int:
-        return self._count
 
     def pending_low(self) -> int:
         return sum(q.size - q.regular for q in self._queues)

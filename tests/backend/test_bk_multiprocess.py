@@ -98,6 +98,28 @@ def test_worker_to_worker_invoke_relays_through_driver():
     assert rt.backend.counters()["parcels_relayed"] >= 1
 
 
+def test_parcel_from_the_wire_carries_no_agas_handle_and_resolves_on_arrival():
+    """The resolved AGAS entry is process-local: the wire entry has no
+    slot for it, so a parcel rebuilt from pipe bytes looks its GID up
+    where it lands."""
+    with _mp_runtime() as rt:
+        gid = rt.new_component(_Counter(), locality_id=0)
+        arrived = []
+        route = rt._route_parcel
+
+        def recording_route(parcel, arrival_time):
+            arrived.append((parcel.target_gid, parcel.target_entry))
+            route(parcel, arrival_time)
+            arrived.append(parcel.target_entry)
+
+        rt._route_parcel = recording_route
+        # A handler in the worker process invokes a component homed in
+        # the driver: its parcel reaches this process as wire bytes.
+        assert rt.async_at(1, _invoke_remote_add, gid, 9).get() == 9
+        del rt._route_parcel
+        assert arrived == [(gid, None), rt.agas.entry(gid)]
+
+
 def test_fire_and_forget_applies_before_shutdown():
     """apply_at work in flight is caught by the termination sync rounds."""
     with _mp_runtime() as rt:
