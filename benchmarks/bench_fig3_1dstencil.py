@@ -20,7 +20,7 @@ from repro.perf.cost import (
     stencil1d_time,
 )
 from repro.runtime import Runtime
-from repro.runtime.trace import Tracer
+from repro.observability.tracer import Tracer
 from repro.stencil import DistributedHeat1D, Heat1DParams, analytic_heat_profile
 
 

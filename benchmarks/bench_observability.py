@@ -16,7 +16,7 @@ from repro.observability import (
     sample_counters,
 )
 from repro.runtime import Runtime
-from repro.runtime.trace import Tracer
+from repro.observability.tracer import Tracer
 from repro.stencil import DistributedHeat1D, Heat1DParams, analytic_heat_profile
 
 NODES, WORKERS, STEPS, POINTS = 2, 2, 12, 128

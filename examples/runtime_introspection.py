@@ -22,7 +22,7 @@ from repro.hardware import machine
 from repro.hardware.topology_render import render_machine, render_pinning
 from repro.observability import latency_histograms, sample_counters
 from repro.runtime import Runtime, perfcounters
-from repro.runtime.trace import Tracer
+from repro.observability.tracer import Tracer
 from repro.stencil import DistributedHeat1D, Heat1DParams, analytic_heat_profile
 
 MACHINE = "a64fx"

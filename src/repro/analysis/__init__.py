@@ -27,7 +27,7 @@ rule catalogue.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
 from ..runtime import instrument
 from .deadlock import DeadlockDetector, WaitGraph
@@ -45,9 +45,6 @@ from .explore import (
 )
 from .race import AccessRecord, RaceDetector
 from .vector_clock import Epoch, VectorClock
-
-if TYPE_CHECKING:  # pragma: no cover
-    from ..runtime.trace import Tracer
 
 __all__ = [
     "AccessRecord",
@@ -81,20 +78,17 @@ class Sanitizers:
 
 @contextmanager
 def attach(
-    races: bool = True,
-    deadlocks: bool = True,
-    tracer: "Tracer | None" = None,
-    report: str = "raise",
+    races: bool = True, deadlocks: bool = True, report: str = "raise"
 ) -> Iterator[Sanitizers]:
     """Install the dynamic sanitizers for the duration of a ``with`` block.
 
     ``report`` controls the race detector ("raise" stops at the first
     race, "collect" accumulates into ``sanitizers.race.findings()``).
-    With ``tracer`` given, findings are also emitted as ``TraceEvent``s
-    of kind ``"race"`` / ``"deadlock"``.
+    Findings are also ``event``s of kind ``"race"`` / ``"deadlock"`` on
+    the seam, so a tracer attached at the same time records them.
     """
-    race = RaceDetector(tracer=tracer, report=report) if races else None
-    deadlock = DeadlockDetector(tracer=tracer) if deadlocks else None
+    race = RaceDetector(report=report) if races else None
+    deadlock = DeadlockDetector() if deadlocks else None
     for probe in (race, deadlock):
         if probe is not None:
             instrument.install(probe)

@@ -35,12 +35,12 @@ from typing import TYPE_CHECKING, Any, Dict, List, Sequence, Tuple
 
 from ..errors import DeadlockError
 from ..runtime import context as ctx
+from ..runtime import instrument
 from ..runtime.instrument import Probe
 from ..runtime.threads.hpx_thread import ThreadState
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..runtime.threads.hpx_thread import HpxThread
-    from ..runtime.trace import Tracer
 
 __all__ = ["DeadlockDetector", "WaitGraph"]
 
@@ -176,12 +176,12 @@ class WaitGraph:
 class DeadlockDetector(Probe):
     """Wait-for-graph deadlock detection for the cooperative runtime.
 
-    With ``tracer`` given, each finding is also appended to the trace as
-    a ``TraceEvent`` of kind ``"deadlock"``.
+    Each verdict is also reported to the installed probes as an
+    ``event`` of kind ``"deadlock"``, which puts it on an attached
+    tracer's timeline.
     """
 
-    def __init__(self, tracer: "Tracer | None" = None) -> None:
-        self.tracer = tracer
+    def __init__(self) -> None:
         #: (thread-or-None, state key, detail) for each active block.
         self._waits: List[Tuple[Any, int, str]] = []
         #: state key -> producing HPX-thread (thread-result promises).
@@ -317,20 +317,16 @@ class DeadlockDetector(Probe):
 
     # Verdicts --------------------------------------------------------------
     def _emit(self, graph: WaitGraph, verdict: str) -> None:
-        if self.tracer is None:
+        if instrument.probe is None:
             return
-        from ..runtime.trace import TraceEvent
-
         frame = ctx.current_or_none()
         pool = frame.pool if frame is not None else None
-        self.tracer.events.append(
-            TraceEvent(
-                kind="deadlock",
-                time=pool.now if pool is not None else 0.0,
-                pool=pool.name if pool is not None else "",
-                worker_id=frame.worker_id if frame is not None else None,
-                args={"verdict": verdict, "graph": graph.render()},
-            )
+        instrument.probe.event(
+            "deadlock",
+            pool.now if pool is not None else 0.0,
+            pool.name if pool is not None else "",
+            frame.worker_id if frame is not None else None,
+            args={"verdict": verdict, "graph": graph.render()},
         )
 
     def stalled(self, context: Any = None) -> None:

@@ -42,12 +42,12 @@ from typing import TYPE_CHECKING, Any, Dict, Sequence
 
 from ..errors import DataRaceError
 from ..runtime import context as ctx
+from ..runtime import instrument
 from ..runtime.instrument import Probe
 from .vector_clock import Epoch, VectorClock
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..runtime.threads.hpx_thread import HpxThread
-    from ..runtime.trace import Tracer
 
 __all__ = ["RaceDetector", "AccessRecord"]
 
@@ -130,17 +130,14 @@ class RaceDetector(Probe):
 
     ``report="raise"`` (default) raises :class:`DataRaceError` at the
     racing access; ``report="collect"`` records findings in
-    :attr:`races` and keeps going (CLI smoke runs).  With ``tracer``
-    given, each finding is also emitted as a ``TraceEvent`` of kind
-    ``"race"`` on the virtual timeline.
+    :attr:`races` and keeps going (CLI smoke runs).  Each finding is
+    also reported to the installed probes as an ``event`` of kind
+    ``"race"``, which puts it on an attached tracer's timeline.
     """
 
-    def __init__(
-        self, tracer: "Tracer | None" = None, report: str = "raise"
-    ) -> None:
+    def __init__(self, report: str = "raise") -> None:
         if report not in ("raise", "collect"):
             raise ValueError(f"report must be 'raise' or 'collect', got {report!r}")
-        self.tracer = tracer
         self.report = report
         self.races: list[DataRaceError] = []
         self._clocks: Dict[int, VectorClock] = {MAIN_TID: VectorClock()}
@@ -288,23 +285,19 @@ class RaceDetector(Probe):
             previous=previous,
         )
         self.races.append(error)
-        if self.tracer is not None:
-            from ..runtime.trace import TraceEvent
-
+        if instrument.probe is not None:
             frame = ctx.current_or_none()
             pool = frame.pool if frame is not None else None
-            self.tracer.events.append(
-                TraceEvent(
-                    kind="race",
-                    time=pool.now if pool is not None else 0.0,
-                    pool=pool.name if pool is not None else "",
-                    worker_id=frame.worker_id if frame is not None else None,
-                    args={
-                        "location": location.label(),
-                        "current": current.describe(),
-                        "previous": previous.describe(),
-                    },
-                )
+            instrument.probe.event(
+                "race",
+                pool.now if pool is not None else 0.0,
+                pool.name if pool is not None else "",
+                frame.worker_id if frame is not None else None,
+                args={
+                    "location": location.label(),
+                    "current": current.describe(),
+                    "previous": previous.describe(),
+                },
             )
         if self.report == "raise":
             raise error

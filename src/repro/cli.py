@@ -535,7 +535,7 @@ def _cmd_trace(
     from .observability import collect_metrics
     from .reporting import write_metrics_json
     from .runtime import Runtime
-    from .runtime.trace import Tracer
+    from .observability.tracer import Tracer
     from .stencil import DistributedHeat1D, Heat1DParams, analytic_heat_profile
 
     tracer = Tracer()
@@ -867,7 +867,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from .resilience import FaultInjector
     from .runtime import Runtime
     from .runtime.perfcounters import query
-    from .runtime.trace import Tracer
+    from .observability.tracer import Tracer
     from .stencil import DistributedHeat1D, Heat1DParams, analytic_heat_profile
     from .stencil.jacobi2d_dist import DistributedJacobi2D
 

@@ -1,16 +1,18 @@
-"""Observability: trace export, counter sampling, latency histograms.
+"""Observability: tracing, trace export, counter sampling, latency histograms.
 
 The paper's Sec. VII argument is built on *introspection* -- hardware
 and runtime counters explain why each platform performs as it does, and
 HPX's APEX/perf-counter facility is how that data is collected in
-practice.  This package turns the raw recorders of
-:mod:`repro.runtime.trace` and :mod:`repro.runtime.perfcounters` into a
-usable observability layer:
+practice.  Everything here watches the runtime through the
+:mod:`repro.runtime.instrument` seam or reads
+:mod:`repro.runtime.perfcounters`:
 
-* :mod:`~repro.observability.chrome_trace` -- export a
-  :class:`~repro.runtime.trace.Tracer`'s timeline as Chrome
-  trace-event JSON (Perfetto / ``chrome://tracing``), with flow arrows
-  linking each parcel's send to its handler task.
+* :mod:`~repro.observability.tracer` -- the :class:`Tracer` probe:
+  per-task records and discrete runtime events on the virtual clock,
+  a text Gantt chart, utilization.
+* :mod:`~repro.observability.chrome_trace` -- export a tracer's
+  timeline as Chrome trace-event JSON (Perfetto / ``chrome://tracing``),
+  with flow arrows linking each parcel's send to its handler task.
 * :mod:`~repro.observability.sampling` -- an
   ``--hpx:print-counter-interval`` analogue: snapshot any set of
   counter paths every Δt of *virtual* time and emit a CSV/JSON time
@@ -35,6 +37,7 @@ from .histograms import (
 )
 from .metrics import STANDARD_COUNTERS, collect_metrics
 from .sampling import CounterTimeSeries, sample_counters
+from .tracer import TaskRecord, TraceEvent, Tracer
 
 __all__ = [
     "chrome_trace_events",
@@ -48,4 +51,7 @@ __all__ = [
     "collect_metrics",
     "CounterTimeSeries",
     "sample_counters",
+    "TaskRecord",
+    "TraceEvent",
+    "Tracer",
 ]

@@ -1,4 +1,4 @@
-"""Chrome trace-event export for :class:`~repro.runtime.trace.Tracer`.
+"""Chrome trace-event export for :class:`~repro.observability.tracer.Tracer`.
 
 The trace-event format (one JSON object with a ``traceEvents`` array)
 is what Perfetto (https://ui.perfetto.dev) and ``chrome://tracing``
@@ -24,7 +24,7 @@ import json
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..runtime.trace import Tracer
+    from .tracer import Tracer
 
 __all__ = ["chrome_trace_events", "export_chrome_trace"]
 

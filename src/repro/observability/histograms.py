@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Iterable
 from ..errors import ValidationError
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..runtime.trace import Tracer
+    from .tracer import Tracer
 
 __all__ = [
     "Histogram",

@@ -16,7 +16,7 @@ from .histograms import latency_histograms
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..runtime.runtime import Runtime
-    from ..runtime.trace import Tracer
+    from .tracer import Tracer
 
 __all__ = ["STANDARD_COUNTERS", "OVERLOAD_COUNTERS", "collect_metrics"]
 

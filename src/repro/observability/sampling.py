@@ -23,10 +23,11 @@ import json
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from ..errors import ValidationError
-from ..runtime import perfcounters
+from ..runtime import instrument, perfcounters
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..runtime.runtime import Runtime
+    from ..runtime.threads.hpx_thread import HpxThread
 
 __all__ = ["CounterTimeSeries", "sample_counters"]
 
@@ -89,7 +90,7 @@ class CounterTimeSeries:
         )
 
 
-class _Probe:
+class _Probe(instrument.Probe):
     """Reads the counters whenever the virtual high-water mark crosses
     the next Δt boundary.
 
@@ -115,10 +116,10 @@ class _Probe:
     def snapshot(self) -> list[float]:
         return [perfcounters.query(self.runtime, p) for p in self.series.paths]
 
-    def note(self, finish_time: float) -> None:
-        if finish_time <= self.high_water:
+    def task_finished(self, task: "HpxThread") -> None:
+        if task.finish_time <= self.high_water:
             return
-        self.high_water = finish_time
+        self.high_water = task.finish_time
         while self.next_boundary <= self.high_water:
             self.series.append(self.next_boundary, self.snapshot())
             if len(self.series) >= self.max_samples:
@@ -141,11 +142,11 @@ def sample_counters(
     """Run ``main`` on locality 0 while sampling ``paths`` every
     ``interval`` virtual seconds.
 
-    The job is driven exactly like :meth:`Runtime.run`; every pool is
-    instrumented so each task completion advances a high-water virtual
-    clock, and the counters are snapshotted whenever it crosses a Δt
-    boundary.  A final sample is taken at completion time; the job's
-    return value is stored on the series as ``result``.
+    The job is driven exactly like :meth:`Runtime.run`, with a probe
+    installed: each task completion advances a high-water virtual clock,
+    and the counters are snapshotted whenever it crosses a Δt boundary.
+    A final sample is taken at completion time; the job's return value
+    is stored on the series as ``result``.
 
     Raises :class:`~repro.errors.ValidationError` on a non-positive
     interval or when ``max_samples`` is exceeded (a runaway-job guard);
@@ -157,25 +158,14 @@ def sample_counters(
     series = CounterTimeSeries(paths)
     probe = _Probe(runtime, series, interval, max_samples)
 
-    pools = [loc.pool for loc in runtime.localities]
-    originals = []
-    for pool in pools:
-        original = pool._execute
-
-        def sampled_execute(task, worker, original=original):
-            original(task, worker)
-            probe.note(task.finish_time)
-
-        pool._execute = sampled_execute  # type: ignore[method-assign]
-        originals.append((pool, original))
+    instrument.install(probe)
     try:
         future = runtime.localities[0].pool.submit(
             main, *args, kwargs=kwargs, description="sampled_main"
         )
         runtime.progress_until(future.is_ready)
     finally:
-        for pool, original in originals:
-            pool._execute = original  # type: ignore[method-assign]
+        instrument.uninstall(probe)
     final_time = max(runtime.makespan, probe.high_water)
     if not series.times or series.times[-1] < final_time:
         series.append(final_time, probe.snapshot())

@@ -2,12 +2,14 @@
 
 HPX ships APEX/OTF2 tracing to show where HPX-threads ran and when; the
 paper's latency-hiding claim ("network latencies can be hidden under
-compute") is exactly the kind of statement a task timeline proves.  This
-module records every task's (worker, start, finish, description) on the
-virtual clock plus discrete runtime *events* -- work steals, parcel
-send/receive/retry/drop, scheduled locality outages -- and renders a
-text Gantt chart or exports the whole timeline as Chrome trace-event
-JSON for Perfetto / ``chrome://tracing``.
+compute") is exactly the kind of statement a task timeline proves.  The
+:class:`Tracer` is a :class:`~repro.runtime.instrument.Probe` that
+records every task's (worker, start, finish, description) on the
+virtual clock plus the discrete *events* the runtime reports -- work
+steals, parcel send/receive/retry/drop, overload decisions, batch
+flushes, sanitizer findings -- and renders a text Gantt chart or exports
+the whole timeline as Chrome trace-event JSON for Perfetto /
+``chrome://tracing``.
 
 Usage::
 
@@ -22,14 +24,17 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Any, Iterator
 
 from ..errors import RuntimeStateError
-from . import context as ctx
+from ..runtime import context as ctx
+from ..runtime import instrument
+from ..runtime.threads.pool import ThreadPool
+from .chrome_trace import export_chrome_trace
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .runtime import Runtime
-    from .threads.pool import ThreadPool
+    from ..runtime.runtime import Runtime
+    from ..runtime.threads.hpx_thread import HpxThread
 
 __all__ = ["TaskRecord", "TraceEvent", "Tracer"]
 
@@ -58,26 +63,9 @@ class TaskRecord:
 
 @dataclass(frozen=True, slots=True)
 class TraceEvent:
-    """One discrete runtime event on the virtual timeline.
-
-    ``kind`` is one of ``steal | parcel_send | parcel_recv |
-    parcel_retry | parcel_drop | outage`` -- plus ``race`` and
-    ``deadlock``, emitted by the :mod:`repro.analysis` sanitizers when
-    they are attached with a tracer, and the overload-protection kinds
-    ``parcel_shed | parcel_deferred | credit_stall | credit_resume |
-    breaker_open | breaker_close | breaker_probe | phi_confirm`` when a
-    runtime with an :class:`~repro.resilience.overload.OverloadController`
-    is attached, and ``parcel_batch_flush`` (one coalesced wire message
-    departing; ``args`` carries destination, parcel count, bytes, and
-    the flush reason) when ``parcel.batching`` is enabled, and
-    ``checkpoint_corrupt_skipped`` (warning level: a retained
-    checkpoint epoch failed verification during restore and was
-    skipped; ``args`` carries the epoch and size).  ``pool``/``worker_id``
-    locate the event when known (parcel events carry the locality pool
-    of their sender/receiver); ``parcel_id`` correlates the send and
-    receive sides of one parcel, which is what the Chrome-trace flow
-    arrows are drawn from.
-    """
+    """One discrete event on the timeline: a recorded
+    :meth:`Probe.event <repro.runtime.instrument.Probe.event>` call (the
+    kinds are tabulated in :mod:`repro.runtime.instrument`)."""
 
     kind: str
     time: float
@@ -87,7 +75,7 @@ class TraceEvent:
     args: dict = field(default_factory=dict)
 
 
-class Tracer:
+class Tracer(instrument.Probe):
     """Collects :class:`TaskRecord` and :class:`TraceEvent` entries."""
 
     def __init__(self) -> None:
@@ -96,53 +84,46 @@ class Tracer:
         #: Real worker count per attached pool name -- the utilization
         #: denominator.  Workers that never ran a task still count.
         self.pool_workers: dict[str, int] = {}
-        self._attached_pools: set[int] = set()
+        self._watched: set[ThreadPool] = set()
 
     # Attachment -----------------------------------------------------------------
     @contextmanager
     def attach(self, target: "ThreadPool | Runtime") -> Iterator["Tracer"]:
-        """Instrument a pool (or every pool of a runtime) for the block.
+        """Observe a pool (or every pool of a runtime) for the block.
 
-        Attaching is not stackable: instrumenting a pool this tracer is
-        already attached to raises :class:`RuntimeStateError` instead of
-        double-wrapping it (which would duplicate every record).  If
-        attachment fails partway, every patch already applied is
-        restored before the error propagates.
+        The tracer is installed on the :mod:`~repro.runtime.instrument`
+        seam while at least one ``attach`` block is open.  It records the
+        tasks of the pools it was asked to watch, and every event
+        reported during the block.  Attaching twice to one pool raises
+        :class:`RuntimeStateError` (and changes nothing).
         """
         pools = self._pools_of(target)
-        runtime = target if hasattr(target, "localities") else None
-        patched: list[tuple[object, str, object]] = []
-        registered: list[int] = []
+        for pool in pools:
+            if pool in self._watched:
+                raise RuntimeStateError(
+                    f"tracer is already attached to pool {pool.name!r}"
+                )
+        for pool in pools:
+            self.pool_workers[pool.name] = pool.n_workers
+        self._record_outages(target)
+        self._watched.update(pools)
+        instrument.install(self)
         try:
-            for pool in pools:
-                if id(pool) in self._attached_pools:
-                    raise RuntimeStateError(
-                        f"tracer is already attached to pool {pool.name!r}"
-                    )
-                self._attached_pools.add(id(pool))
-                registered.append(id(pool))
-                self.pool_workers[pool.name] = pool.n_workers
-                self._patch_pool(pool, patched)
-            if runtime is not None:
-                self._patch_parcelport(runtime, patched)
-                self._patch_checkpoint_hook(runtime, patched)
-                self._record_outages(runtime)
             yield self
         finally:
-            for obj, attr, original in reversed(patched):
-                setattr(obj, attr, original)
-            for pool_id in registered:
-                self._attached_pools.discard(pool_id)
+            self._watched.difference_update(pools)
+            if not self._watched:
+                instrument.uninstall(self)
 
-    def _patch_pool(self, pool: "ThreadPool", patched: list) -> None:
-        original = pool._execute
-
-        def traced_execute(task, worker, pool=pool, original=original):
-            original(task, worker)
+    # Probe ------------------------------------------------------------------------
+    def task_finished(self, task: "HpxThread") -> None:
+        frame = ctx.current()
+        pool = frame.pool
+        if pool in self._watched:
             self.records.append(
                 TaskRecord(
                     pool=pool.name,
-                    worker_id=worker.worker_id,
+                    worker_id=frame.worker_id,
                     tid=task.tid,
                     description=task.description,
                     ready_time=task.ready_time,
@@ -151,139 +132,21 @@ class Tracer:
                 )
             )
 
-        pool._execute = traced_execute  # type: ignore[method-assign]
-        patched.append((pool, "_execute", original))
+    def event(
+        self,
+        kind: str,
+        time: float,
+        pool: str = "",
+        worker_id: int | None = None,
+        parcel_id: int | None = None,
+        args: dict[str, Any] | None = None,
+    ) -> None:
+        self.events.append(
+            TraceEvent(kind, time, pool, worker_id, parcel_id, args or {})
+        )
 
-        scheduler = pool.scheduler
-        if hasattr(scheduler, "steals"):
-            orig_acquire = scheduler.acquire
-
-            def traced_acquire(
-                worker_id, scheduler=scheduler, orig=orig_acquire, pool=pool
-            ):
-                before = scheduler.steals
-                task = orig(worker_id)
-                if task is not None and scheduler.steals > before:
-                    self.events.append(
-                        TraceEvent(
-                            kind="steal",
-                            time=max(
-                                task.ready_time,
-                                pool.workers[worker_id].available_at,
-                            ),
-                            pool=pool.name,
-                            worker_id=worker_id,
-                            args={"tid": task.tid},
-                        )
-                    )
-                return task
-
-            scheduler.acquire = traced_acquire  # type: ignore[method-assign]
-            patched.append((scheduler, "acquire", orig_acquire))
-
-    def _patch_parcelport(self, runtime: "Runtime", patched: list) -> None:
-        port = runtime.parcelport
-
-        def sender_frame() -> tuple[str, int | None]:
-            frame = ctx.current_or_none()
-            if frame is not None and frame.pool is not None:
-                return frame.pool.name, frame.worker_id
-            return "", None
-
-        for attr, kind in (("send", "parcel_send"), ("retransmit", "parcel_retry")):
-            original = getattr(port, attr)
-
-            def traced_send(parcel, original=original, kind=kind):
-                pool_name, worker_id = sender_frame()
-                self.events.append(
-                    TraceEvent(
-                        kind=kind,
-                        time=parcel.send_time,
-                        pool=pool_name,
-                        worker_id=worker_id,
-                        parcel_id=parcel.parcel_id,
-                        args={"attempt": parcel.attempts + 1},
-                    )
-                )
-                return original(parcel)
-
-            setattr(port, attr, traced_send)
-            patched.append((port, attr, original))
-
-        orig_router = port._router
-        if orig_router is not None:
-
-            def traced_router(parcel, arrival_time, original=orig_router):
-                self.events.append(
-                    TraceEvent(
-                        kind="parcel_recv",
-                        time=arrival_time,
-                        pool="",
-                        parcel_id=parcel.parcel_id,
-                    )
-                )
-                return original(parcel, arrival_time)
-
-            port._router = traced_router
-            patched.append((port, "_router", orig_router))
-
-        orig_loss = port._handle_loss
-
-        def traced_loss(parcel, reason, original=orig_loss):
-            self.events.append(
-                TraceEvent(
-                    kind="parcel_drop",
-                    time=parcel.send_time,
-                    parcel_id=parcel.parcel_id,
-                    args={"reason": reason, "attempt": parcel.attempts},
-                )
-            )
-            return original(parcel, reason)
-
-        port._handle_loss = traced_loss  # type: ignore[method-assign]
-        patched.append((port, "_handle_loss", orig_loss))
-
-        controller = getattr(port, "overload", None)
-        if controller is not None:
-            orig_hook = controller.event_hook
-
-            def overload_hook(kind, time, parcel_id, args, original=orig_hook):
-                self.events.append(
-                    TraceEvent(kind=kind, time=time, parcel_id=parcel_id, args=args)
-                )
-                if original is not None:
-                    original(kind, time, parcel_id, args)
-
-            controller.event_hook = overload_hook
-            patched.append((controller, "event_hook", orig_hook))
-
-        batcher = getattr(port, "batcher", None)
-        if batcher is not None:
-            orig_batch_hook = batcher.event_hook
-
-            def batch_hook(kind, time, parcel_id, args, original=orig_batch_hook):
-                self.events.append(
-                    TraceEvent(kind=kind, time=time, parcel_id=parcel_id, args=args)
-                )
-                if original is not None:
-                    original(kind, time, parcel_id, args)
-
-            batcher.event_hook = batch_hook
-            patched.append((batcher, "event_hook", orig_batch_hook))
-
-    def _patch_checkpoint_hook(self, runtime: "Runtime", patched: list) -> None:
-        orig_ckpt_hook = runtime.checkpoint_event_hook
-
-        def checkpoint_hook(kind, time, args, original=orig_ckpt_hook):
-            self.events.append(TraceEvent(kind=kind, time=time, args=args))
-            if original is not None:
-                original(kind, time, args)
-
-        runtime.checkpoint_event_hook = checkpoint_hook
-        patched.append((runtime, "checkpoint_event_hook", orig_ckpt_hook))
-
-    def _record_outages(self, runtime: "Runtime") -> None:
-        injector = getattr(runtime, "fault_injector", None)
+    def _record_outages(self, target: "ThreadPool | Runtime") -> None:
+        injector = getattr(target, "fault_injector", None)
         if injector is None:
             return
         for failure in injector.locality_failures:
@@ -297,11 +160,11 @@ class Tracer:
             )
 
     @staticmethod
-    def _pools_of(target) -> list["ThreadPool"]:
+    def _pools_of(target: "ThreadPool | Runtime") -> list[ThreadPool]:
+        if isinstance(target, ThreadPool):
+            return [target]
         if hasattr(target, "localities"):
             return [loc.pool for loc in target.localities]
-        if hasattr(target, "_execute"):
-            return [target]
         raise RuntimeStateError(f"cannot attach tracer to {type(target).__name__}")
 
     # Analysis --------------------------------------------------------------------
@@ -389,8 +252,6 @@ class Tracer:
         Load the file in Perfetto (https://ui.perfetto.dev) or
         ``chrome://tracing`` -- see ``docs/observability.md``.
         """
-        from ..observability.chrome_trace import export_chrome_trace
-
         return export_chrome_trace(self, path)
 
     # Rendering -------------------------------------------------------------------

@@ -45,6 +45,7 @@ from ..errors import (
     ConfigError,
 )
 from ..runtime import context as ctx
+from ..runtime import instrument
 from ..runtime.parcel.serialization import deserialize, serialize
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -316,12 +317,11 @@ class CheckpointStore:
             return
         self.runtime.checkpoint_fallbacks += 1
         self.runtime.checkpoint_corrupt_skipped += 1
-        hook = getattr(self.runtime, "checkpoint_event_hook", None)
-        if hook is not None:
-            hook(
+        if instrument.enabled and (probe := instrument.probe) is not None:
+            probe.event(
                 "checkpoint_corrupt_skipped",
                 ckpt.virtual_time,
-                {"epoch": epoch, "size_bytes": ckpt.size_bytes, "level": "warning"},
+                args={"epoch": epoch, "size_bytes": ckpt.size_bytes, "level": "warning"},
             )
 
     def _path(self, epoch: int) -> str:

@@ -37,8 +37,8 @@ an unprotected one:
   single hard-coded ack-timeout escalation with a graded verdict.
 
 Every decision is counter-visible (``/overload{...}``, ``/breaker{...}``
-and ``/phi{...}`` perfcounters) and emits a trace event through
-:attr:`OverloadController.event_hook` when a tracer is attached.  See
+and ``/phi{...}`` perfcounters) and reported to the installed
+:class:`~repro.runtime.instrument.Probe` as an ``event``.  See
 ``docs/resilience.md`` ("Overload & graceful degradation") for the state
 machines and tuning guidance.
 """
@@ -49,8 +49,9 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Deque, Dict, Optional, Set
+from typing import TYPE_CHECKING, Deque, Dict, Set
 
+from ..runtime import instrument
 from ..runtime.threads.hpx_thread import ThreadPriority
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -66,9 +67,6 @@ __all__ = [
 ]
 
 _LN10 = math.log(10.0)
-
-#: Overload event hook signature: (kind, virtual_time, parcel_id, args).
-EventHook = Callable[[str, float, Optional[int], dict], None]
 
 
 @dataclass(frozen=True)
@@ -247,8 +245,6 @@ class OverloadController:
         self.breaker_opens = 0
         self.breaker_closes = 0
         self.breaker_probes = 0
-        #: Patched by an attached Tracer to turn decisions into events.
-        self.event_hook: EventHook | None = None
 
     # Introspection -------------------------------------------------------------
     def stalled_count(self, destination: int | None = None) -> int:
@@ -287,9 +283,13 @@ class OverloadController:
         return base
 
     def _emit(self, kind: str, now: float, parcel: "Parcel | None", **args: object) -> None:
-        hook = self.event_hook
-        if hook is not None:
-            hook(kind, now, None if parcel is None else parcel.parcel_id, args)
+        if instrument.enabled and (probe := instrument.probe) is not None:
+            probe.event(
+                kind,
+                now,
+                parcel_id=None if parcel is None else parcel.parcel_id,
+                args=args,
+            )
 
     # Admission -----------------------------------------------------------------
     def admit(self, parcel: "Parcel") -> tuple[str, tuple[str, float] | None]:

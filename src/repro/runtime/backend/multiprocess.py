@@ -659,7 +659,7 @@ def _worker_entry(
     from ..runtime import Runtime
 
     ctx._stack.clear()
-    instrument.probe = None
+    instrument.reset()
     try:
         config = Config.from_mapping(
             {**config_values, "runtime.quiescence": "ignore"}

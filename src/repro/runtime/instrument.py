@@ -1,26 +1,27 @@
-"""Runtime instrumentation hooks for the sanitizer layer.
+"""The observation seam: the one way anything watches the runtime.
 
 The ParalleX model makes a strong promise: futures, LCOs and parcels are
 the *only* legal ordering edges between HPX-threads.  The
-:mod:`repro.analysis` sanitizers check that promise dynamically, and to
-do so they need to observe every edge-creating operation.  This module
-is the seam between the runtime and those tools: the runtime calls the
-functions below at each synchronisation-relevant point, and they forward
-to the installed :class:`Probe` (if any).
+:mod:`repro.analysis` sanitizers check that promise dynamically, the
+:mod:`repro.observability` tracer and counter sampler record what ran
+where and when, and all of them see the runtime (and the job service)
+through this module and nothing else: the observed code calls the
+installed :class:`Probe` at each point below, and nothing is patched.
 
 Design constraints:
 
 * **Zero cost when disabled.**  Every call site guards with
-  ``if instrument.probe is not None`` (via the module-level helpers,
-  which do the same check), so an un-instrumented run pays one attribute
-  load per event.
-* **No upward imports.**  This module knows nothing about the analysis
-  package; probes are duck-typed subclasses of :class:`Probe` installed
-  with :func:`install` / removed with :func:`uninstall`.
-* **Composable.**  Several probes (e.g. a race detector plus a deadlock
-  detector) can be active at once; they are invoked in install order.
+  ``if instrument.enabled`` (hot sites) or ``instrument.probe is not
+  None``, so an un-instrumented run pays one attribute load per site --
+  no call, no argument construction.
+* **No upward imports.**  This module knows nothing about its
+  observers; they subclass :class:`Probe` and are installed with
+  :func:`install` / removed with :func:`uninstall`.
+* **Composable.**  Several probes (a tracer, a race detector and a
+  deadlock detector, say) can be active at once; they are invoked in
+  install order.
 
-The event vocabulary (see :class:`Probe` for signatures):
+The method vocabulary (see :class:`Probe` for signatures):
 
 =====================  ========================================================
 event                  fired when
@@ -45,7 +46,52 @@ event                  fired when
 ``quiesced``           the job drained with no awaited condition pending
 ``forgiven``           the runtime abandoned all pending continuations by
                        design (checkpoint rollback)
+``event``              a discrete event of one of the kinds below happened
 =====================  ========================================================
+
+``event`` kinds.  ``time`` is virtual seconds (the job service stamps
+its own clock); ``pool``/``worker_id`` locate the event when known;
+``parcel_id`` correlates everything that happens to one parcel, which is
+what the Chrome-trace flow arrows are drawn from:
+
+==============================  ===============================================
+kind                            emitted by / ``args``
+==============================  ===============================================
+``steal``                       work-stealing scheduler, on the thief's lane
+                                at the time the stolen task can start: ``tid``
+``parcel_send``                 ``Parcelport.send``, on the sender's lane
+                                (again when a stalled or deferred parcel is
+                                re-sent): ``attempt``
+``parcel_retry``                ``Parcelport.retransmit``: ``attempt``
+``parcel_recv``                 the port hands a parcel to the router, stamped
+                                with its arrival time (twice if duplicated)
+``parcel_drop``                 a transmission was lost (in flight, or the
+                                destination was down): ``reason``, ``attempt``
+``outage``                      a scheduled locality outage, recorded by the
+                                tracer from the fault schedule: ``until``
+``parcel_shed``                 overload controller: ``dest``, ``reason``
+``parcel_deferred``             overload controller: ``dest``, ``until``
+``credit_stall``                overload controller: ``dest``
+``credit_resume``               overload controller: ``dest``
+``breaker_open``                overload controller: ``dest``, ``reason``
+``breaker_close``               overload controller: ``dest``
+``breaker_probe``               overload controller: ``dest``
+``phi_confirm``                 overload controller: ``dest``, ``phi``
+``parcel_batch_flush``          one coalesced wire message departed:
+                                ``destination``, ``parcels``, ``bytes``,
+                                ``reason``
+``checkpoint_corrupt_skipped``  a retained epoch failed verification during
+                                restore: ``epoch``, ``size_bytes``, ``level``
+``race``                        race detector finding: ``location``,
+                                ``current``, ``previous``
+``deadlock``                    deadlock detector verdict: ``verdict``,
+                                ``graph``
+``job_submitted``, ``job_deduped``, ``job_shed``, ``job_claimed``,
+``job_started``, ``job_done``, ``job_failed``, ``job_retried``,
+``job_cancelled``, ``job_requeued``, ``lease_expired``
+                                job-service state transitions: ``tenant``,
+                                ``job_id`` and per-kind detail
+==============================  ===============================================
 """
 
 from __future__ import annotations
@@ -55,7 +101,7 @@ from typing import TYPE_CHECKING, Any, Callable, Sequence
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from .threads.hpx_thread import HpxThread
 
-__all__ = ["Probe", "install", "uninstall", "active_probes"]
+__all__ = ["Probe", "install", "uninstall", "reset", "active_probes"]
 
 
 class Probe:
@@ -69,7 +115,9 @@ class Probe:
         """``task`` began running on a worker."""
 
     def task_finished(self, task: "HpxThread") -> None:
-        """``task`` terminated (its result promise is set)."""
+        """``task`` terminated: its result promise is set and its worker's
+        clock and counters already include it.  Still inside the task's
+        execution frame."""
 
     # Future / promise edges ------------------------------------------------
     def state_fulfilled(self, state: Any) -> None:
@@ -130,6 +178,19 @@ class Probe:
         continuation (checkpoint rollback discards in-flight chains);
         probes tracking lost continuations should stop expecting them."""
 
+    # Discrete events -------------------------------------------------------
+    def event(
+        self,
+        kind: str,
+        time: float,
+        pool: str = "",
+        worker_id: int | None = None,
+        parcel_id: int | None = None,
+        args: dict[str, Any] | None = None,
+    ) -> None:
+        """Something of ``kind`` (see the module's kinds table) happened
+        at ``time``."""
+
 
 #: The active probe, or ``None`` (the fast path).  With several probes
 #: installed this is a :class:`_Fanout`; call sites only ever check
@@ -152,16 +213,18 @@ class _Fanout(Probe):
     def __init__(self, probes: list[Probe]) -> None:
         self._probes = probes
 
-    def __getattribute__(self, name: str) -> Any:
-        if name.startswith("_") or name not in Probe.__dict__:
-            return object.__getattribute__(self, name)
-        probes = object.__getattribute__(self, "_probes")
 
-        def fanout(*args: Any, **kwargs: Any) -> None:
-            for p in probes:
-                getattr(p, name)(*args, **kwargs)
+def _fanout_method(name: str) -> Callable[..., None]:
+    def fanout(self: _Fanout, *args: Any, **kwargs: Any) -> None:
+        for p in self._probes:
+            getattr(p, name)(*args, **kwargs)
 
-        return fanout
+    return fanout
+
+
+for _name in vars(Probe):
+    if not _name.startswith("_"):
+        setattr(_Fanout, _name, _fanout_method(_name))
 
 
 def _refresh() -> None:
@@ -190,12 +253,13 @@ def uninstall(p: Probe) -> None:
     _refresh()
 
 
+def reset() -> None:
+    """Deactivate every probe.  For a forked worker process, which
+    inherits the driver's probes but must not report to them."""
+    _installed.clear()
+    _refresh()
+
+
 def active_probes() -> list[Probe]:
     """The probes currently receiving events (install order)."""
     return list(_installed)
-
-
-def call_each(fn: Callable[[Probe], None]) -> None:
-    """Apply ``fn`` to every installed probe (engine-side convenience)."""
-    for p in list(_installed):
-        fn(p)

@@ -14,7 +14,7 @@ from typing import Any, Callable
 
 from .. import instrument
 from ..context import _stack as _context_stack
-from ..futures import Future, Promise, demand, when_all
+from ..futures import Future, Promise, demand
 
 __all__ = ["dataflow"]
 
@@ -46,7 +46,7 @@ def dataflow(fn: Callable[..., Any], *args: Any, **kwargs: Any) -> Future:
         except BaseException as exc:  # noqa: BLE001 - forwarded
             promise.set_exception(exc)
 
-    def launch(_: Future | None) -> None:
+    def launch() -> None:
         frame = _context_stack[-1] if _context_stack else None
         if frame is not None and frame.pool is not None:
             # Detached: ``body`` fulfils ``promise`` itself, so the
@@ -55,29 +55,28 @@ def dataflow(fn: Callable[..., Any], *args: Any, **kwargs: Any) -> Future:
         else:
             body()
 
-    if instrument.enabled:
-        # Probes installed: go through ``when_all`` so the sanitizers see
-        # the full edge vocabulary (link, per-dependency read/contribute).
-        probe = instrument.probe
-        if probe is not None:
-            probe.state_linked(
-                [d._state for d in deps], promise._state, f"dataflow({name})"
-            )
-        when_all(deps)._on_ready(launch)
-    elif not deps:
-        launch(None)
+    if instrument.enabled and (probe := instrument.probe) is not None:
+        probe.state_linked(
+            [d._state for d in deps], promise._state, f"dataflow({name})"
+        )
+    if not deps:
+        launch()
     else:
-        # Fast path: a bare countdown instead of a ``when_all`` future
-        # (its promise, demand registration and label are pure overhead
-        # here).  ``launch`` still fires from inside the last
-        # dependency's fulfilment callbacks -- the same frame and virtual
-        # time as the ``when_all`` route -- so results are bit-identical.
+        # A bare countdown: ``launch`` fires from inside the last
+        # dependency's fulfilment callbacks, in that frame and at that
+        # virtual time.
         counter = [len(deps)]
 
-        def one_ready(_: Future) -> None:
+        def one_ready(dep: Future) -> None:
+            # Each input's release clock joins the result, so a reader of
+            # the dataflow future is ordered after *every* producer, not
+            # just the one that happened to complete last.
+            if instrument.enabled and (probe := instrument.probe) is not None:
+                probe.state_read(dep._state)
+                probe.state_contribute(promise._state)
             counter[0] -= 1
             if counter[0] == 0:
-                launch(None)
+                launch()
 
         for dep in deps:
             dep._on_ready(one_ready)

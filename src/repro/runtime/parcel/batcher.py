@@ -43,8 +43,9 @@ latency -- and with it strict timing identity -- for larger batches.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable
 
+from .. import instrument
 from .parcel import Parcel
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -53,9 +54,6 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["ParcelBatcher"]
 
 _INF = float("inf")
-
-#: Event-hook signature (patched by the tracer): (kind, time, parcel_id, args).
-EventHook = Callable[[str, float, Optional[int], "dict[str, object]"], None]
 
 
 class _Batch:
@@ -100,8 +98,6 @@ class ParcelBatcher:
         self.flushes_bytes = 0
         self.flushes_linger = 0
         self.flushes_forced = 0
-        #: Tracer patch point; called as ``hook(kind, time, parcel_id, args)``.
-        self.event_hook: EventHook | None = None
 
     def enqueue(self, parcel: Parcel) -> float:
         """Admit a parcel into its destination's open batch.
@@ -199,13 +195,11 @@ class ParcelBatcher:
             for parcel in parcels:
                 if parcel.send_time < batch.deadline:
                     parcel.send_time = batch.deadline
-        hook = self.event_hook
-        if hook is not None:
-            hook(
+        if instrument.enabled and (probe := instrument.probe) is not None:
+            probe.event(
                 "parcel_batch_flush",
                 max(parcel.send_time for parcel in parcels),
-                None,
-                {
+                args={
                     "destination": destination,
                     "parcels": count,
                     "bytes": batch.bytes,

@@ -29,6 +29,7 @@ from typing import TYPE_CHECKING, Callable
 from ...errors import ConfigError, ParcelDeadLetterError, ParcelError, ParcelShedError
 from ...hardware.interconnect import Interconnect
 from .. import context as ctx
+from .. import instrument
 from .parcel import Parcel
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -43,6 +44,14 @@ Router = Callable[[Parcel, float], None]
 
 #: Retry-scheduler signature: (parcel, retransmit_at_virtual_time) -> None.
 RetryScheduler = Callable[[Parcel, float], None]
+
+
+def _sender_lane() -> tuple[str, int | None]:
+    """``(pool name, worker id)`` of the task doing the send, for events."""
+    frame = ctx.current_or_none()
+    if frame is not None and frame.pool is not None:
+        return frame.pool.name, frame.worker_id
+    return "", None
 
 
 @dataclass(frozen=True)
@@ -179,6 +188,14 @@ class Parcelport:
         with a bumped deferral count).  Retransmissions of lost parcels
         go through :meth:`retransmit` and are never re-admitted.
         """
+        if instrument.enabled and (probe := instrument.probe) is not None:
+            probe.event(
+                "parcel_send",
+                parcel.send_time,
+                *_sender_lane(),
+                parcel.parcel_id,
+                {"attempt": parcel.attempts + 1},
+            )
         if self._router is None:
             raise ParcelError("parcelport has no router installed (runtime not booted)")
         controller = self.overload
@@ -203,6 +220,14 @@ class Parcelport:
         but any open batch toward the same destination is flushed first
         so the retry cannot overtake queued first sends.
         """
+        if instrument.enabled and (probe := instrument.probe) is not None:
+            probe.event(
+                "parcel_retry",
+                parcel.send_time,
+                *_sender_lane(),
+                parcel.parcel_id,
+                {"attempt": parcel.attempts + 1},
+            )
         batcher = self.batcher
         if batcher is not None:
             batcher.flush_for(parcel)
@@ -234,6 +259,8 @@ class Parcelport:
                 return arrival
             if fate.kind == "delay":
                 arrival += fate.extra_delay_s
+        if instrument.enabled and (probe := instrument.probe) is not None:
+            probe.event("parcel_recv", arrival, parcel_id=parcel.parcel_id)
         router(parcel, arrival)
         # Statistics move only after the router accepted the parcel: a
         # raising router must not leave phantom counts behind.
@@ -248,6 +275,8 @@ class Parcelport:
                 self.parcels_delayed += 1
             if fate.kind == "duplicate":
                 dup_arrival = arrival + fate.extra_delay_s
+                if instrument.enabled and (probe := instrument.probe) is not None:
+                    probe.event("parcel_recv", dup_arrival, parcel_id=parcel.parcel_id)
                 router(parcel, dup_arrival)
                 self.parcels_sent += 1
                 self.bytes_sent += parcel.size_bytes
@@ -272,6 +301,13 @@ class Parcelport:
         self._handle_loss(parcel, reason)
 
     def _handle_loss(self, parcel: Parcel, reason: str) -> None:
+        if instrument.enabled and (probe := instrument.probe) is not None:
+            probe.event(
+                "parcel_drop",
+                parcel.send_time,
+                parcel_id=parcel.parcel_id,
+                args={"reason": reason, "attempt": parcel.attempts},
+            )
         policy = self.retry_policy
         if (
             policy is not None

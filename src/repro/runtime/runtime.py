@@ -94,10 +94,6 @@ class Runtime:
         self.checkpoint_bytes_saved = 0
         self.checkpoint_save_time_s = 0.0
         self.checkpoint_restore_time_s = 0.0
-        #: Patched by an attached Tracer: called as
-        #: ``hook(kind, time, args)`` for checkpoint-layer events (a
-        #: corrupt epoch skipped during restore, today).
-        self.checkpoint_event_hook = None
         if isinstance(machine, str):
             machine = machine_lookup(machine)
         self.machine: Optional[MachineModel] = machine

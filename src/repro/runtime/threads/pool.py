@@ -82,6 +82,7 @@ class ThreadPool:
             self.scheduler = scheduler
         else:
             self.scheduler = make_scheduler(scheduler, n_workers, steal_attempts)
+        self.scheduler.pool = self
         self.tasks_executed = 0
         #: High-water mark of the queue depth, maintained on submit --
         #: the overload storm harness asserts this stays bounded.
@@ -339,16 +340,19 @@ class ThreadPool:
                 task.finish_time = task.current_virtual_time()
                 if promise is not None:
                     promise.set_value(result)
+            # The worker's clock and counters move before the probe hears
+            # of it: an observer reading counters at ``task_finished``
+            # (the sampler) sees this task included.
+            if task.finish_time > worker.available_at:
+                worker.available_at = task.finish_time
+            worker.tasks_run += 1
+            worker.busy_time += task._cost
+            self.tasks_executed += 1
             if probe is not None:
                 probe.task_finished(task)
         finally:
             self._in_flight -= 1
             _context_stack.pop()
-        if task.finish_time > worker.available_at:
-            worker.available_at = task.finish_time
-        worker.tasks_run += 1
-        worker.busy_time += task._cost
-        self.tasks_executed += 1
 
     def next_start_hint(self) -> float:
         """Lower bound on when this pool's next task could start;

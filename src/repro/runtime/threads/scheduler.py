@@ -18,10 +18,14 @@ work, so thieves stop probing obviously-empty queues.
 from __future__ import annotations
 
 from collections import deque
-from typing import Container, Generic, Optional, TypeVar
+from typing import TYPE_CHECKING, Container, Generic, Optional, TypeVar
 
 from ...errors import ConfigError, RuntimeStateError
+from .. import instrument
 from .hpx_thread import HpxThread, ThreadPriority
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .pool import ThreadPool
 
 __all__ = [
     "Scheduler",
@@ -269,6 +273,9 @@ class Scheduler:
         #: Queued tasks, maintained by every push/acquire/drain/remove;
         #: what ``len(scheduler)`` returns, readable without a call.
         self.size = 0
+        #: The pool this scheduler serves (set by the pool): a reported
+        #: steal is stamped with the thief's clock and the pool's name.
+        self.pool: "ThreadPool | None" = None
 
     def push(self, task: HpxThread, worker_hint: Optional[int] = None) -> None:
         """Queue a task, optionally bound/hinted to a worker."""
@@ -474,8 +481,22 @@ class WorkStealingScheduler(Scheduler):
                 self.size -= 1
                 task.worker_id = worker_id
                 self.steals += 1
+                if instrument.enabled:
+                    self._report_steal(task, worker_id)
                 return task
         return None
+
+    def _report_steal(self, task: HpxThread, thief: int) -> None:
+        probe, pool = instrument.probe, self.pool
+        if probe is not None and pool is not None:
+            # The stolen task starts when it is ready and the thief free.
+            probe.event(
+                "steal",
+                max(task.ready_time, pool.workers[thief].available_at),
+                pool.name,
+                thief,
+                args={"tid": task.tid},
+            )
 
     def drain(self) -> list[HpxThread]:
         drained: list[HpxThread] = []

@@ -20,19 +20,18 @@ Durability invariants (asserted by the chaos suite):
 
 Observability: every tenant gets ``/jobs{tenant}/count/...``
 perfcounters (the service-side mirror of the runtime's counter path
-grammar) and every lifecycle edge emits a
-:class:`~repro.runtime.trace.TraceEvent` through ``event_hook``.
+grammar) and every lifecycle edge is reported to the installed
+:class:`~repro.runtime.instrument.Probe` as an ``event``.
 """
 
 from __future__ import annotations
 
 import os
-from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from ..errors import ConfigError, JobShedError, JobStateError, UnknownJobError
-from ..runtime.trace import TraceEvent
+from ..runtime import instrument
 from .admission import AdmissionControl, TenantQuota
 from .clock import Clock, wall_clock
 from .executor import JobRunner
@@ -123,10 +122,6 @@ class JobService:
             keep_epochs=self.policy.keep_epochs,
         )
         self._counters: dict[str, int] = {}
-        self.events: deque[TraceEvent] = deque(maxlen=10_000)
-        #: Patch point for external trace sinks (mirrors the runtime's
-        #: ``OverloadController.event_hook`` convention).
-        self.event_hook: Optional[Callable[[TraceEvent], None]] = None
         self.recovered_jobs = self._recover()
 
     # ------------------------------------------------------------------
@@ -137,15 +132,12 @@ class JobService:
         self._counters[path] = self._counters.get(path, 0) + delta
 
     def _emit(self, kind: str, tenant: str, job_id: str, **args: Any) -> None:
-        event = TraceEvent(
-            kind=kind,
-            time=self._clock(),
-            args={"tenant": tenant, "job_id": job_id, **args},
-        )
-        self.events.append(event)
-        hook = self.event_hook
-        if hook is not None:
-            hook(event)
+        if instrument.enabled and (probe := instrument.probe) is not None:
+            probe.event(
+                kind,
+                self._clock(),
+                args={"tenant": tenant, "job_id": job_id, **args},
+            )
 
     def counters(self) -> dict[str, int]:
         """All per-tenant counters, sorted by path."""

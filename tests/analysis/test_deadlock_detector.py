@@ -115,12 +115,12 @@ def test_wait_graph_without_detector_is_empty():
 
 
 def test_deadlock_emits_trace_event():
-    from repro.runtime.trace import Tracer
+    from repro.observability.tracer import Tracer
 
     tracer = Tracer()
     pool = ThreadPool(1)
     orphan = Promise().get_future()
-    with analysis.attach(races=False, tracer=tracer):
+    with tracer.attach(pool), analysis.attach(races=False):
         failed = pool.submit(orphan.get, description="orphan-wait")
         pool.run_all()
     with pytest.raises(DeadlockError):

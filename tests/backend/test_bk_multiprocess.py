@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.config import Config
+from repro.runtime import instrument
 from repro.runtime.agas.component import Component
 from repro.runtime.agas.gid import Gid
 from repro.runtime.agas.service import AgasService
@@ -210,3 +211,20 @@ def _invoke_remote_add(gid, amount):
     from repro.runtime import context as ctx
 
     return ctx.current().runtime.invoke_async(gid, "add", amount).get()
+
+
+def _seam_state():
+    return instrument.enabled, len(instrument.active_probes())
+
+
+def test_forked_worker_starts_with_an_empty_seam(seam_events):
+    """A probe installed in the driver is not the worker's: the forked
+    process must neither take the probed branches nor be able to
+    resurrect the driver's probes with its first ``install``."""
+    assert _seam_state() == (True, 1)
+    with _mp_runtime(**{"runtime.mp_start_method": "fork"}) as rt:
+        assert rt.async_at(1, _seam_state).get() == (False, 0)
+        probed = rt.async_at(1, _double, [1, 2, 3]).get()
+    instrument.uninstall(seam_events)
+    with _mp_runtime(**{"runtime.mp_start_method": "fork"}) as rt:
+        assert rt.async_at(1, _double, [1, 2, 3]).get() == probed

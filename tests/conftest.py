@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.hardware.registry import machine_names, machine
+from repro.runtime import instrument
 from repro.runtime.runtime import Runtime
 
 
@@ -21,3 +22,25 @@ def rt():
 def any_machine(request):
     """Parametrized over all four calibrated machine models."""
     return machine(request.param)
+
+
+class EventRecorder(instrument.Probe):
+    """Keeps every ``Probe.event`` call as ``(kind, time, args)``."""
+
+    def __init__(self) -> None:
+        self.events: list[tuple[str, float, dict]] = []
+
+    def event(self, kind, time, pool="", worker_id=None, parcel_id=None, args=None):
+        self.events.append((kind, time, args or {}))
+
+    def kinds(self) -> list[str]:
+        return [kind for kind, _, _ in self.events]
+
+
+@pytest.fixture
+def seam_events():
+    """An :class:`EventRecorder` installed on the seam for the test."""
+    recorder = EventRecorder()
+    instrument.install(recorder)
+    yield recorder
+    instrument.uninstall(recorder)

@@ -9,7 +9,7 @@ from repro.containers import PartitionedVector
 from repro.runtime import Runtime, collectives, perfcounters, when_all
 from repro.runtime.actions import action
 from repro.runtime.lco import RemoteChannel
-from repro.runtime.trace import Tracer
+from repro.observability.tracer import Tracer
 from repro.stencil import (
     DistributedHeat1D,
     Heat1DParams,

@@ -14,7 +14,7 @@ from repro.observability import chrome_trace_events, export_chrome_trace
 from repro.runtime import Runtime
 from repro.runtime import context as ctx
 from repro.runtime.threads.pool import ThreadPool
-from repro.runtime.trace import Tracer
+from repro.observability.tracer import Tracer
 
 #: Keys every event must carry, per the trace-event format spec.
 _COMMON_KEYS = {"name", "ph", "pid", "tid"}

@@ -13,7 +13,7 @@ from repro.observability import (
 from repro.runtime import Runtime
 from repro.runtime import context as ctx
 from repro.runtime.threads.pool import ThreadPool
-from repro.runtime.trace import Tracer
+from repro.observability.tracer import Tracer
 
 
 def test_percentiles_interpolate():

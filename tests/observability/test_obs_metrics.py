@@ -4,7 +4,7 @@ import pytest
 
 from repro.observability import STANDARD_COUNTERS, collect_metrics
 from repro.runtime import Runtime
-from repro.runtime.trace import Tracer
+from repro.observability.tracer import Tracer
 
 
 @pytest.fixture()

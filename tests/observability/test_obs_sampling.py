@@ -8,6 +8,7 @@ from repro.errors import ValidationError
 from repro.observability import CounterTimeSeries, sample_counters
 from repro.runtime import Runtime
 from repro.runtime import context as ctx
+from repro.runtime import instrument
 from repro.stencil import DistributedHeat1D, Heat1DParams, analytic_heat_profile
 
 PATHS = [
@@ -67,14 +68,22 @@ def test_final_sample_at_completion_and_result_stored():
     assert len(series) == 4
 
 
-def test_pools_restored_after_sampling():
+def test_seam_is_empty_after_sampling():
     with Runtime(n_localities=1, workers_per_locality=1) as rt:
-        pool = rt.localities[0].pool
-        original = pool._execute
         sample_counters(
             rt, lambda: None, paths=["/runtime/uptime"], interval=1.0
         )
-        assert pool._execute == original
+        assert instrument.active_probes() == [] and instrument.enabled is False
+        # ...also when the runaway-job guard aborts the run from the probe.
+        with pytest.raises(ValidationError):
+            sample_counters(
+                rt,
+                lambda: ctx.add_cost(10.0),
+                paths=["/runtime/uptime"],
+                interval=1.0,
+                max_samples=3,
+            )
+        assert instrument.active_probes() == [] and instrument.enabled is False
 
 
 def test_interval_must_be_positive():

@@ -123,13 +123,9 @@ def test_store_falls_back_to_previous_epoch_on_corruption():
     assert box.value == 5
 
 
-def test_store_corrupt_skip_warns_counts_and_emits_event():
+def test_store_corrupt_skip_warns_counts_and_emits_event(seam_events):
     """A skipped corrupt epoch is never silent: warning + counter + event."""
     with Runtime(n_localities=1, workers_per_locality=1) as rt:
-        events = []
-        rt.checkpoint_event_hook = lambda kind, time, args: events.append(
-            (kind, args)
-        )
         store = CheckpointStore(runtime=rt, keep=3)
         box = Box(0)
 
@@ -147,7 +143,7 @@ def test_store_corrupt_skip_warns_counts_and_emits_event():
         rt.run(job)
         assert rt.checkpoint_corrupt_skipped == 1
         assert rt.checkpoint_fallbacks == 1
-        kind, args = events[0]
+        kind, _, args = seam_events.events[0]
         assert kind == "checkpoint_corrupt_skipped"
         assert args["epoch"] == 10
         assert args["level"] == "warning"
@@ -158,7 +154,7 @@ def test_store_corrupt_skip_warns_counts_and_emits_event():
 
 
 def test_tracer_records_corrupt_skip_event():
-    from repro.runtime.trace import Tracer
+    from repro.observability.tracer import Tracer
 
     tracer = Tracer()
     with Runtime(n_localities=1, workers_per_locality=1) as rt:

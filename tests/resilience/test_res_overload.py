@@ -18,7 +18,7 @@ from repro.runtime.parcel import LoopbackParcelport, Parcel
 from repro.runtime.parcel.parcelport import RetryPolicy
 from repro.runtime.runtime import Runtime
 from repro.runtime.threads.hpx_thread import ThreadPriority
-from repro.runtime.trace import Tracer
+from repro.observability.tracer import Tracer
 
 # Circuit breaker state machine ------------------------------------------------
 

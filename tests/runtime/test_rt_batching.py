@@ -18,7 +18,7 @@ from repro.config import Config
 from repro.errors import ConfigError
 from repro.runtime import perfcounters
 from repro.runtime.runtime import Runtime
-from repro.runtime.trace import Tracer
+from repro.observability.tracer import Tracer
 from repro.stencil.heat1d import DistributedHeat1D, Heat1DParams, heat1d_reference
 
 SCHEDULERS = ["fifo", "static", "work-stealing"]

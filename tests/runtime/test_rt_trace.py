@@ -3,10 +3,15 @@
 import pytest
 
 from repro.errors import RuntimeStateError
+from repro.observability.tracer import Tracer
 from repro.runtime import Runtime
 from repro.runtime import context as ctx
+from repro.runtime import instrument
 from repro.runtime.threads.pool import ThreadPool
-from repro.runtime.trace import Tracer
+
+
+def _seam_is_empty() -> bool:
+    return instrument.active_probes() == [] and instrument.enabled is False
 
 
 def test_records_task_fields():
@@ -22,15 +27,25 @@ def test_records_task_fields():
     assert record.pool == "p"
 
 
-def test_detach_restores_pool():
+def test_detach_uninstalls_the_probe():
     pool = ThreadPool(1)
     tracer = Tracer()
     with tracer.attach(pool):
+        assert instrument.active_probes() == [tracer]
         pool.submit(lambda: None)
         pool.run_all()
+    assert _seam_is_empty()
     pool.submit(lambda: None)
     pool.run_all()
     assert len(tracer.records) == 1  # post-detach task not traced
+
+
+def test_detach_uninstalls_the_probe_when_the_body_raises():
+    pool = ThreadPool(1)
+    with pytest.raises(ZeroDivisionError):
+        with Tracer().attach(pool):
+            1 / 0
+    assert _seam_is_empty()
 
 
 def test_attach_to_runtime_traces_all_localities():
@@ -95,7 +110,7 @@ def test_busy_fraction_one_of_eight_workers():
 
 def test_busy_fraction_falls_back_to_lanes_without_attach_info():
     """Records injected without an attach (unknown pool) still work."""
-    from repro.runtime.trace import TaskRecord
+    from repro.observability.tracer import TaskRecord
 
     tracer = Tracer()
     tracer.records.append(
@@ -158,9 +173,9 @@ def test_attach_is_not_reentrant():
     assert len(tracer.records) == 1
 
 
-def test_failed_attach_restores_already_patched_pools():
-    """Regression: an exception during attachment used to leak the
-    monkey-patch on pools patched before the failure."""
+def test_failed_attach_changes_nothing():
+    """A refused attach leaves the tracer watching what it watched
+    before, and the seam empties when the surviving block closes."""
     pool_a = ThreadPool(1, name="a")
     pool_b = ThreadPool(1, name="b")
 
@@ -170,22 +185,24 @@ def test_failed_attach_restores_already_patched_pools():
 
     class FakeRuntime:
         localities = [FakeLoc(pool_a), FakeLoc(pool_b)]
-        parcelport = None
 
     tracer = Tracer()
-    original_a = pool_a._execute
     with tracer.attach(pool_b):  # pool_b already attached...
         with pytest.raises(RuntimeStateError):
             with tracer.attach(FakeRuntime()):  # ...so this fails on b
                 pass
-        assert pool_a._execute == original_a  # a was restored
+        assert instrument.active_probes() == [tracer]
+        pool_a.submit(lambda: None)
+        pool_a.run_all()
+        assert not tracer.records  # pool_a is not watched
         # ...and the failed attach must not clobber b's live guard:
         with pytest.raises(RuntimeStateError):
             with tracer.attach(pool_b):
                 pass
-    pool_a.submit(lambda: None)
-    pool_a.run_all()
-    assert not tracer.records  # nothing leaked onto pool_a
+        pool_b.submit(lambda: None)
+        pool_b.run_all()
+        assert len(tracer.records) == 1  # pool_b still is
+    assert _seam_is_empty()
 
 
 def test_sequential_reattach_still_works():
@@ -201,12 +218,13 @@ def test_sequential_reattach_still_works():
 def test_two_tracers_nest_cleanly():
     pool = ThreadPool(1)
     outer, inner = Tracer(), Tracer()
-    original = pool._execute
     with outer.attach(pool):
         with inner.attach(pool):
+            assert instrument.active_probes() == [outer, inner]
             pool.submit(lambda: None)
             pool.run_all()
-    assert pool._execute == original
+        assert instrument.active_probes() == [outer]
+    assert _seam_is_empty()
     assert len(outer.records) == 1 and len(inner.records) == 1
 
 
@@ -276,22 +294,21 @@ def test_outage_events_recorded():
     assert outages[0].args["until"] == pytest.approx(2.0)
 
 
-def test_detach_restores_parcelport_and_scheduler():
+def test_attach_patches_nothing_and_detach_empties_the_seam():
     with Runtime(
         machine="xeon-e5-2660v3", n_localities=2, workers_per_locality=1
     ) as rt:
         port = rt.parcelport
-        orig_send = port.send
-        orig_router = port._router
-        scheds = [loc.pool.scheduler for loc in rt.localities]
-        orig_acquire = [s.acquire for s in scheds]
+        router = port._router
         tracer = Tracer()
         with tracer.attach(rt):
-            assert port.send != orig_send
-        assert port.send == orig_send
-        assert port._router is orig_router
-        for sched, acquire in zip(scheds, orig_acquire):
-            assert sched.acquire == acquire
+            assert instrument.active_probes() == [tracer]
+            assert port._router is router
+            assert not {"send", "retransmit", "_handle_loss"} & set(vars(port))
+            for loc in rt.localities:
+                assert "_execute" not in vars(loc.pool)
+                assert "acquire" not in vars(loc.pool.scheduler)
+        assert _seam_is_empty()
 
 
 def test_gantt_header_reports_idle_capacity():

@@ -146,7 +146,7 @@ class TestRetries:
 
 
 class TestLeaseExpiry:
-    def test_dead_workers_job_is_reclaimed(self, service, clock):
+    def test_dead_workers_job_is_reclaimed(self, service, clock, seam_events):
         job = _submit_faulty(service)
         service.claim("dead-worker")
         service.start(job.job_id, "dead-worker")
@@ -161,7 +161,7 @@ class TestLeaseExpiry:
         assert reclaimed.job_id == job.job_id
         assert lease.owner == "w2"
         assert reclaimed.attempts == 2
-        assert any(e.kind == "lease_expired" for e in service.events)
+        assert "lease_expired" in seam_events.kinds()
 
     def test_renewal_keeps_the_lease_alive(self, service, clock):
         job = _submit_faulty(service)
@@ -238,7 +238,7 @@ class TestRecovery:
 
 
 class TestObservability:
-    def test_per_tenant_counters_and_events(self, service, clock):
+    def test_per_tenant_counters_and_events(self, service, clock, seam_events):
         _submit_faulty(service, "alice", key="a")
         job = _submit_faulty(service, "bob", fails=1, key="b")
         service.run_one("w1")  # alice's job -> done
@@ -250,14 +250,14 @@ class TestObservability:
         assert counters["/jobs{alice}/count/completed"] == 1
         assert counters["/jobs{bob}/count/retried"] == 1
         assert counters["/jobs{bob}/count/completed"] == 1
-        kinds = [e.kind for e in service.events]
+        kinds = seam_events.kinds()
         assert kinds.count("job_submitted") == 2
         assert "job_retried" in kinds
         assert kinds.count("job_done") == 2
 
-    def test_event_hook_mirrors_events(self, service):
-        seen = []
-        service.event_hook = seen.append
+    def test_transitions_reach_an_installed_probe(self, service, clock, seam_events):
         _submit_faulty(service, key="k")
-        assert [e.kind for e in seen] == ["job_submitted"]
-        assert seen[0].args["tenant"] == "t"
+        [(kind, time, args)] = seam_events.events
+        assert kind == "job_submitted"
+        assert time == clock()
+        assert args["tenant"] == "t"
