@@ -526,6 +526,17 @@ def _cmd_stencil2d(machine_name: str, dtype: str, mode: str) -> str:
     )
 
 
+def _distributed_demo(rt: "Runtime") -> "DistributedHeat1D":
+    """The heat1d demo ``trace``, ``analyze`` and sampled ``counters``
+    run: 64 points per locality, one virtual second per step."""
+    from .stencil import DistributedHeat1D, Heat1DParams, analytic_heat_profile
+
+    nx = 64 * rt.n_localities
+    solver = DistributedHeat1D(rt, nx, Heat1DParams(), cost_per_step=1.0)
+    solver.initialize(analytic_heat_profile(nx))
+    return solver
+
+
 def _cmd_trace(
     n_nodes: int,
     steps: int,
@@ -536,16 +547,12 @@ def _cmd_trace(
     from .reporting import write_metrics_json
     from .runtime import Runtime
     from .observability.tracer import Tracer
-    from .stencil import DistributedHeat1D, Heat1DParams, analytic_heat_profile
 
     tracer = Tracer()
     with Runtime(
         machine="xeon-e5-2660v3", n_localities=n_nodes, workers_per_locality=2
     ) as rt:
-        solver = DistributedHeat1D(
-            rt, 64 * n_nodes, Heat1DParams(), cost_per_step=1.0
-        )
-        solver.initialize(analytic_heat_profile(64 * n_nodes))
+        solver = _distributed_demo(rt)
         with tracer.attach(rt):
             rt.run(lambda: solver.run(steps))
         footer = ""
@@ -585,7 +592,6 @@ def _cmd_analyze_dynamic(
     from .config import Config
     from .errors import DataRaceError, DeadlockError
     from .runtime import Runtime
-    from .stencil import DistributedHeat1D, Heat1DParams, analytic_heat_profile
 
     demo = f"{n_nodes}x2 heat1d demo, {scheduler} scheduler, {steps} steps"
     lines: list[str] = []
@@ -601,10 +607,7 @@ def _cmd_analyze_dynamic(
                 workers_per_locality=2,
                 config=config,
             ) as rt:
-                solver = DistributedHeat1D(
-                    rt, 64 * n_nodes, Heat1DParams(), cost_per_step=1.0
-                )
-                solver.initialize(analytic_heat_profile(64 * n_nodes))
+                solver = _distributed_demo(rt)
                 rt.run(lambda: solver.run(steps))
         except DeadlockError as exc:
             status = 1
@@ -1035,15 +1038,11 @@ def _cmd_counters_sampled(
 ) -> str:
     from .observability import sample_counters
     from .runtime import Runtime
-    from .stencil import DistributedHeat1D, Heat1DParams, analytic_heat_profile
 
     with Runtime(
         machine=machine_name, n_localities=n_nodes, workers_per_locality=2
     ) as rt:
-        solver = DistributedHeat1D(
-            rt, 64 * n_nodes, Heat1DParams(), cost_per_step=1.0
-        )
-        solver.initialize(analytic_heat_profile(64 * n_nodes))
+        solver = _distributed_demo(rt)
         series = sample_counters(
             rt,
             lambda: solver.run(steps),

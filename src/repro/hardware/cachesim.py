@@ -149,8 +149,9 @@ def jacobi_row_traffic(
 ) -> float:
     """Run the exact 5-point row-sweep trace; return bytes/LUP.
 
-    The trace mirrors :func:`repro.stencil.jacobi2d.update_row_scalar`:
-    for each interior row ``y``, load ``curr[y-1][x]``, ``curr[y+1][x]``,
+    The trace mirrors one row of
+    :meth:`repro.stencil.jacobi2d.Jacobi2D.stencil_update_block`: for each
+    interior row ``y``, load ``curr[y-1][x]``, ``curr[y+1][x]``,
     ``curr[y][x-1]``, ``curr[y][x+1]`` and store ``next[y][x]``.  The two
     buffers ping-pong between sweeps.  ``warmup_sweeps`` run first so
     cold-start misses do not pollute the steady-state measurement.

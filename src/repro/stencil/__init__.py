@@ -4,10 +4,15 @@
   Listing 2 (double-buffered, scalar or Virtual-Node-Scheme layout);
 * :mod:`~repro.stencil.heat1d` -- Sec. IV-A / V-A: the 1D heat equation,
   as a serial kernel, a shared-memory partitioned solver (Listing 1),
-  and the fully distributed channel-based solver used for Fig 3;
+  and the fully distributed futurized solver used for Fig 3;
 * :mod:`~repro.stencil.jacobi2d` -- Sec. IV-B / V-B: the shared-memory
   2D Jacobi solver with auto-vectorized ("scalar") and explicitly
   vectorized (VNS/pack) kernels used for Figs 4-8;
+* :mod:`~repro.stencil.jacobi2d_dist` -- the 2D kernel distributed over
+  row blocks (extension);
+* :mod:`~repro.stencil.halo` -- the halo-exchange protocol the two
+  distributed solvers instantiate (partition component + driver), with
+  :mod:`~repro.stencil.recovery` as its crash-recovery loop;
 * :mod:`~repro.stencil.validation` -- analytic solutions and error norms
   used to verify both solvers numerically.
 """

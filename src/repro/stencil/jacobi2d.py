@@ -10,7 +10,8 @@ ping-pong buffers.  Two kernels, one generic driver -- exactly the shape
 of Listing 2:
 
 * ``mode="auto"``: the row-major layout the compiler's auto-vectorizer
-  sees.  Rows update through contiguous slice arithmetic.
+  sees.  Each HPX-thread updates its chunk of rows as one contiguous
+  block of slice arithmetic.
 * ``mode="simd"``: the explicitly vectorized kernel over the Virtual
   Node Scheme layout.  Every row update is followed by the halo shuffle
   (``helper<Container>::shuffle`` -- here
@@ -32,7 +33,7 @@ from ..runtime.algorithms import ExecutionPolicy, for_each, for_each_block, seq
 from ..simd.isa import Isa
 from .grid import GridPair
 
-__all__ = ["Jacobi2D", "jacobi_reference_step", "update_row_scalar", "update_row_vns"]
+__all__ = ["Jacobi2D", "jacobi_reference_step", "update_row_vns"]
 
 Mode = Literal["auto", "simd"]
 
@@ -44,17 +45,6 @@ def jacobi_reference_step(field: np.ndarray) -> np.ndarray:
         field[2:, 1:-1] + field[:-2, 1:-1] + field[1:-1, 2:] + field[1:-1, :-2]
     )
     return new
-
-
-def update_row_scalar(curr: np.ndarray, nxt: np.ndarray, y: int) -> None:
-    """Row update on the scalar layout (the auto-vectorized kernel).
-
-    ``curr``/``nxt`` are the raw ``(ny, nx)`` buffers; row ``y`` must be
-    interior.
-    """
-    nxt[y, 1:-1] = 0.25 * (
-        curr[y, :-2] + curr[y, 2:] + curr[y - 1, 1:-1] + curr[y + 1, 1:-1]
-    )
 
 
 def update_row_vns(curr: np.ndarray, nxt: np.ndarray, y: int, layout) -> None:
@@ -122,26 +112,19 @@ class Jacobi2D:
 
     # The Listing 2 kernel -----------------------------------------------------
     def stencil_update(self, y: int, t: int) -> None:
-        """Update row ``y`` from time level ``t`` to ``t+1``."""
-        curr = self.U.current(t).data
-        nxt = self.U.next(t).data
-        if self.mode == "auto":
-            update_row_scalar(curr, nxt, y)
-        else:
-            update_row_vns(curr, nxt, y, self.U.current(t).vns)
+        """VNS layout: update row ``y`` from time level ``t`` to ``t+1``
+        (the halo shuffle makes this kernel inherently per-row)."""
+        curr = self.U.current(t)
+        update_row_vns(curr.data, self.U.next(t).data, y, curr.vns)
         if self.cost_per_row:
             ctx.add_cost(self.cost_per_row)
 
     def stencil_update_block(self, rows: range, t: int) -> None:
-        """Fused Listing 2 body: one update over a block of rows.
+        """Scalar layout: update a block of rows from ``t`` to ``t+1``.
 
         Jacobi reads only the previous time level, so a run of interior
-        rows updates as one 2D slice operation with the *same operand
-        order* as :func:`update_row_scalar` -- bit-identical to the
-        per-row sweep, without ``len(rows)`` Python calls.  The accrued
-        virtual cost is ``cost_per_row`` per row, exactly what the
-        per-row path would charge the same HPX-thread.  Scalar layout
-        only (the VNS kernel interleaves a per-row halo shuffle).
+        rows updates as one 2D slice operation, in the operand order
+        :meth:`run_blocked` shares.  Costs ``cost_per_row`` per row.
         """
         curr = self.U.current(t).data
         nxt = self.U.next(t).data
@@ -155,24 +138,20 @@ class Jacobi2D:
         if self.cost_per_row:
             ctx.add_cost(self.cost_per_row * len(rows))
 
-    def run(
-        self, steps: int, policy: ExecutionPolicy = seq, fused: bool = True
-    ) -> np.ndarray:
+    def run(self, steps: int, policy: ExecutionPolicy = seq) -> np.ndarray:
         """Iterate ``steps`` sweeps driving rows through ``for_each``.
 
         This is the timed region of Listing 2: an outer time loop, an
         inner ``hpx::parallel::for_each(policy, rows, stencil_update)``.
-        With ``fused`` (the default, scalar layout only) each chunk of
-        rows is executed as a single vectorized block update via
-        :func:`~repro.runtime.algorithms.for_each_block` -- same chunking
-        and task structure, same accrued virtual cost per chunk, same
-        bits in the field; the VNS layout always runs per-row (its halo
-        shuffle is inherently per-row).
+        The layout picks the body: on the scalar layout each chunk of
+        rows is one vectorized block update
+        (:func:`~repro.runtime.algorithms.for_each_block` -- same
+        chunking, one HPX-thread per chunk); the VNS layout runs per row.
         """
         if steps < 0:
             raise ValidationError("steps must be non-negative")
         for t in range(self.steps_done, self.steps_done + steps):
-            if fused and self.mode == "auto":
+            if self.mode == "auto":
                 for_each_block(
                     policy,
                     1,
@@ -211,7 +190,7 @@ class Jacobi2D:
             nxt = self.U.next(t).data
             for x_lo in range(1, self.nx - 1, tile_nx):
                 x_hi = min(x_lo + tile_nx, self.nx - 1)
-                # Same operand order as update_row_scalar: the blocked
+                # Same operand order as stencil_update_block: the blocked
                 # sweep is bit-identical, not merely close.
                 nxt[1:-1, x_lo:x_hi] = 0.25 * (
                     curr[1:-1, x_lo - 1 : x_hi - 1]

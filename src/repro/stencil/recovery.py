@@ -1,16 +1,16 @@
-"""Shared crash-recovery driver for the distributed stencils.
+"""Crash recovery for the halo-exchange chain.
 
-Both distributed stencils -- heat1d's periodic ring and jacobi2d's row
-blocks -- drive their ``run_resilient`` through
-:func:`run_with_recovery`, which layers two recovery mechanisms over the
-parcel retry machinery:
+:meth:`HaloDriver.run_resilient <repro.stencil.halo.HaloDriver.run_resilient>`
+-- one method serving heat1d's periodic ring and jacobi2d's row blocks
+alike -- drives its partitions through :func:`run_with_recovery`, which
+layers two recovery mechanisms over the parcel retry machinery:
 
 * **Dead-letter rounds** (transient faults): when the job stalls on
   dead-lettered work, drain the queue, re-invoke ``ensure_chain`` for
   every unfinished partition (idempotent on a live chain), and ask the
   neighbours of each stuck partition to re-send the halo values it waits
-  on.  This is the recovery loop that previously lived in
-  ``DistributedHeat1D.run_resilient``.
+  on (:meth:`HaloDriver.resend_stuck
+  <repro.stencil.halo.HaloDriver.resend_stuck>`).
 * **Checkpoint restart** (permanent crashes): partitions are snapshotted
   as coordinated epochs every ``checkpoint_every`` steps (the epoch
   barrier is the blocking ``when_all`` over the partitions' step
@@ -30,27 +30,26 @@ progress engine has proven that *no* runnable work exists anywhere, so
 no queued task can touch the partitions' abandoned promises after
 ``restore_state`` resets them.
 
-Partition contract (duck-typed; both stencil partitions satisfy it):
-``steps_done``, an ``ensure_chain(absolute_target)`` component action,
-``final_future``, and ``checkpoint_state()`` / ``restore_state()``
-where restore also resets the live chain to a quiesced baseline.
-``resend_stuck(p, step)`` is the stencil-specific callback asking
-partition ``p``'s neighbours to re-send the halos of ``step``.
+The partitions are :class:`~repro.stencil.halo.HaloPartition` objects:
+what this module uses of them is ``steps_done``, the ``ensure_chain(absolute
+target)`` component action, ``final_future``, and ``checkpoint_state()``
+/ ``restore_state()``, where restore also resets the live chain to a
+quiesced baseline.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from ..errors import BrokenPromiseError, DeadlockError, ParcelDeadLetterError
 from ..resilience.checkpoint import CheckpointStore
 from ..runtime.futures import when_all
 from ..runtime.runtime import Runtime
 
-__all__ = ["run_with_recovery"]
+if TYPE_CHECKING:
+    from .halo import HaloDriver, HaloPartition
 
-#: ``resend_stuck(partition_index, stuck_step)`` callback signature.
-ResendStuck = Callable[[int, int], None]
+__all__ = ["run_with_recovery"]
 
 
 def _epoch_boundaries(start: int, target: int, every: int) -> list[int]:
@@ -77,7 +76,10 @@ def _confirmed_dead(runtime: Runtime) -> list[int]:
 
 
 def _recover_from_crash(
-    runtime: Runtime, parts: Sequence[Any], dead: list[int], store: CheckpointStore
+    runtime: Runtime,
+    parts: Sequence[HaloPartition],
+    dead: list[int],
+    store: CheckpointStore,
 ) -> None:
     """Decommission the dead nodes, re-home, roll back to a checkpoint."""
     for loc in dead:
@@ -97,15 +99,13 @@ def _recover_from_crash(
 
 
 def _advance_to(
-    runtime: Runtime,
-    parts: Sequence[Any],
-    gids: Sequence[Any],
+    driver: HaloDriver,
     boundary: int,
-    resend_stuck: ResendStuck,
     store: CheckpointStore | None,
     max_recovery_rounds: int,
 ) -> None:
     """Drive every partition to absolute step ``boundary``, recovering."""
+    runtime, parts, gids = driver.runtime, driver._parts, driver._gids
     port = runtime.parcelport
     fruitless = 0
     while True:
@@ -149,26 +149,17 @@ def _advance_to(
             # The abandoned parcels are being re-driven; consume them.
             port.dead_letters.clear()
             port.suspected_dead.clear()
-            for p, part in enumerate(parts):
-                stuck_at = part.steps_done
-                if stuck_at >= boundary:
-                    continue
-                # Whichever neighbour already produced the halos this
-                # partition waits on re-sends them (idempotent).
-                resend_stuck(p, stuck_at)
+            driver.resend_stuck(boundary)
 
 
 def run_with_recovery(
-    runtime: Runtime,
-    parts: Sequence[Any],
-    gids: Sequence[Any],
+    driver: HaloDriver,
     steps: int,
-    resend_stuck: ResendStuck,
     *,
     max_recovery_rounds: int = 3,
     checkpoint_every: int = 0,
 ) -> None:
-    """Advance all partitions ``steps`` steps, surviving faults.
+    """Advance all of ``driver``'s partitions ``steps`` steps, surviving faults.
 
     ``checkpoint_every`` (epoch length in steps; 0 disables periodic
     epochs) controls the coordinated-snapshot cadence.  An initial epoch
@@ -178,6 +169,7 @@ def run_with_recovery(
     cost model (``checkpoint.cost_*`` knobs) and surfaces in the
     ``/checkpoints{total}`` perfcounters.
     """
+    runtime, parts = driver.runtime, driver._parts
     start = parts[0].steps_done
     target = start + steps
     injector = runtime.fault_injector
@@ -186,8 +178,6 @@ def run_with_recovery(
         store = CheckpointStore(runtime=runtime)
         store.save(start, parts)
     for boundary in _epoch_boundaries(start, target, checkpoint_every):
-        _advance_to(
-            runtime, parts, gids, boundary, resend_stuck, store, max_recovery_rounds
-        )
+        _advance_to(driver, boundary, store, max_recovery_rounds)
         if store is not None and checkpoint_every > 0 and boundary < target:
             store.save(boundary, parts)

@@ -1,15 +1,15 @@
-"""Edge-branch coverage for the stencil components."""
+"""Edge-branch coverage for the stencil components.
+
+Per-class cases; the protocol both partition classes share is checked
+once, parametrised over both, in ``test_st_halo_protocol.py``.
+"""
 
 import numpy as np
 import pytest
 
 from repro.errors import ValidationError
 from repro.runtime import Runtime
-from repro.stencil import (
-    DistributedJacobi2D,
-    Heat1DParams,
-    Heat1DPartition,
-)
+from repro.stencil import Heat1DParams, Heat1DPartition
 from repro.stencil.jacobi2d_dist import Jacobi2DPartition
 
 
@@ -54,13 +54,6 @@ def test_jacobi_partition_out_of_order_advance():
         part.connect(rt, None, None)
         with pytest.raises(ValidationError):
             rt.run(lambda: part.advance(2, None, None))
-
-
-def test_distributed_jacobi_solution_before_initialize():
-    with Runtime(n_localities=1, workers_per_locality=1) as rt:
-        solver = DistributedJacobi2D(rt, 6, 6)
-        with pytest.raises(ValidationError):
-            solver.solution()
 
 
 def test_boundary_partition_halo_futures_always_ready():

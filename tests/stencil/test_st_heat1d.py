@@ -147,28 +147,3 @@ class TestDistributed:
             out = rt.run(lambda: solver.run(0))
         assert np.allclose(out, u0)
 
-
-class TestFusedBlocks:
-    """``fused=True`` (the default) must be bit-identical to the
-    per-partition path: same chunking, same virtual cost, same bits."""
-
-    def test_fused_matches_unfused_seq(self):
-        u0 = analytic_heat_profile(60)
-        fused = Heat1DPartitioned(60, 6, PARAMS)
-        fused.initialize(u0)
-        unfused = Heat1DPartitioned(60, 6, PARAMS)
-        unfused.initialize(u0)
-        np.testing.assert_array_equal(
-            fused.run(40, seq, fused=True), unfused.run(40, seq, fused=False)
-        )
-
-    def test_fused_matches_unfused_par(self, rt):
-        u0 = analytic_heat_profile(64)
-        fused = Heat1DPartitioned(64, 8, PARAMS)
-        fused.initialize(u0)
-        unfused = Heat1DPartitioned(64, 8, PARAMS)
-        unfused.initialize(u0)
-        out_fused = rt.run(lambda: fused.run(40, par, fused=True))
-        out_unfused = rt.run(lambda: unfused.run(40, par, fused=False))
-        np.testing.assert_array_equal(out_fused, out_unfused)
-        assert l2_error(out_fused, heat1d_reference(u0, 40, PARAMS)) < 1e-13

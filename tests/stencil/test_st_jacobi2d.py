@@ -130,38 +130,8 @@ class TestDriver:
 
 
 class TestFusedBlocks:
-    """``fused=True`` (the default, scalar layout only) must be
-    bit-identical to the per-row sweep: the block update uses the same
-    operand order and charges the same per-row virtual cost."""
-
-    def test_fused_matches_unfused_seq(self):
-        field = hot_top(16, 20)
-        fused = Jacobi2D(16, 20, np.float64)
-        fused.initialize(field)
-        unfused = Jacobi2D(16, 20, np.float64)
-        unfused.initialize(field)
-        out_fused = fused.run(15, fused=True)
-        out_unfused = unfused.run(15, fused=False)
-        assert max_error(out_fused, out_unfused) == 0.0
-
-    def test_fused_matches_unfused_par_with_cost_model(self):
-        from repro.runtime import Runtime
-
-        field = hot_top(18, 22)
-
-        def makespan_run(fused):
-            with Runtime(n_localities=1, workers_per_locality=4) as rt:
-                solver = Jacobi2D(18, 22, np.float64, cost_per_row=1e-6)
-                solver.initialize(field)
-                out = rt.run(lambda: solver.run(12, par, fused=fused))
-                return out, rt.makespan
-
-        out_fused, t_fused = makespan_run(True)
-        out_unfused, t_unfused = makespan_run(False)
-        assert max_error(out_fused, out_unfused) == 0.0
-        # Same chunking, one HPX-thread per chunk, cost_per_row per row:
-        # the virtual makespan may not move either.
-        assert t_fused == t_unfused
+    """The layout picks the sweep: scalar rows go in blocks, the VNS
+    layout row by row (its halo shuffle is per row) -- same bits."""
 
     def test_simd_layout_always_runs_per_row(self):
         field = hot_top(12, 34)
@@ -169,7 +139,6 @@ class TestFusedBlocks:
         simd_solver.initialize(field)
         auto_solver = Jacobi2D(12, 34, np.float64)
         auto_solver.initialize(field)
-        # fused=True is a no-op for the VNS layout (per-row halo shuffle).
-        out_simd = simd_solver.run(10, fused=True)
-        out_auto = auto_solver.run(10, fused=True)
+        out_simd = simd_solver.run(10)
+        out_auto = auto_solver.run(10)
         assert max_error(out_simd, out_auto) == 0.0
