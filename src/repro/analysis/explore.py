@@ -39,8 +39,7 @@ Every run is replayable: the choice trace is a list of indices into the
 canonically ordered ready set at each decision point, and a violating
 schedule is greedily minimized and written as a JSON replay file that
 ``repro analyze --replay FILE`` re-executes bit-identically.  All runs
-force ``parcel.batching`` off (flush timing would couple the parcel
-structure to the schedule) and run on the virtual backend only.
+are on the virtual backend only.
 """
 
 from __future__ import annotations
@@ -361,7 +360,6 @@ def _run_schedule(app: ExploreApp, strategy: Any) -> ScheduleOutcome:
     overrides = dict(app.config)
     overrides.setdefault("threads.scheduler", app.scheduler)
     overrides.setdefault("runtime.quiescence", "ignore")
-    overrides["parcel.batching"] = False
     config = Config().replace(**{k.replace(".", "__"): v for k, v in overrides.items()})
     if config.get_str("runtime.backend") != "virtual":
         raise ConfigError(

@@ -1,9 +1,9 @@
 """Runtime configuration, modelled after HPX's ``--hpx:ini`` key/value store.
 
 A :class:`Config` is an immutable-ish mapping of dotted keys
-(``"threads.scheduler"``, ``"parcel.latency_us"``) with typed accessors and
+(``"threads.scheduler"``, ``"parcel.retry"``) with typed accessors and
 validation.  The defaults reproduce the configuration used in the paper:
-pinned workers, work-stealing scheduling, and network-overlap enabled.
+pinned workers and work-stealing scheduling.
 """
 
 from __future__ import annotations
@@ -18,21 +18,11 @@ __all__ = ["Config", "default_config"]
 _DEFAULTS: dict[str, Any] = {
     # Thread subsystem (HPX thread-manager analogue).
     "threads.scheduler": "work-stealing",  # work-stealing | static | fifo
-    "threads.steal_attempts": 4,  # victims probed before idling
     "threads.pin": True,  # hwloc-bind analogue
-    # Parcel subsystem.
-    "parcel.serialize": True,  # serialize args even in-process (catches bugs)
-    "parcel.zero_copy": True,  # loopback fast path: encode (validate+charge) but skip decode
-    "parcel.overlap": True,  # hide network latency under compute
-    # Parcel coalescing: pack small same-destination parcels into one wire
-    # message.  Off by default; the amortization is a wall-clock/packet-rate
-    # win and per-parcel semantics (acks, retries, credits, dedupe, byte
-    # accounting) are preserved exactly either way.
-    "parcel.batching": False,
-    "parcel.batch_max_parcels": 16,  # flush when a batch holds this many parcels
-    "parcel.batch_max_bytes": 16384,  # ... or this many payload+header bytes
-    "parcel.batch_linger_s": 0.0,  # virtual hold time; 0 = flush at the next yield
-    # Reliable delivery (consulted only when a FaultInjector is installed).
+    # Parcel subsystem: reliable delivery (consulted only when a
+    # FaultInjector is installed).  How a parcel body travels is not a
+    # setting: the port the runtime builds decides (by reference on
+    # loopback, decoded over a modelled network or a process boundary).
     "parcel.retry": True,  # retransmit lost parcels on ack-timeout
     "parcel.retry_max_attempts": 8,  # total transmissions before dead-letter
     "parcel.retry_jitter": 0.0,  # seeded backoff jitter fraction (0 = synchronized)
@@ -131,18 +121,10 @@ class Config(Mapping[str, Any]):
             raise ConfigError("runtime.mp_stall_timeout_s must be positive")
         if int(self._values["runtime.mp_sync_rounds"]) < 1:
             raise ConfigError("runtime.mp_sync_rounds must be >= 1")
-        if int(self._values["threads.steal_attempts"]) < 0:
-            raise ConfigError("threads.steal_attempts must be >= 0")
         if int(self._values["parcel.retry_max_attempts"]) < 1:
             raise ConfigError("parcel.retry_max_attempts must be >= 1")
         if not 0.0 <= float(self._values["parcel.retry_jitter"]) <= 1.0:
             raise ConfigError("parcel.retry_jitter must be in [0, 1]")
-        if int(self._values["parcel.batch_max_parcels"]) < 1:
-            raise ConfigError("parcel.batch_max_parcels must be >= 1")
-        if int(self._values["parcel.batch_max_bytes"]) < 1:
-            raise ConfigError("parcel.batch_max_bytes must be >= 1")
-        if float(self._values["parcel.batch_linger_s"]) < 0:
-            raise ConfigError("parcel.batch_linger_s must be non-negative")
         if int(self._values["overload.credits"]) < 1:
             raise ConfigError("overload.credits must be >= 1")
         if float(self._values["overload.defer_base_s"]) <= 0:

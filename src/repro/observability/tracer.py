@@ -6,10 +6,9 @@ compute") is exactly the kind of statement a task timeline proves.  The
 :class:`Tracer` is a :class:`~repro.runtime.instrument.Probe` that
 records every task's (worker, start, finish, description) on the
 virtual clock plus the discrete *events* the runtime reports -- work
-steals, parcel send/receive/retry/drop, overload decisions, batch
-flushes, sanitizer findings -- and renders a text Gantt chart or exports
-the whole timeline as Chrome trace-event JSON for Perfetto /
-``chrome://tracing``.
+steals, parcel send/receive/retry/drop, overload decisions, sanitizer
+findings -- and renders a text Gantt chart or exports the whole timeline
+as Chrome trace-event JSON for Perfetto / ``chrome://tracing``.
 
 Usage::
 

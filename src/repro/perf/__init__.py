@@ -1,7 +1,5 @@
 """Performance measurement and modelling.
 
-* :mod:`~repro.perf.timer` -- ``hpx::util::high_resolution_timer``
-  analogue (wall and virtual clocks);
 * :mod:`~repro.perf.roofline` -- Sec. III-C: arithmetic intensity and
   Eq. (1) ``min(CP, AI x BW)``;
 * :mod:`~repro.perf.stream` -- the STREAM benchmark, both on the memory
@@ -12,8 +10,6 @@
   Figs 3-8.
 """
 
-from .timer import HighResolutionTimer
-from .harness import Measurement, run_best, time_call
 from .roofline import (
     arithmetic_intensity,
     attainable_performance,
@@ -31,10 +27,6 @@ from .cost import (
 )
 
 __all__ = [
-    "HighResolutionTimer",
-    "Measurement",
-    "run_best",
-    "time_call",
     "arithmetic_intensity",
     "attainable_performance",
     "stencil2d_arithmetic_intensity",

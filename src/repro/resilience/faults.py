@@ -176,15 +176,6 @@ class FaultInjector:
         return deferred
 
     # Parcel fates -----------------------------------------------------------
-    def reserve(self, parcel: "Parcel") -> None:
-        """Pin the parcel's fate-sequence index now (send order).
-
-        The parcel coalescing layer transmits in per-destination flush
-        order, not send order; reserving the first-come sequence index
-        at enqueue time keeps every fate identical to an unbatched run.
-        """
-        self._sequence.setdefault(parcel.parcel_id, len(self._sequence))
-
     def parcel_fate(self, parcel: "Parcel", attempt: int) -> ParcelFate:
         """Decide the fate of transmission ``attempt`` of ``parcel``.
 

@@ -79,10 +79,9 @@ class ExecutionBackend:
         """Carry ``parcel`` to the process owning ``destination``.
 
         Only called when ``distributed`` and the destination is not
-        ``my_id``; the parcel's payload is already real wire bytes
-        (``parcel.serialize`` is mandatory in distributed mode), and its
-        ``by_ref_body`` must NOT travel -- dropping it is the zero-copy
-        auto-downgrade.
+        ``my_id``; the parcel's payload is already real wire bytes, and
+        its ``by_ref_body`` must NOT travel -- the receiving process
+        decodes the payload.
         """
         raise NotImplementedError
 

@@ -65,8 +65,7 @@ class _PipeBackend(ExecutionBackend):
     distributed = True
 
     def __init__(self) -> None:
-        # Per-destination-locality parcel entries awaiting a flush (the
-        # wire-level analogue of the in-process parcel batcher: many
+        # Per-destination-locality parcel entries awaiting a flush (many
         # parcels, one framed message).
         self._outbox: dict[int, list[tuple]] = {}
         self._outbox_size = 0
@@ -287,9 +286,6 @@ class _PipeBackend(ExecutionBackend):
                 break
             pool.dispatch(worker, hint)
             self.maybe_service()
-        batcher = runtime._batcher
-        if batcher is not None and batcher.pending:
-            batcher.flush_all()
         self.flush()
 
     def _busy(self) -> bool:

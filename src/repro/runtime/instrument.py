@@ -77,9 +77,6 @@ kind                            emitted by / ``args``
 ``breaker_close``               overload controller: ``dest``
 ``breaker_probe``               overload controller: ``dest``
 ``phi_confirm``                 overload controller: ``dest``, ``phi``
-``parcel_batch_flush``          one coalesced wire message departed:
-                                ``destination``, ``parcels``, ``bytes``,
-                                ``reason``
 ``checkpoint_corrupt_skipped``  a retained epoch failed verification during
                                 restore: ``epoch``, ``size_bytes``, ``level``
 ``race``                        race detector finding: ``location``,

@@ -95,9 +95,8 @@ class Parcel:
         #: Reply promise for two-way invocations (None for one-way sends,
         #: whose result nobody can read).
         self.reply_promise: Promise | None = None
-        #: Decoded body carried by reference (zero-copy fast path or the
-        #: ``parcel.serialize=False`` ablation); None means the receiver
-        #: must deserialize ``payload``.
+        #: Body carried by reference beside its encoding (loopback port
+        #: only); None means the receiver must deserialize ``payload``.
         self.by_ref_body: Any = None
         #: One-way invocation (``invoke_apply``): no reply parcel.
         self.fire_and_forget = False

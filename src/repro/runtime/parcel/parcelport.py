@@ -35,7 +35,6 @@ from .parcel import Parcel
 if TYPE_CHECKING:  # pragma: no cover
     from ...resilience.faults import FaultInjector
     from ...resilience.overload import OverloadController
-    from .batcher import ParcelBatcher
 
 __all__ = ["RetryPolicy", "Parcelport", "LoopbackParcelport", "NetworkParcelport"]
 
@@ -122,10 +121,6 @@ class Parcelport:
         #: Installed by the runtime when ``overload.enabled`` is set;
         #: gates every first-time :meth:`send` through admission control.
         self.overload: "OverloadController | None" = None
-        #: Installed by the runtime when ``parcel.batching`` is set;
-        #: first-time sends are coalesced per destination (see
-        #: :mod:`repro.runtime.parcel.batcher`).
-        self.batcher: "ParcelBatcher | None" = None
         #: Dead-letter queue bound (0 = unbounded); the runtime installs
         #: its own.  Oldest entries are evicted first;
         #: assigning a smaller bound trims (and counts) immediately.
@@ -208,18 +203,10 @@ class Parcelport:
                 return parcel.send_time
             if verdict in ("stall", "defer"):
                 return parcel.send_time
-        batcher = self.batcher
-        if batcher is not None:
-            return batcher.enqueue(parcel)
         return self._transmit(parcel)
 
     def retransmit(self, parcel: Parcel) -> float:
-        """Re-send a lost parcel (called by the runtime's retry task).
-
-        Retransmissions bypass coalescing (they are latency-sensitive),
-        but any open batch toward the same destination is flushed first
-        so the retry cannot overtake queued first sends.
-        """
+        """Re-send a lost parcel (called by the runtime's retry task)."""
         if instrument.enabled and (probe := instrument.probe) is not None:
             probe.event(
                 "parcel_retry",
@@ -228,9 +215,6 @@ class Parcelport:
                 parcel.parcel_id,
                 {"attempt": parcel.attempts + 1},
             )
-        batcher = self.batcher
-        if batcher is not None:
-            batcher.flush_for(parcel)
         self.parcels_retransmitted += 1
         return self._transmit(parcel)
 

@@ -29,14 +29,6 @@ Supported counter types::
     /parcels/count/shed-lettered   sheds recorded in the dead-letter queue
     /parcels/count/dead-letter-evicted  oldest entries evicted past dlq_max
     /parcels/queue/dead-letter     dead-letter queue length right now (gauge)
-    /parcels/batch/messages        coalesced wire messages flushed
-    /parcels/batch/parcels         parcels that travelled inside a batch
-    /parcels/batch/pending         parcels currently held in open batches
-    /parcels/batch/header-bytes-saved  modelled header bytes amortized away
-    /parcels/batch/flushes-full    flushes triggered by batch_max_parcels
-    /parcels/batch/flushes-bytes   flushes triggered by batch_max_bytes
-    /parcels/batch/flushes-linger  flushes triggered by the linger timer
-    /parcels/batch/flushes-forced  ordering flushes (replies, retransmits)
     /overload/count/shed           parcels refused by admission control
     /overload/count/deferred       LOW-parcel deferrals (seeded backoff)
     /overload/count/credits-stalled  sends parked awaiting a credit
@@ -119,19 +111,6 @@ _PARCEL_FAULT_COUNTERS = {
     "count/dead-lettered": "parcels_dead_lettered",
     "count/shed-lettered": "parcels_shed_lettered",
     "count/dead-letter-evicted": "parcels_dlq_evicted",
-}
-
-#: Coalescing statistics: counter suffix -> ParcelBatcher attribute.
-#: All read 0.0 when batching is off, so consumers need no feature test.
-_BATCH_COUNTERS = {
-    "batch/messages": "messages_flushed",
-    "batch/parcels": "parcels_batched",
-    "batch/pending": "pending",
-    "batch/header-bytes-saved": "header_bytes_saved",
-    "batch/flushes-full": "flushes_full",
-    "batch/flushes-bytes": "flushes_bytes",
-    "batch/flushes-linger": "flushes_linger",
-    "batch/flushes-forced": "flushes_forced",
 }
 
 #: Overload admission statistics: counter suffix -> OverloadController
@@ -303,11 +282,6 @@ def query(runtime: "Runtime", path: str) -> float:
             return float(len(port.dead_letters))
         if counter in _PARCEL_FAULT_COUNTERS:
             return float(getattr(port, _PARCEL_FAULT_COUNTERS[counter]))
-        if counter in _BATCH_COUNTERS:
-            batcher = port.batcher
-            if batcher is None:
-                return 0.0
-            return float(getattr(batcher, _BATCH_COUNTERS[counter]))
         raise RuntimeStateError(f"unknown parcels counter {counter!r}")
 
     if obj in ("overload", "breaker", "phi"):
@@ -397,9 +371,6 @@ def discover(runtime: "Runtime") -> list[str]:
     paths.append("/parcels{total}/queue/dead-letter")
     for counter in _PARCEL_FAULT_COUNTERS:
         paths.append(f"/parcels{{total}}/{counter}")
-    if runtime.parcelport.batcher is not None:
-        for counter in _BATCH_COUNTERS:
-            paths.append(f"/parcels{{total}}/{counter}")
     if getattr(runtime, "_overload", None) is not None:
         for counter in _OVERLOAD_COUNTERS:
             paths.append(f"/overload{{total}}/{counter}")

@@ -63,6 +63,9 @@ _INF = float("inf")
 #: must not grow the queue without limit, admission control or not.
 _DLQ_MAX = 1024
 
+#: Victims a work-stealing worker probes before idling.
+_STEAL_ATTEMPTS = 4
+
 
 class Runtime:
     """One ParalleX job over one or more virtual localities."""
@@ -125,7 +128,6 @@ class Runtime:
             self._check_distributed_config(fault_injector)
 
         scheduler = self.config.get_str("threads.scheduler")
-        steal_attempts = self.config.get_int("threads.steal_attempts")
         self.localities: list[Locality] = []
         for i in range(n_localities):
             core_ids = None
@@ -144,7 +146,7 @@ class Runtime:
                 scheduler=scheduler,
                 core_ids=core_ids,
                 name=f"locality-{i}",
-                steal_attempts=steal_attempts,
+                steal_attempts=_STEAL_ATTEMPTS,
             )
             self.localities.append(Locality(i, pool, self))
 
@@ -155,22 +157,16 @@ class Runtime:
             port = NetworkParcelport(
                 machine.interconnect,
                 n_localities,
-                overlap=(
-                    machine.calibration.network_overlap
-                    and self.config.get_bool("parcel.overlap")
-                ),
+                overlap=machine.calibration.network_overlap,
             )
             port.install_resolver(self._destination_of)
             self.parcelport = port
         else:
             self.parcelport = LoopbackParcelport()
         self.parcelport.install_router(self._route_parcel)
-        # Hot-path config flags, resolved once: every parcel send consults
-        # these, and Config.get_bool is a dict lookup plus type check.
-        self._serialize_parcels = self.config.get_bool("parcel.serialize")
-        self._zero_copy = self.config.get_bool("parcel.zero_copy") and isinstance(
-            self.parcelport, LoopbackParcelport
-        )
+        # The port type decides how a parcel body travels, resolved once:
+        # same-process loopback carries the encoded body by reference, a
+        # modelled network (or a process boundary) decodes the wire bytes.
         self._network_port = isinstance(self.parcelport, NetworkParcelport)
         if fault_injector is not None:
             self.parcelport.fault_injector = fault_injector
@@ -183,21 +179,6 @@ class Runtime:
 
             self._overload = OverloadController(self)
             self.parcelport.overload = self._overload
-        # Parcel coalescing (see repro.runtime.parcel.batcher): per-
-        # destination batches flushed on size/bytes/linger by the
-        # progress engine.
-        self._batcher = None
-        if self.config.get_bool("parcel.batching"):
-            from .parcel.batcher import ParcelBatcher
-
-            self._batcher = ParcelBatcher(
-                self.parcelport,
-                resolve=self._destination_of,
-                max_parcels=self.config.get_int("parcel.batch_max_parcels"),
-                max_bytes=self.config.get_int("parcel.batch_max_bytes"),
-                linger_s=self.config.get_float("parcel.batch_linger_s"),
-            )
-            self.parcelport.batcher = self._batcher
         self._started = False
 
     def _check_distributed_config(self, fault_injector: "FaultInjector | None") -> None:
@@ -223,11 +204,6 @@ class Runtime:
             raise ConfigError(
                 f"modelled machine interconnects {requires}: the "
                 "multiprocess backend measures the real host instead"
-            )
-        if not self.config.get_bool("parcel.serialize"):
-            raise ConfigError(
-                "parcel.serialize=False carries bodies by reference and "
-                "cannot cross process boundaries"
             )
         processes = self.config.get_int("runtime.processes")
         if processes not in (0, self.n_localities):
@@ -413,7 +389,6 @@ class Runtime:
         :class:`~repro.errors.ParcelDeadLetterError`; a plain stall is a
         :class:`~repro.errors.DeadlockError`.
         """
-        batcher = self._batcher
         remote = self._remote
         while not predicate():
             # Distributed mode: poll the transport opportunistically (the
@@ -422,12 +397,6 @@ class Runtime:
             if remote is not None and remote.maybe_service():
                 continue
             pool, worker, hint = self._next_locality()
-            # Coalesced parcels whose linger expires before the next task
-            # starts go out first (hint is inf on a stall, draining every
-            # open batch before declaring deadlock); a flush enqueues
-            # handler tasks, so re-evaluate from the top.
-            if batcher is not None and batcher.pending and batcher.flush_due(hint):
-                continue
             if pool is None:
                 # Nothing runnable here, but the awaited value may be on
                 # its way from another process: block on the transport
@@ -436,11 +405,6 @@ class Runtime:
                     continue
                 self._raise_stalled()
             pool.dispatch(worker, hint)
-        # The predicate can flip mid-task (e.g. the awaited future
-        # resolves) with sends of that very task still parked in a batch.
-        # Unbatched they would already be on the wire: drain them.
-        if batcher is not None and batcher.pending:
-            batcher.flush_all()
         if remote is not None:
             remote.flush()
 
@@ -448,19 +412,12 @@ class Runtime:
         """Like :meth:`progress_until`, but only step work that can start
         at or before virtual ``deadline``; returns the final predicate
         value instead of raising on a stall (timeout machinery)."""
-        batcher = self._batcher
         remote = self._remote
         try:
             while not predicate():
                 if remote is not None and remote.maybe_service():
                     continue
                 pool, worker, hint = self._next_locality()
-                if (
-                    batcher is not None
-                    and batcher.pending
-                    and batcher.flush_due(min(hint, deadline))
-                ):
-                    continue
                 if pool is None or hint > deadline:
                     # A non-blocking transport poll (timed waits must not
                     # park on the pipe) may still unblock the predicate.
@@ -470,11 +427,6 @@ class Runtime:
                 pool.dispatch(worker, hint)
             return True
         finally:
-            # Exit-drain, bounded by the deadline: parcels sent by tasks
-            # stepped at or before it must go out (unbatched they would
-            # have), while linger deadlines past it stay parked.
-            if batcher is not None and batcher.pending:
-                batcher.flush_due(deadline)
             if remote is not None:
                 remote.flush()
 
@@ -494,8 +446,6 @@ class Runtime:
         injector = self.fault_injector
 
         def quiescent() -> bool:
-            if self._batcher is not None and self._batcher.pending:
-                return False
             for loc in self.localities:
                 if loc.locality_id in self.decommissioned:
                     continue
@@ -649,22 +599,14 @@ class Runtime:
     def _encode(self, parcel_body: tuple) -> tuple[bytes, tuple | None]:
         """Serialize a parcel body.
 
-        Returns ``(wire_bytes, by_reference_body)``.  With
-        ``parcel.serialize`` disabled (an ablation: skip the encode/decode
-        work while keeping transport semantics) the body is carried by
-        reference and only a header-sized placeholder goes "on the wire".
-
-        With ``parcel.zero_copy`` enabled on a loopback (same-process)
-        port, the body is *also* encoded -- picklability is still
-        validated and the cost model still sees the honest byte count --
-        but it travels by reference too, so delivery skips the decode.
+        Returns ``(wire_bytes, by_reference_body)``.  The body is always
+        encoded -- picklability is validated and the cost model sees the
+        honest byte count.  On a loopback (same-process) port it *also*
+        travels by reference, so delivery skips the decode; over a
+        modelled network or a process boundary the receiver decodes.
         """
-        if self._serialize_parcels:
-            data = serialize(parcel_body)
-            if self._zero_copy:
-                return data, parcel_body
-            return data, None
-        return b"\0" * 64, parcel_body
+        data = serialize(parcel_body)
+        return data, None if self._network_port else parcel_body
 
     def _source_locality(self) -> int:
         frame = ctx.current_or_none()
@@ -746,10 +688,9 @@ class Runtime:
         remote = self._remote
         if remote is not None and destination != remote.my_id:
             # Distributed mode: the destination locality lives in another
-            # OS process.  The payload is already real wire bytes
-            # (parcel.serialize is mandatory here); by_ref_body stays
-            # behind -- that is the zero-copy downgrade for cross-process
-            # sends.  Port-side stats counted this send already.
+            # OS process.  The payload is already real wire bytes;
+            # by_ref_body stays behind, so the receiving process decodes.
+            # Port-side stats counted this send already.
             remote.forward_parcel(parcel, destination)
             return
         if destination in self.decommissioned:
@@ -955,14 +896,9 @@ class Runtime:
             return
         delay = 0.0
         if from_locality != to_locality and self._network_port:
-            size = len(serialize(value)) + 64 if self._serialize_parcels else 64
+            size = len(serialize(value)) + 64
             delay = self.parcelport.interconnect.transfer_time(size, self.n_localities)
         send_time = self._send_time()
-        if self._batcher is not None:
-            # The reply delivery is a direct pool submission; any parcels
-            # this task already coalesced toward the caller must not be
-            # overtaken by it, so close that destination's batch first.
-            self._batcher.flush_destination(to_locality)
         self.localities[to_locality].pool.post(
             promise.set_exception if is_error else promise.set_value,
             value,

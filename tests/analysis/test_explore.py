@@ -165,7 +165,7 @@ def test_replay_file_rejects_foreign_json(tmp_path):
 
 def test_exploration_is_deterministic():
     """Two identical explorations agree choice-for-choice -- nothing
-    (batching, global counters) leaks between runs."""
+    (global counters) leaks between runs."""
     app, _ = CORPUS["corpus/conservation"]
     first = explore(app, strategy="random", seed=11, minimize=False)
     second = explore(app, strategy="random", seed=11, minimize=False)
@@ -176,33 +176,14 @@ def test_exploration_is_deterministic():
 
 
 # ---------------------------------------------------------------------------
-# What exploration needs from the runtime: no coalescing, virtual backend
+# What exploration needs from the runtime: the virtual backend
 # ---------------------------------------------------------------------------
 
 
-def _probe_app(name, config, build=None):
+def _probe_app(name, config):
     app, _ = CORPUS["corpus/race_fixed"]
-    return type(app)(name=name, build=build or app.build, n_localities=1,
+    return type(app)(name=name, build=app.build, n_localities=1,
                      workers_per_locality=1, config=config)
-
-
-def test_explorer_runs_with_the_batcher_off_even_when_the_app_asks_for_it():
-    """Flush timing would couple the parcel structure to the schedule."""
-    app, _ = CORPUS["corpus/race_fixed"]
-    seen = []
-
-    def build(rt):
-        inner = app.build(rt)
-
-        def job():
-            seen.append(rt._batcher)
-            return inner()
-
-        return job
-
-    probe = _probe_app("corpus/_batching_probe", {"parcel.batching": True}, build)
-    explore(probe, budget=2, minimize=False)
-    assert seen and all(batcher is None for batcher in seen)
 
 
 def test_explorer_rejects_a_non_virtual_backend():

@@ -38,12 +38,6 @@ def test_rejects_machine_models():
         Runtime(n_localities=2, machine="xeon-e5-2660v3", config=_mp_config())
 
 
-def test_rejects_by_reference_parcels():
-    config = _mp_config(**{"parcel.serialize": False})
-    with pytest.raises(ConfigError, match="serialize"):
-        Runtime(n_localities=2, config=config)
-
-
 def test_rejects_process_count_mismatch():
     config = _mp_config(**{"runtime.processes": 3})
     with pytest.raises(ConfigError, match="processes"):

@@ -139,9 +139,9 @@ def test_fanout_over_all_localities():
     assert results == [[2 * i] for i in range(12)]
 
 
-def test_zero_copy_downgrades_to_real_serialization():
-    """parcel.zero_copy stays legal: cross-process sends carry real bytes."""
-    with _mp_runtime(**{"parcel.zero_copy": True}) as rt:
+def test_cross_process_sends_carry_real_bytes():
+    """The by-reference body stays behind at the process boundary."""
+    with _mp_runtime() as rt:
         arr = np.linspace(0.0, 1.0, 257)
         assert rt.async_at(1, _np_sum, arr).get() == float(np.sum(arr))
     assert rt.backend.counters()["wire_bytes_sent"] > 0

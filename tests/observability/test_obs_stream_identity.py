@@ -2,9 +2,9 @@
 
 Each scenario is a fixed, seeded virtual-clock run that exercises one
 group of emission sites (task records, steals, parcel send / recv /
-retry / drop, outages, overload decisions, batch flushes, a corrupt
-checkpoint epoch, the counter sampler).  The digests below were recorded
-with the monkey-patching ``Tracer`` and sampler at the commit before the
+retry / drop, outages, overload decisions, a corrupt checkpoint epoch,
+the counter sampler).  The digests below were recorded with the
+monkey-patching ``Tracer`` and sampler at the commit before the
 observers moved onto the ``instrument`` seam; whatever observes the
 runtime today must reproduce them: same records, same events, same
 order, same stamps, same Chrome-trace JSON, same sampled series.
@@ -45,8 +45,6 @@ DIGESTS = {
     "b.chrome": "2b2493b721a30d35137e796ebf060aba6966b0c9da3273fc587c5a1a731b47fc",
     "c.stream": "3128be440b5c6e29b41ad7c615da9ec0a71f8794c0b4164b682765eea5b12224",
     "c.chrome": "74d218ee52dd779ea1310529280a91ac74e7e08b2c06c7977d85d4781c634575",
-    "d.stream": "254ee459397c32adf8a664c2247f3377e1fc0cdd79058787147f8ed0efb1c424",
-    "d.chrome": "3694e6b898b5a7f5022787b33652ddb005429066e44c5d2b1ab5d3e4c2477f85",
     "e.stream": "d35b541b170aa48682029402bbb4b063c1f1e6c93faff9f7b3e3a12ade6c559d",
     "e.chrome": "ac9fc667d4216eabeb1101652e07bd8a20b155a44c273aab78dfde4b9ca47594",
     "f.series": "708c5dda55044774978955413a4bbedcae508855b1c100ac069902e2af68fdda",
@@ -194,12 +192,6 @@ def test_c_overload_storm():
         "breaker_close",
     } <= _kinds(tracer)
     _check("c", tracer)
-
-
-def test_d_batched_parcels():
-    tracer = _traced_heat1d(config=Config(parcel__batching=True))
-    assert "parcel_batch_flush" in _kinds(tracer)
-    _check("d", tracer)
 
 
 class _Box:

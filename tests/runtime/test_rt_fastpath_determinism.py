@@ -1,16 +1,16 @@
-"""Fast-path determinism: optimisations change wall time, never answers.
+"""Fast-path determinism: how a parcel body travels never moves an answer.
 
-PR5's runtime fast paths (zero-copy loopback parcels, O(1) scheduler
-pops, cheap probes) are only admissible if the *virtual-time* results
-they produce are bit-identical to the slow paths they replace.  This
-suite pins that invariant for the config-gated piece -- the
-``parcel.zero_copy`` loopback fast path -- across every scheduler:
+The port the runtime builds decides how a body reaches its handler: a
+loopback port carries it by reference beside its encoding (the decode is
+skipped), a modelled network -- like a process boundary -- decodes the
+wire bytes.  The two must be indistinguishable to the application.  Per
+scheduler, heat1d, jacobi2d and a parcel storm give on a loopback
+runtime and on a ``machine=`` runtime:
 
-* identical virtual makespans,
-* identical ``/threads{total}`` perfcounters,
-* identical stencil field contents (checksums and exact arrays),
-* identical parcel *and byte* counters (zero-copy must keep charging the
-  honest serialized sizes even though it skips the loopback decode).
+* identical stencil field contents (checksums and exact arrays) or
+  storm totals,
+* identical parcel *and byte* counters (by-reference delivery must keep
+  charging the honest serialized sizes).
 
 It also pins the encode-once accounting at the port level: a
 retransmitted parcel charges exactly the same byte count every attempt,
@@ -25,7 +25,7 @@ from repro.config import Config
 from repro.errors import SerializationError
 from repro.runtime import perfcounters
 from repro.runtime.parcel.parcel import Parcel
-from repro.runtime.parcel.parcelport import LoopbackParcelport
+from repro.runtime.parcel.parcelport import LoopbackParcelport, NetworkParcelport
 from repro.runtime.parcel.serialization import serialize
 from repro.runtime.runtime import Runtime
 from repro.stencil.heat1d import DistributedHeat1D, Heat1DParams
@@ -33,34 +33,36 @@ from repro.stencil.jacobi2d_dist import DistributedJacobi2D
 
 SCHEDULERS = ["fifo", "static", "work-stealing"]
 
+#: ``machine=`` of the decoded run; None is loopback (by reference).
+PORTS = {None: LoopbackParcelport, "xeon-e5-2660v3": NetworkParcelport}
+
 COUNTERS = (
-    "/threads{total}/count/cumulative",
-    "/threads{total}/queue/length",
     "/parcels{total}/count/sent",
+    "/parcels{total}/data/sent",
 )
 
 
-def _config(scheduler: str, zero_copy: bool) -> Config:
-    return Config(threads__scheduler=scheduler, parcel__zero_copy=zero_copy)
+def _runtime(scheduler: str, machine: str | None) -> Runtime:
+    rt = Runtime(
+        machine=machine,
+        n_localities=2,
+        workers_per_locality=2,
+        config=Config(threads__scheduler=scheduler),
+    )
+    assert type(rt.parcelport) is PORTS[machine]
+    return rt
 
 
 def _fingerprint(rt: Runtime) -> dict:
     fp = {path: perfcounters.query(rt, path) for path in COUNTERS}
-    fp["makespan"] = rt.makespan
-    fp["parcels_sent"] = rt.parcelport.parcels_sent
-    fp["bytes_sent"] = rt.parcelport.bytes_sent
     fp["parcels_delivered"] = rt.parcelport.parcels_delivered
     return fp
 
 
-def _heat_run(scheduler: str, zero_copy: bool):
+def _heat_run(scheduler: str, machine: str | None):
     nx = 64
     u0 = np.cos(np.linspace(0.0, 2.0 * np.pi, nx, endpoint=False))
-    with Runtime(
-        n_localities=2,
-        workers_per_locality=2,
-        config=_config(scheduler, zero_copy),
-    ) as rt:
+    with _runtime(scheduler, machine) as rt:
         solver = DistributedHeat1D(
             rt, nx, Heat1DParams(), partitions_per_locality=2, cost_per_step=1e-4
         )
@@ -69,15 +71,11 @@ def _heat_run(scheduler: str, zero_copy: bool):
         return field, _fingerprint(rt)
 
 
-def _jacobi_run(scheduler: str, zero_copy: bool):
+def _jacobi_run(scheduler: str, machine: str | None):
     ny, nx = 18, 16
     rng = np.random.default_rng(7)
     grid = rng.random((ny, nx))
-    with Runtime(
-        n_localities=2,
-        workers_per_locality=2,
-        config=_config(scheduler, zero_copy),
-    ) as rt:
+    with _runtime(scheduler, machine) as rt:
         solver = DistributedJacobi2D(
             rt, ny, nx, partitions_per_locality=1, cost_per_step=1e-4
         )
@@ -86,14 +84,10 @@ def _jacobi_run(scheduler: str, zero_copy: bool):
         return field, _fingerprint(rt)
 
 
-def _storm_run(scheduler: str, zero_copy: bool):
+def _storm_run(scheduler: str, machine: str | None):
     n = 60
     payload = list(range(32))
-    with Runtime(
-        n_localities=2,
-        workers_per_locality=2,
-        config=_config(scheduler, zero_copy),
-    ) as rt:
+    with _runtime(scheduler, machine) as rt:
 
         def main() -> int:
             futures = [rt.async_at(1, _echo_len, payload, i) for i in range(n)]
@@ -110,38 +104,34 @@ def _echo_len(payload, i):
 
 @pytest.mark.parametrize("scheduler", SCHEDULERS)
 def test_zero_copy_heat1d_bit_identical(scheduler):
-    field_off, fp_off = _heat_run(scheduler, zero_copy=False)
-    field_on, fp_on = _heat_run(scheduler, zero_copy=True)
-    assert fp_on == fp_off
-    assert float(np.sum(field_on)) == float(np.sum(field_off))
-    np.testing.assert_array_equal(field_on, field_off)
+    field_decoded, fp_decoded = _heat_run(scheduler, "xeon-e5-2660v3")
+    field_by_ref, fp_by_ref = _heat_run(scheduler, None)
+    assert fp_by_ref == fp_decoded
+    assert float(np.sum(field_by_ref)) == float(np.sum(field_decoded))
+    np.testing.assert_array_equal(field_by_ref, field_decoded)
 
 
 @pytest.mark.parametrize("scheduler", SCHEDULERS)
 def test_zero_copy_jacobi2d_bit_identical(scheduler):
-    field_off, fp_off = _jacobi_run(scheduler, zero_copy=False)
-    field_on, fp_on = _jacobi_run(scheduler, zero_copy=True)
-    assert fp_on == fp_off
-    assert float(np.sum(field_on)) == float(np.sum(field_off))
-    np.testing.assert_array_equal(field_on, field_off)
+    field_decoded, fp_decoded = _jacobi_run(scheduler, "xeon-e5-2660v3")
+    field_by_ref, fp_by_ref = _jacobi_run(scheduler, None)
+    assert fp_by_ref == fp_decoded
+    assert float(np.sum(field_by_ref)) == float(np.sum(field_decoded))
+    np.testing.assert_array_equal(field_by_ref, field_decoded)
 
 
 @pytest.mark.parametrize("scheduler", SCHEDULERS)
 def test_zero_copy_parcel_storm_bit_identical(scheduler):
-    total_off, fp_off = _storm_run(scheduler, zero_copy=False)
-    total_on, fp_on = _storm_run(scheduler, zero_copy=True)
-    assert total_on == total_off
-    assert fp_on == fp_off
+    total_decoded, fp_decoded = _storm_run(scheduler, "xeon-e5-2660v3")
+    total_by_ref, fp_by_ref = _storm_run(scheduler, None)
+    assert total_by_ref == total_decoded
+    assert fp_by_ref == fp_decoded
 
 
 def test_zero_copy_still_validates_picklability():
-    """The fast path skips the loopback *decode*, never the encode: an
-    unpicklable argument must fail identically with the gate on."""
-    with Runtime(
-        n_localities=2,
-        workers_per_locality=2,
-        config=Config(parcel__zero_copy=True),
-    ) as rt:
+    """The loopback port skips the *decode*, never the encode: an
+    unpicklable argument must fail although it would travel by reference."""
+    with Runtime(n_localities=2, workers_per_locality=2) as rt:
         unpicklable = open(__file__)  # noqa: SIM115 - deliberately unshippable
         try:
             with pytest.raises(SerializationError):

@@ -13,14 +13,14 @@ from repro.errors import ConfigError
 def test_defaults():
     cfg = default_config()
     assert cfg["threads.scheduler"] == "work-stealing"
-    assert cfg.get_bool("parcel.overlap")
-    assert cfg.get_int("threads.steal_attempts") == 4
+    assert cfg.get_bool("threads.pin")
+    assert cfg.get_int("parcel.retry_max_attempts") == 8
 
 
 def test_override_with_dunder_keys():
-    cfg = Config(threads__scheduler="static", parcel__overlap=False)
+    cfg = Config(threads__scheduler="static", threads__pin=False)
     assert cfg["threads.scheduler"] == "static"
-    assert not cfg.get_bool("parcel.overlap")
+    assert not cfg.get_bool("threads.pin")
 
 
 def test_unknown_key_rejected():
@@ -37,9 +37,9 @@ def test_invalid_scheduler_rejected():
 
 def test_invalid_counts_rejected():
     with pytest.raises(ConfigError):
-        Config(threads__steal_attempts=-1)
+        Config(runtime__processes=-1)
     with pytest.raises(ConfigError):
-        Config(parcel__batch_max_parcels=0)
+        Config(parcel__retry_max_attempts=0)
     with pytest.raises(ConfigError):
         Config(runtime__backend="magic")
 
