@@ -69,24 +69,6 @@ from .reporting import Series, format_figure, format_table
 
 __all__ = ["main", "build_parser"]
 
-_EXHIBIT_RENDERERS = {
-    "table1": exhibits.render_table1,
-    "table2": exhibits.render_table2,
-    "fig2": exhibits.render_fig2,
-    "fig3": exhibits.render_fig3,
-    "fig4": lambda: exhibits.render_fig_2d("xeon-e5-2660v3"),
-    "fig5": lambda: exhibits.render_fig_2d("kunpeng916"),
-    "fig6": lambda: exhibits.render_fig_2d("a64fx"),
-    "fig7": lambda: exhibits.render_fig_2d(
-        "a64fx", __import__("repro.perf.cost", fromlist=["x"]).PAPER_GRID_2D_LARGE
-    ),
-    "fig8": lambda: exhibits.render_fig_2d("thunderx2"),
-    "table3": lambda: exhibits.render_counter_table("xeon-e5-2660v3"),
-    "table4": lambda: exhibits.render_counter_table("kunpeng916"),
-    "table5": lambda: exhibits.render_counter_table("a64fx"),
-    "table6": lambda: exhibits.render_counter_table("thunderx2"),
-}
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -102,8 +84,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ex.add_argument(
         "names",
         nargs="*",
-        choices=[[], *sorted(_EXHIBIT_RENDERERS)],  # empty means all
-        help="which exhibits (default: all)",
+        choices=[[], *exhibits.EXHIBITS],  # empty means all
+        help="which exhibits (default: all, in paper order)",
     )
 
     def machine_arg(p: argparse.ArgumentParser) -> None:
@@ -471,8 +453,7 @@ def _cmd_machines() -> str:
 
 
 def _cmd_exhibits(names: Sequence[str]) -> str:
-    selected = list(names) or sorted(_EXHIBIT_RENDERERS)
-    parts = [_EXHIBIT_RENDERERS[name]() for name in selected]
+    parts = [exhibits.EXHIBITS[name]() for name in names or exhibits.EXHIBITS]
     return ("\n\n" + "=" * 78 + "\n\n").join(parts)
 
 
@@ -512,10 +493,7 @@ def _cmd_stencil2d(machine_name: str, dtype: str, mode: str) -> str:
     m = machine(machine_name)
     np_dtype = np.float32 if dtype == "float32" else np.float64
     series = Series(f"{dtype}/{mode}")
-    cores_grid = [1] + list(range(8, m.spec.cores_per_node + 1, 8))
-    if cores_grid[-1] != m.spec.cores_per_node:
-        cores_grid.append(m.spec.cores_per_node)
-    for cores in cores_grid:
+    for cores in exhibits.core_grid(m.spec.cores_per_node):
         series.add(cores, stencil2d_glups(m, np_dtype, mode, cores))
     return format_figure(
         f"2D stencil, {m.spec.name}",
@@ -1244,7 +1222,8 @@ def main(argv: Sequence[str] | None = None) -> int:
                 )
             )
         else:
-            print(exhibits.render_counter_table(args.machine))
+            table, _ = exhibits.COUNTER_TABLES[args.machine]
+            print(exhibits.EXHIBITS[table]())
     elif args.command == "trace":
         print(_cmd_trace(args.nodes, args.steps, args.export, args.metrics))
     elif args.command == "analyze":

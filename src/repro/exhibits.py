@@ -1,12 +1,16 @@
-"""One function per paper exhibit: Tables I and III-VI, Figures 2-8.
+"""One function per paper exhibit: Tables I-VI, Figures 2-8.
 
 Every function returns renderable data (via :mod:`repro.reporting`) built
-from the calibrated models -- these are the entry points the benchmark
-harnesses, the examples and EXPERIMENTS.md all share.  Nothing here is
-cached or stateful; each call recomputes the exhibit from the registry.
+from the calibrated models.  :data:`EXHIBITS` is the one list of them, in
+paper order: ``python -m repro exhibits``, the tier-1 exhibit tests and
+EXPERIMENTS.md all read it.  Nothing here is cached or stateful; each
+call recomputes the exhibit from the registry.
 """
 
 from __future__ import annotations
+
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -26,6 +30,9 @@ from .perf.stream import stream_model
 from .reporting import Series, format_figure, format_scientific, format_table
 
 __all__ = [
+    "EXHIBITS",
+    "COUNTER_TABLES",
+    "core_grid",
     "table1",
     "table2",
     "render_table2",
@@ -49,9 +56,10 @@ DTYPE_VARIANTS: tuple[tuple[str, np.dtype, str], ...] = (
     ("Vector Double", np.dtype(np.float64), "simd"),
 )
 
-#: Core-count grids per machine for the 2D figures (multiples of 8 as in
-#: the paper's plots, plus the single-core and full-node points).
-def _core_grid(n_cores: int) -> list[int]:
+
+def core_grid(n_cores: int) -> list[int]:
+    """Core counts the figures sample: multiples of 8 as in the paper's
+    plots, plus the single-core and full-node points."""
     grid = [1] + [c for c in range(8, n_cores + 1, 8)]
     if grid[-1] != n_cores:
         grid.append(n_cores)  # e.g. the Xeon's 20-core node
@@ -112,7 +120,7 @@ def fig2_stream(pinning: str = "compact") -> list[Series]:
     for name in machine_names():
         m = machine(name)
         s = Series(m.spec.name)
-        for cores in _core_grid(m.spec.cores_per_node):
+        for cores in core_grid(m.spec.cores_per_node):
             s.add(cores, stream_model(m, cores, pinning=pinning).bandwidth_gbs)
         series.append(s)
     return series
@@ -168,18 +176,14 @@ def render_fig3() -> str:
 
 # Figs 4-8 ---------------------------------------------------------------------
 
-def fig_2d_stencil(
-    machine_name: str,
-    grid: tuple[int, int] = PAPER_GRID_2D,
-    with_peaks: bool = True,
-) -> list[Series]:
+def fig_2d_stencil(machine_name: str, with_peaks: bool = True) -> list[Series]:
     """GLUP/s vs cores for the four kernel variants (+ roofline peaks).
 
-    ``grid`` only matters for labelling: the rate model is
-    grid-size-independent in the measured range (the Fig 7 result).
+    There is no grid parameter: the rate model is grid-size-independent
+    in the measured range (the Fig 7 result).
     """
     m = machine(machine_name)
-    cores_grid = _core_grid(m.spec.cores_per_node)
+    cores_grid = core_grid(m.spec.cores_per_node)
     series = []
     for label, dtype, mode in DTYPE_VARIANTS:
         s = Series(label)
@@ -196,27 +200,20 @@ def fig_2d_stencil(
     return series
 
 
-_FIGURE_BY_MACHINE = {
-    "xeon-e5-2660v3": ("Fig 4", PAPER_GRID_2D),
-    "kunpeng916": ("Fig 5", PAPER_GRID_2D),
-    "a64fx": ("Fig 6", PAPER_GRID_2D),
-    "thunderx2": ("Fig 8", PAPER_GRID_2D),
-}
-
-
-def render_fig_2d(machine_name: str, grid: tuple[int, int] = PAPER_GRID_2D) -> str:
-    fig_label = _FIGURE_BY_MACHINE.get(machine_name, ("Fig 6/7", grid))[0]
-    if machine_name == "a64fx" and grid == PAPER_GRID_2D_LARGE:
-        fig_label = "Fig 7"
+def render_fig_2d(
+    label: str, machine_name: str, grid: tuple[int, int] = PAPER_GRID_2D
+) -> str:
+    """One of Figs 4-8; ``label`` is the paper's figure number and
+    ``grid`` only shows in the title."""
     m = machine(machine_name)
     ny, nx = grid
     title = (
-        f"{fig_label}: 2D stencil, {m.spec.name}, grid {ny}x{nx}, "
+        f"{label}: 2D stencil, {m.spec.name}, grid {ny}x{nx}, "
         f"{PAPER_STEPS} time steps"
     )
     return format_figure(
         title,
-        fig_2d_stencil(machine_name, grid),
+        fig_2d_stencil(machine_name),
         xlabel="cores",
         ylabel="GLUP/s",
         y_format="{:.2f}",
@@ -225,11 +222,13 @@ def render_fig_2d(machine_name: str, grid: tuple[int, int] = PAPER_GRID_2D) -> s
 
 # Tables III-VI -------------------------------------------------------------------
 
-_COUNTER_TABLE_BY_MACHINE = {
-    "xeon-e5-2660v3": "TABLE III",
-    "kunpeng916": "TABLE IV",
-    "a64fx": "TABLE V",
-    "thunderx2": "TABLE VI",
+#: Tables III-VI are one per machine, in paper order:
+#: machine -> (exhibit name, paper label).
+COUNTER_TABLES = {
+    "xeon-e5-2660v3": ("table3", "TABLE III"),
+    "kunpeng916": ("table4", "TABLE IV"),
+    "a64fx": ("table5", "TABLE V"),
+    "thunderx2": ("table6", "TABLE VI"),
 }
 
 _COUNTER_LABELS = {
@@ -253,9 +252,29 @@ def counter_table(machine_name: str) -> tuple[list[str], list[list[str]]]:
 
 
 def render_counter_table(machine_name: str) -> str:
-    table_label = _COUNTER_TABLE_BY_MACHINE[machine_name]
+    table_label = COUNTER_TABLES[machine_name][1]
     headers, rows = counter_table(machine_name)
     m = machine(machine_name)
     return f"{table_label}: Hardware Counters for {m.spec.name}\n" + format_table(
         headers, rows
     )
+
+
+# The exhibit list ------------------------------------------------------------
+
+#: Every exhibit of the paper, name -> renderer, in paper order.
+EXHIBITS: dict[str, Callable[[], str]] = {
+    "table1": render_table1,
+    "table2": render_table2,
+    "fig2": render_fig2,
+    "fig3": render_fig3,
+    "fig4": partial(render_fig_2d, "Fig 4", "xeon-e5-2660v3"),
+    "fig5": partial(render_fig_2d, "Fig 5", "kunpeng916"),
+    "fig6": partial(render_fig_2d, "Fig 6", "a64fx"),
+    "fig7": partial(render_fig_2d, "Fig 7", "a64fx", PAPER_GRID_2D_LARGE),
+    "fig8": partial(render_fig_2d, "Fig 8", "thunderx2"),
+    **{
+        name: partial(render_counter_table, machine_name)
+        for machine_name, (name, _) in COUNTER_TABLES.items()
+    },
+}

@@ -22,7 +22,7 @@ practice.  Everything here watches the runtime through the
   summaries.
 * :mod:`~repro.observability.metrics` -- one-call collection of the
   standard counters + histogram summaries into a JSON-ready dict, the
-  artifact benchmarks write next to their figures.
+  artifact ``repro trace --metrics`` writes.
 
 See ``docs/observability.md`` for the guided tour.
 """

@@ -1,10 +1,10 @@
 """One-call metrics collection: counters + histogram summaries.
 
-Benchmarks (and the CLI) want a single JSON-ready artifact per run --
-the runtime counters that explain the result plus the latency
+The CLI (``repro trace --metrics``) wants a single JSON-ready artifact
+per run -- the runtime counters that explain the result plus the latency
 distributions behind them.  :func:`collect_metrics` assembles it; the
 actual file writing lives in :func:`repro.reporting.write_metrics_json`
-so every artifact in ``benchmarks/out/`` has the same shape.
+so every such artifact has the same shape.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Plain-text report rendering for benchmark harnesses.
+"""Plain-text report rendering for the exhibits and the CLI.
 
 The paper's exhibits are tables and line plots; in a terminal-only
 reproduction both become aligned text: :func:`format_table` renders a
@@ -6,8 +6,7 @@ Table I/III-VI-style grid, :class:`Series`/:func:`format_figure` render
 a figure's data as one column per series (the numbers a plotting script
 would consume).  :func:`write_metrics_json` writes the machine-readable
 companion artifact -- runtime counters and latency-histogram summaries
--- that benchmarks emit next to their rendered figures (see
-``docs/observability.md``).
+-- that ``repro trace --metrics`` emits (see ``docs/observability.md``).
 """
 
 from __future__ import annotations

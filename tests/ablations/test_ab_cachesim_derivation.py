@@ -3,10 +3,9 @@ principles.
 
 The analytic cost model (and the paper) assume 3 memory transfers per
 lattice-site update when three rows fit in cache, 5 when they do not,
-and 2 in the streaming-store / implicit-blocking regime.  This harness
-*derives* those numbers by running the exact Jacobi access trace through
-the LRU set-associative cache simulator, and records the derivation as
-an exhibit.
+and 2 in the streaming-store / implicit-blocking regime.  These tests
+*derive* those numbers by running the exact Jacobi access trace through
+the LRU set-associative cache simulator, and print the derivation.
 """
 
 import pytest
@@ -34,8 +33,8 @@ def derive_all() -> list[tuple[str, float, float]]:
     return rows
 
 
-def test_derivation_exhibit(benchmark, save_exhibit):
-    rows = benchmark.pedantic(derive_all, rounds=1, iterations=1)
+def test_derivation_exhibit():
+    rows = derive_all()
     table = format_table(
         ["scenario", "assumed B/LUP", "simulated B/LUP", "error"],
         [
@@ -43,27 +42,21 @@ def test_derivation_exhibit(benchmark, save_exhibit):
             for label, expected, measured in rows
         ],
     )
-    save_exhibit(
-        "cachesim_derivation",
+    print(
         "Derivation: memory traffic per lattice-site update "
-        "(LRU set-associative cache, exact 5-point trace)\n" + table,
+        "(LRU set-associative cache, exact 5-point trace)\n" + table
     )
     for label, expected, measured in rows:
         assert measured == pytest.approx(expected, rel=0.10), label
 
 
-def test_transition_point_matches_capacity(benchmark):
+def test_transition_point_matches_capacity():
     """Sweep the row size: traffic jumps from 3 to 5 transfers right
     where three rows stop fitting in the cache."""
-
-    def sweep():
-        out = {}
-        for nx in (256, 512, 1024, 2048, 4096):
-            cache = CacheSim(32 * 1024, 64, 8)
-            out[nx] = jacobi_row_traffic(cache, 12, nx, sweeps=2)
-        return out
-
-    traffic = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    traffic = {
+        nx: jacobi_row_traffic(CacheSim(32 * 1024, 64, 8), 12, nx, sweeps=2)
+        for nx in (512, 1024, 2048, 4096)
+    }
     # 32 KiB / (3 rows x 8 B) ~ 1365 elements: 1024 fits, 2048 does not.
     assert traffic[512] == pytest.approx(24.0, rel=0.1)
     assert traffic[1024] == pytest.approx(24.0, rel=0.15)

@@ -35,12 +35,7 @@ U0 = np.sin(np.linspace(0.0, 2.0 * np.pi, NX, endpoint=False))
 
 _COUNTER_PATHS = (
     "/checkpoints{total}/count/saved",
-    "/checkpoints{total}/count/restored",
-    "/checkpoints{total}/count/fallbacks",
-    "/checkpoints{total}/data/saved",
     "/checkpoints{total}/time/save",
-    "/checkpoints{total}/time/restore",
-    "/localities{total}/count/decommissioned",
 )
 
 
@@ -74,8 +69,8 @@ def checkpoint_sweep() -> dict[str, list[float]]:
     return times
 
 
-def test_checkpoint_overhead_vs_interval(benchmark, save_exhibit, save_metrics):
-    data = benchmark(checkpoint_sweep)
+def test_checkpoint_overhead_vs_interval():
+    data = checkpoint_sweep()
     crash_free = Series("crash-free", list(zip(INTERVALS, data["crash-free"])))
     crashed = Series("crashed + restart", list(zip(INTERVALS, data["crashed"])))
     text = format_figure(
@@ -86,23 +81,11 @@ def test_checkpoint_overhead_vs_interval(benchmark, save_exhibit, save_metrics):
         xlabel="epoch length K (steps)",
         y_format="{:.3e}",
     )
-    save_exhibit("ablation_checkpoint", text)
+    print(text)
     # Crash-free: fewer epochs, less overhead -- monotone in K.
     assert data["crash-free"] == sorted(data["crash-free"], reverse=True)
     # A crash is never free: recovery re-runs steps on top of the saves.
     assert all(c > f for c, f in zip(data["crashed"], data["crash-free"]))
-    makespan, _, counters = _run(10, crash=True)
-    save_metrics(
-        "ablation_checkpoint",
-        counters=counters,
-        meta={
-            "intervals": list(INTERVALS),
-            "crash_free_makespans": data["crash-free"],
-            "crashed_makespans": data["crashed"],
-            "crash": f"{CRASH_LOCALITY}@{CRASH_AT}",
-            "sampled_run": {"checkpoint_every": 10, "makespan": makespan},
-        },
-    )
 
 
 def test_crash_free_epochs_charge_the_clock():

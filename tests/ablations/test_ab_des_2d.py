@@ -21,7 +21,7 @@ ROWS, COLS, STEPS = 64, 34, 4
 
 
 @pytest.mark.parametrize("name", ["xeon-e5-2660v3", "a64fx"])
-def test_des_2d_matches_analytic_rate(benchmark, save_exhibit, name):
+def test_des_2d_matches_analytic_rate(name):
     m = machine(name)
     workers = 8  # scaled-down node
     glups = stencil2d_glups(m, np.float32, "simd", workers)
@@ -29,30 +29,26 @@ def test_des_2d_matches_analytic_rate(benchmark, save_exhibit, name):
     cost_per_row = (COLS - 2) / (glups * 1e9) * 1e6  # scaled x1e6 to make
     # virtual times O(0.1s) -- pure scaling, cancels in the comparison.
 
-    def run() -> float:
-        with Runtime(n_localities=1, workers_per_locality=workers) as rt:
-            solver = Jacobi2D(ROWS, COLS, np.float32, cost_per_row=cost_per_row)
-            solver.initialize()
-            rt.run(lambda: solver.run(STEPS, par))
-            return rt.makespan
-
-    makespan = benchmark.pedantic(run, rounds=1, iterations=1)
+    with Runtime(n_localities=1, workers_per_locality=workers) as rt:
+        solver = Jacobi2D(ROWS, COLS, np.float32, cost_per_row=cost_per_row)
+        solver.initialize()
+        rt.run(lambda: solver.run(STEPS, par))
+        makespan = rt.makespan
     interior_rows = ROWS - 2
     ideal = STEPS * interior_rows * cost_per_row / workers
     efficiency = ideal / makespan
-    save_exhibit(
-        f"des_2d_{name}",
+    print(
         f"DES 2D cross-check on {m.spec.name}: virtual makespan "
         f"{makespan:.4f}s vs ideal {ideal:.4f}s "
         f"(parallel efficiency {efficiency:.0%}, {workers} workers, "
-        f"{interior_rows} rows x {STEPS} steps)",
+        f"{interior_rows} rows x {STEPS} steps)"
     )
     # Rows don't divide evenly into worker chunks; allow quantisation
     # loss but no more.
     assert 0.80 <= efficiency <= 1.0
 
 
-def test_des_2d_chunking_effects(benchmark):
+def test_des_2d_chunking_effects():
     """Oversized chunks serialize rows; the auto-partitioner does not."""
     workers = 8
     cost_per_row = 1.0
@@ -64,9 +60,7 @@ def test_des_2d_chunking_effects(benchmark):
             rt.run(lambda: solver.run(1, policy))
             return rt.makespan
 
-    auto = benchmark.pedantic(
-        lambda: makespan_with(par), rounds=1, iterations=1
-    )
+    auto = makespan_with(par)
     giant_chunks = makespan_with(par.with_chunk_size(ROWS))  # one chunk
     ideal = (ROWS - 2) * cost_per_row / workers
     assert auto <= ideal * 1.25

@@ -12,7 +12,6 @@ immediately but re-wait the whole job each recovery round.
 """
 
 import numpy as np
-import pytest
 
 from repro.config import Config
 from repro.reporting import Series, format_figure
@@ -53,8 +52,8 @@ def fault_sweep() -> dict[str, list[float]]:
     return times
 
 
-def test_time_to_solution_degrades_gracefully(benchmark, save_exhibit):
-    data = benchmark(fault_sweep)
+def test_time_to_solution_degrades_gracefully():
+    data = fault_sweep()
     with_retry = Series("transparent retry", list(zip(DROP_RATES, data["retry"])))
     recovery_only = Series(
         "recovery rounds only", list(zip(DROP_RATES, data["no-retry"]))
@@ -66,7 +65,7 @@ def test_time_to_solution_degrades_gracefully(benchmark, save_exhibit):
         xlabel="drop rate",
         y_format="{:.3e}",
     )
-    save_exhibit("ablation_faults", text)
+    print(text)
     # Faults cost time: the loss-free run is the fastest in both modes.
     # (The two modes trade differently: transparent retries wait out the
     # ack-timeout backoff, driver-level resends go out immediately but

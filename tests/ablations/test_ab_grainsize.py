@@ -33,22 +33,19 @@ def makespan_for_grain(n_tasks: int) -> float:
 GRAINS = [8, 32, 128, 512, 2048, 8192]
 
 
-def test_grain_size_sweep(benchmark, save_exhibit):
-    times = benchmark.pedantic(
-        lambda: {n: makespan_for_grain(n) for n in GRAINS}, rounds=1, iterations=1
-    )
+def test_grain_size_sweep():
+    times = {n: makespan_for_grain(n) for n in GRAINS}
     ideal = TOTAL_WORK / N_WORKERS
     series = Series("makespan", [(n, times[n]) for n in GRAINS])
     efficiency = Series("efficiency", [(n, ideal / times[n]) for n in GRAINS])
-    save_exhibit(
-        "ablation_grainsize",
+    print(
         format_figure(
             f"Ablation: grain size sweep ({TOTAL_WORK:.0f}s of work, "
             f"{N_WORKERS} workers, {PER_TASK_OVERHEAD * 1e3:.0f} ms/task overhead)",
             [series, efficiency],
             xlabel="tasks",
             y_format="{:.3f}",
-        ),
+        )
     )
     # Coarse grains waste workers; the sweet spot beats both extremes.
     assert times[8] == pytest.approx(ideal, rel=0.01)  # 8 tasks / 8 workers: perfect

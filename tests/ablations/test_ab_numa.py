@@ -24,28 +24,25 @@ def placement_curves(name: str) -> dict[str, Series]:
 
 
 @pytest.mark.parametrize("name", machine_names())
-def test_first_touch_dominates_lockstep(benchmark, save_exhibit, name):
-    curves = benchmark(placement_curves, name)
+def test_first_touch_dominates_lockstep(name):
+    curves = placement_curves(name)
     ft = curves["first-touch"].ys()
     ls = curves["lockstep"].ys()
     assert all(a >= b - 1e-9 for a, b in zip(ft, ls))
-    save_exhibit(
-        f"ablation_numa_{name}",
+    print(
         format_figure(
             f"Ablation: placement policy on {machine(name).spec.name} (GB/s)",
             list(curves.values()),
             xlabel="cores",
             y_format="{:.1f}",
-        ),
+        )
     )
 
 
-def test_kunpeng_dips_vanish_with_first_touch(benchmark):
+def test_kunpeng_dips_vanish_with_first_touch():
     """The Fig 5 sawtooth is a placement artefact: first-touch is smooth."""
     m = machine("kunpeng916")
-    ft = benchmark(
-        lambda: [m.memory.first_touch_bandwidth(c) for c in range(8, 65, 8)]
-    )
+    ft = [m.memory.first_touch_bandwidth(c) for c in range(8, 65, 8)]
     assert ft == sorted(ft)  # monotone: no dips
     ls = [m.memory.lockstep_bandwidth(c) for c in range(8, 65, 8)]
     assert ls != sorted(ls)  # the lockstep curve does dip

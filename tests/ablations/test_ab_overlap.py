@@ -38,10 +38,10 @@ def overlap_ablation(name: str, nodes=(1, 2, 4, 8)) -> dict[str, list[float]]:
     }
 
 
-def test_overlap_hides_millisecond_latency(benchmark, save_exhibit):
+def test_overlap_hides_millisecond_latency():
     """With overlap, a 1 ms-latency network costs (almost) nothing while
     compute per step exceeds the comm time."""
-    data = benchmark(overlap_ablation, "xeon-e5-2660v3")
+    data = overlap_ablation("xeon-e5-2660v3")
     nodes = (1, 2, 4, 8)
     with_ov = Series("overlap on", list(zip(nodes, data["overlap"])))
     without = Series("overlap off", list(zip(nodes, data["no-overlap"])))
@@ -52,21 +52,19 @@ def test_overlap_hides_millisecond_latency(benchmark, save_exhibit):
         xlabel="nodes",
         y_format="{:.2f}",
     )
-    save_exhibit("ablation_overlap", text)
+    print(text)
     for t_on, t_off in zip(data["overlap"], data["no-overlap"]):
         assert t_on <= t_off + 1e-12
     # At 8 nodes the gap is the unhidden comm: 100 steps x ~1 ms.
     assert data["no-overlap"][-1] - data["overlap"][-1] == pytest.approx(0.1, rel=0.05)
 
 
-def test_overlap_is_why_xeon_scales_and_kunpeng_does_not(benchmark):
+def test_overlap_is_why_xeon_scales_and_kunpeng_does_not():
     """Force Kunpeng's overlap flag on: its scaling factor recovers."""
     kunpeng = machine("kunpeng916")
     factor_off = stencil1d_time(kunpeng, 1) / stencil1d_time(kunpeng, 8)
     forced_on = _with_overlap(kunpeng, True)
-    factor_on = benchmark(
-        lambda: stencil1d_time(forced_on, 1) / stencil1d_time(forced_on, 8)
-    )
+    factor_on = stencil1d_time(forced_on, 1) / stencil1d_time(forced_on, 8)
     assert factor_off < 4.5
     assert factor_on > factor_off + 1.0
 

@@ -93,8 +93,8 @@ def overload_sweep() -> dict[str, list[dict]]:
     return runs
 
 
-def test_overload_bounds_queue_depth(benchmark, save_exhibit):
-    data = benchmark(overload_sweep)
+def test_overload_bounds_queue_depth():
+    data = overload_sweep()
     protected = Series(
         "protected",
         [(f, run["peak_depth"]) for f, run in zip(FACTORS, data["protected"])],
@@ -110,7 +110,7 @@ def test_overload_bounds_queue_depth(benchmark, save_exhibit):
         xlabel="ingress/drain ratio",
         y_format="{:.0f}",
     )
-    save_exhibit("ablation_overload", text)
+    print(text)
     prot_10x = data["protected"][-1]
     unprot_10x = data["unprotected"][-1]
     # Graceful degradation: at 10x the protected backlog is a fraction

@@ -27,17 +27,16 @@ def imbalanced_makespan(scheduler: str) -> float:
     return pool.run_all()
 
 
-def test_work_stealing_beats_static(benchmark, save_exhibit):
-    ws = benchmark(imbalanced_makespan, "work-stealing")
+def test_work_stealing_beats_static():
+    ws = imbalanced_makespan("work-stealing")
     static = imbalanced_makespan("static")
     fifo = imbalanced_makespan("fifo")
     total_work = 48 * LIGHT + 8 * HEAVY
     lower_bound = total_work / N_WORKERS
-    save_exhibit(
-        "ablation_scheduler",
+    print(
         "Ablation: makespan of an imbalanced task set (8 workers, "
         f"ideal {lower_bound:.1f}s)\n"
-        f"work-stealing: {ws:.1f}s   static: {static:.1f}s   fifo: {fifo:.1f}s",
+        f"work-stealing: {ws:.1f}s   static: {static:.1f}s   fifo: {fifo:.1f}s"
     )
     assert ws < static
     # Stealing lands within Graham's bound of optimal.
@@ -57,9 +56,9 @@ def test_balanced_load_makes_schedulers_equal():
     assert max(results.values()) == pytest.approx(min(results.values()))
 
 
-def test_stealing_count_reflects_imbalance(benchmark):
+def test_stealing_count_reflects_imbalance():
     pool = ThreadPool(4, scheduler="work-stealing")
     for _ in range(20):
         pool.submit(lambda: ctx.add_cost(1.0), worker=0)  # all on worker 0
-    benchmark.pedantic(pool.run_all, rounds=1, iterations=1)
+    pool.run_all()
     assert pool.steals >= 10  # most tasks must migrate

@@ -15,6 +15,7 @@ from repro import analysis
 from repro.analysis.explore import (
     DEFAULT_BUDGET,
     DEMO_APPS,
+    ExploreApp,
     PrefixStrategy,
     _run_schedule,
     _violation_of,
@@ -122,6 +123,33 @@ def test_dpor_explores_fewer_schedules_than_exhaustive():
     assert dpor.violation is None and exhaustive.violation is None
     assert dpor.exhausted and exhaustive.exhausted
     assert dpor.schedules_run < exhaustive.schedules_run
+
+
+def test_four_independent_tasks_have_exactly_24_schedules():
+    """A schedule space known in closed form: 4 independent tasks on one
+    worker are 4! interleavings and a single DPOR equivalence class."""
+
+    def build(rt):
+        pool = rt.localities[0].pool
+
+        def job():
+            futures = [pool.submit(pow, i, 2, description=f"w{i}") for i in range(4)]
+            return sum(f.get() for f in futures)
+
+        return job
+
+    app = ExploreApp(
+        name="test/fanout", build=build, n_localities=1, workers_per_locality=1
+    )
+    exhaustive = explore(app, strategy="exhaustive", budget=100)
+    assert exhaustive.exhausted and exhaustive.violation is None
+    assert exhaustive.schedules_run == 24
+    dpor = explore(app, strategy="dpor", budget=100)
+    assert dpor.exhausted and dpor.violation is None
+    assert dpor.schedules_run < 24
+    # A budgeted random walk spends exactly its budget.
+    walk = explore(app, strategy="random", budget=10, seed=3)
+    assert walk.schedules_run == 10 and walk.violation is None
 
 
 def test_unknown_app_name_is_a_validation_error():

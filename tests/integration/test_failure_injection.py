@@ -6,6 +6,7 @@ import pytest
 from repro.errors import (
     ChannelClosedError,
     DeadlockError,
+    QuiescenceWarning,
     SerializationError,
     ValidationError,
 )
@@ -104,18 +105,20 @@ def test_channel_closed_mid_wait_raises_not_hangs():
 
 def test_missing_halo_deadlocks_cleanly():
     """Kill one partition's chain: its neighbours' waits must raise
-    DeadlockError instead of hanging forever."""
-    with Runtime(n_localities=2, workers_per_locality=1) as rt:
-        solver = DistributedHeat1D(rt, 64, Heat1DParams())
-        solver.initialize(analytic_heat_profile(64))
+    DeadlockError instead of hanging forever, and shutdown must name the
+    five continuations (one per step) the dead chain never fired."""
+    with pytest.warns(QuiescenceWarning, match="quiesced with 5 demanded future"):
+        with Runtime(n_localities=2, workers_per_locality=1) as rt:
+            solver = DistributedHeat1D(rt, 64, Heat1DParams())
+            solver.initialize(analytic_heat_profile(64))
 
-        def main():
-            # Build the chain on partition 0 only; partition 1 stays dead.
-            rt.invoke(solver._gids[0], "start_chain", 5)
-            return solver._parts[0].final_future.get()
+            def main():
+                # Build the chain on partition 0 only; partition 1 stays dead.
+                rt.invoke(solver._gids[0], "start_chain", 5)
+                return solver._parts[0].final_future.get()
 
-        with pytest.raises(DeadlockError):
-            rt.run(main)
+            with pytest.raises(DeadlockError):
+                rt.run(main)
 
 
 def test_context_stack_balanced_after_failures():

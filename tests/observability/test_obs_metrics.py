@@ -1,4 +1,4 @@
-"""Metrics collection: the JSON-ready artifact behind benchmarks/CLI."""
+"""Metrics collection: the JSON-ready artifact behind ``repro trace --metrics``."""
 
 import pytest
 

@@ -39,7 +39,7 @@ def test_heat1d_sampling_is_deterministic():
 
 def test_samples_land_on_interval_boundaries():
     series = _heat_series()
-    assert len(series) >= 3
+    assert len(series) >= 6  # six steps of one virtual second each
     # All but the final completion-time sample sit on exact boundaries.
     for time in series.times[:-1]:
         assert time == pytest.approx(round(time))

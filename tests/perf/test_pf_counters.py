@@ -28,6 +28,8 @@ def test_table3_regenerated_exactly():
     assert predicted[PAPI_L2_TCM] == pytest.approx(2.121e8, rel=1e-6)
     vec = model.predict("float32", "simd")
     assert vec[PAPI_TOT_INS] == pytest.approx(1.783e10, rel=1e-6)
+    # ... and the auto code has *fewer* cache misses (GCC's x86 tuning).
+    assert predicted[PAPI_L2_TCM] < vec[PAPI_L2_TCM]
 
 
 def test_table5_regenerated_exactly():
@@ -88,6 +90,17 @@ def test_tx2_backend_stalls_drop_with_explicit_simd():
     auto = model.per_lup("float32", "auto")[STALL_BACKEND]
     simd = model.per_lup("float32", "simd")[STALL_BACKEND]
     assert simd < 0.5 * auto
+    assert auto / simd == pytest.approx(2.36, rel=0.05)  # 1.522e10 / 6.437e9
+
+
+def test_a64fx_backend_stalls_drop_with_explicit_simd():
+    """Table V: 'significant reductions in CPU stalls for vectorized
+    codes'."""
+    model = CounterModel(machine("a64fx"))
+    for dtype in ("float32", "float64"):
+        auto = model.per_lup(dtype, "auto")[STALL_BACKEND]
+        simd = model.per_lup(dtype, "simd")[STALL_BACKEND]
+        assert simd < auto
 
 
 def test_a64fx_gcc_beats_nsimd_on_instruction_count():

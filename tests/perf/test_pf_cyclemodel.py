@@ -16,15 +16,18 @@ from repro.perf.cyclemodel import (
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 @pytest.mark.parametrize("mode", ["auto", "simd"])
 def test_counter_implied_rate_brackets_calibrated_rate(name, dtype, mode):
-    """Within 40 %: the counter tables and the performance bands are
-    independent sources and must roughly agree."""
+    """Within 30 %: the counter tables and the performance bands are
+    independent sources and must roughly agree (``pytest -s`` prints
+    each residual)."""
     m = machine(name)
     implied = predicted_single_core_glups(m, dtype, mode)
     calibrated = m.calibration.single_core_glups[(dtype, mode)]
-    assert implied == pytest.approx(calibrated, rel=0.40), (
+    residual = (
         f"{name} {dtype}/{mode}: counters imply {implied:.2f} GLUP/s, "
-        f"registry says {calibrated:.2f}"
+        f"registry says {calibrated:.2f} ({implied / calibrated - 1:+.0%})"
     )
+    print(residual)
+    assert implied == pytest.approx(calibrated, rel=0.30), residual
 
 
 @pytest.mark.parametrize("name", ["a64fx", "thunderx2"])

@@ -54,7 +54,7 @@ def test_model_validation():
 
 def test_host_stream_runs_and_reports_positive_bandwidth():
     result = stream_host(array_elements=200_000, repeats=2)
-    assert result.bandwidth_gbs > 0
+    assert result.bandwidth_gbs > 0.1
     assert result.kernel == "copy"
 
 

@@ -124,18 +124,20 @@ def test_jacobi2d_survives_permanent_crash_bit_identically():
 
 def test_permanent_crash_without_store_propagates():
     """A confirmed-dead locality is unrecoverable without checkpoints --
-    but run() (no recovery driver) on that schedule must also not hang."""
-    from repro.errors import ParcelDeadLetterError
+    but run() (no recovery driver) on that schedule must also not hang,
+    and shutdown must report the continuations the crash orphaned."""
+    from repro.errors import ParcelDeadLetterError, QuiescenceWarning
 
-    with Runtime(
-        n_localities=4,
-        workers_per_locality=2,
-        fault_injector=_crash_injector(1, at=0.004),
-    ) as rt:
-        solver = DistributedHeat1D(rt, NX, Heat1DParams(), cost_per_step=1e-3)
-        solver.initialize(U0)
-        with pytest.raises(ParcelDeadLetterError):
-            solver.run(STEPS)
+    with pytest.warns(QuiescenceWarning, match="quiesced with 105 demanded future"):
+        with Runtime(
+            n_localities=4,
+            workers_per_locality=2,
+            fault_injector=_crash_injector(1, at=0.004),
+        ) as rt:
+            solver = DistributedHeat1D(rt, NX, Heat1DParams(), cost_per_step=1e-3)
+            solver.initialize(U0)
+            with pytest.raises(ParcelDeadLetterError):
+                solver.run(STEPS)
 
 
 # FaultInjector permanence ---------------------------------------------------
