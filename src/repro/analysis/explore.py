@@ -50,9 +50,10 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 from ..config import Config
-from ..errors import ConfigError, DeadlockError, RuntimeStateError, ValidationError
+from ..errors import DeadlockError, RuntimeStateError, ValidationError
 from ..runtime import context as ctx
 from ..runtime import instrument
+from ..runtime.backend.base import refuse_off_virtual_clock
 from ..runtime.futures import pending_demand_states
 from ..runtime.instrument import Probe
 from ..runtime.parcel.serialization import serialize
@@ -362,10 +363,7 @@ def _run_schedule(app: ExploreApp, strategy: Any) -> ScheduleOutcome:
     overrides.setdefault("runtime.quiescence", "ignore")
     config = Config().replace(**{k.replace(".", "__"): v for k, v in overrides.items()})
     if config.get_str("runtime.backend") != "virtual":
-        raise ConfigError(
-            "schedule exploration requires runtime.backend='virtual': "
-            "real OS scheduling cannot be replayed"
-        )
+        refuse_off_virtual_clock("schedule exploration")
 
     status, error, graph_dot = "ok", "", None
     result: Any = None

@@ -861,14 +861,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(f"malformed --crash {spec!r}; expected LOC@T", file=sys.stderr)
             return 2
     resilient = bool(crashes or args.drop_rate > 0)
-    if args.backend == "multiprocess" and (resilient or args.overload > 0):
-        print(
-            "--backend multiprocess cannot combine with --crash, --drop-rate "
-            "or --overload: fault injection and the overload storm are "
-            "defined on the virtual clock (use --backend virtual)",
-            file=sys.stderr,
-        )
-        return 2
     if args.backend != "multiprocess" and args.processes:
         print("--processes requires --backend multiprocess", file=sys.stderr)
         return 2
@@ -883,24 +875,25 @@ def _cmd_run(args: argparse.Namespace) -> int:
             injector = FaultInjector(seed=args.seed, drop_rate=args.drop_rate)
             for loc, at in crashes:
                 injector.fail_locality(loc, at=at, permanent=True)
-        config = None
+        overrides: dict = {}
         if faulted and args.overload > 0:
             # The overloaded run gets the full protection stack; the
             # reference run keeps defaults so "bit-identical" proves the
             # storm + admission decisions never touch the answer.
-            config = Config(overload__enabled=True, parcel__retry_jitter=0.25)
+            overrides.update(overload__enabled=True, parcel__retry_jitter=0.25)
         if faulted and args.backend == "multiprocess":
             # Only the primary run crosses process boundaries; the
             # reference stays on the virtual-clock backend, so the final
-            # comparison is a cross-backend bit-identity check.
-            config = Config(
+            # comparison is a cross-backend bit-identity check.  With --crash,
+            # --drop-rate or --overload the Runtime refuses: exit 2 below.
+            overrides.update(
                 runtime__backend="multiprocess",
                 runtime__processes=args.processes,
             )
         with Runtime(
             n_localities=args.nodes,
             workers_per_locality=2,
-            config=config,
+            config=Config(**overrides),
             fault_injector=injector,
         ) as rt:
             last_run["rt"] = rt

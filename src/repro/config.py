@@ -3,7 +3,8 @@
 A :class:`Config` is an immutable-ish mapping of dotted keys
 (``"threads.scheduler"``, ``"parcel.retry"``) with typed accessors and
 validation.  The defaults reproduce the configuration used in the paper:
-pinned workers and work-stealing scheduling.
+work-stealing scheduling (workers are always pinned when a machine model
+is given).
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ __all__ = ["Config", "default_config"]
 _DEFAULTS: dict[str, Any] = {
     # Thread subsystem (HPX thread-manager analogue).
     "threads.scheduler": "work-stealing",  # work-stealing | static | fifo
-    "threads.pin": True,  # hwloc-bind analogue
     # Parcel subsystem: reliable delivery (consulted only when a
     # FaultInjector is installed).  How a parcel body travels is not a
     # setting: the port the runtime builds decides (by reference on
@@ -33,9 +33,6 @@ _DEFAULTS: dict[str, Any] = {
     "overload.credits": 32,  # per-destination send credits (replenished on ack)
     "overload.defer_base_s": 1e-4,  # base virtual delay before a deferred re-admit
     "overload.defer_max": 3,  # LOW deferrals before the parcel is shed
-    "overload.phi_throttle": 3.0,  # suspicion at which credit ceilings halve
-    "overload.phi_suspect": 8.0,  # suspicion at which the breaker opens
-    "overload.phi_confirm": 16.0,  # suspicion at which the peer is confirmed dead
     # Checkpoint/restart cost model (repro.resilience.checkpoint).
     "checkpoint.cost_base_s": 1e-6,  # fixed virtual cost per save/restore
     "checkpoint.cost_per_byte_s": 1e-9,  # virtual seconds per serialized byte
@@ -45,10 +42,11 @@ _DEFAULTS: dict[str, Any] = {
     # locality with parcels carried over pipes, doing real concurrent
     # work on real cores (see repro.runtime.backend).
     "runtime.backend": "virtual",  # virtual | multiprocess
-    "runtime.processes": 0,  # multiprocess: OS process count; 0 = one per locality
-    "runtime.mp_start_method": "auto",  # auto | fork | spawn
-    "runtime.mp_stall_timeout_s": 60.0,  # blocked-on-transport stall diagnosis
-    "runtime.mp_sync_rounds": 64,  # shutdown termination-detection round cap
+    # multiprocess: OS process count; 0 = one per locality, and any other
+    # value must equal the locality count.  It carries no choice: it is
+    # still a key only because bench/workloads.py (which a PR may not
+    # edit) and ``repro run --processes`` pass it.
+    "runtime.processes": 0,
     # Quiescence policy: what to do when the job drains with demanded
     # futures (dataflow/when_* targets, channel reads) left unfulfilled.
     "runtime.quiescence": "warn",  # warn | raise | ignore
@@ -59,7 +57,6 @@ _DEFAULTS: dict[str, Any] = {
 _VALID_SCHEDULERS = ("work-stealing", "static", "fifo")
 _VALID_QUIESCENCE = ("warn", "raise", "ignore")
 _VALID_BACKENDS = ("virtual", "multiprocess")
-_VALID_START_METHODS = ("auto", "fork", "spawn")
 
 
 class Config(Mapping[str, Any]):
@@ -72,25 +69,22 @@ class Config(Mapping[str, Any]):
     __slots__ = ("_values",)
 
     def __init__(self, **overrides: Any) -> None:
-        values = dict(_DEFAULTS)
-        for key, value in overrides.items():
-            dotted = key.replace("__", ".")
-            if dotted not in values:
-                raise ConfigError(f"unknown configuration key: {dotted!r}")
-            values[dotted] = value
-        self._values = values
-        self._validate()
+        self._values = dict(_DEFAULTS)
+        self._update({key.replace("__", "."): value for key, value in overrides.items()})
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[str, Any]) -> "Config":
         """Build a config from a mapping with dotted keys."""
         cfg = cls()
-        for key, value in mapping.items():
-            if key not in cfg._values:
-                raise ConfigError(f"unknown configuration key: {key!r}")
-            cfg._values[key] = value
-        cfg._validate()
+        cfg._update(mapping)
         return cfg
+
+    def _update(self, mapping: Mapping[str, Any]) -> None:
+        for key, value in mapping.items():
+            if key not in self._values:
+                raise ConfigError(f"unknown configuration key: {key!r}")
+            self._values[key] = value
+        self._validate()
 
     def _validate(self) -> None:
         sched = self._values["threads.scheduler"]
@@ -109,18 +103,8 @@ class Config(Mapping[str, Any]):
             raise ConfigError(
                 f"runtime.backend must be one of {_VALID_BACKENDS}, got {backend!r}"
             )
-        start_method = self._values["runtime.mp_start_method"]
-        if start_method not in _VALID_START_METHODS:
-            raise ConfigError(
-                f"runtime.mp_start_method must be one of {_VALID_START_METHODS}, "
-                f"got {start_method!r}"
-            )
         if int(self._values["runtime.processes"]) < 0:
             raise ConfigError("runtime.processes must be >= 0 (0 = one per locality)")
-        if float(self._values["runtime.mp_stall_timeout_s"]) <= 0:
-            raise ConfigError("runtime.mp_stall_timeout_s must be positive")
-        if int(self._values["runtime.mp_sync_rounds"]) < 1:
-            raise ConfigError("runtime.mp_sync_rounds must be >= 1")
         if int(self._values["parcel.retry_max_attempts"]) < 1:
             raise ConfigError("parcel.retry_max_attempts must be >= 1")
         if not 0.0 <= float(self._values["parcel.retry_jitter"]) <= 1.0:
@@ -131,13 +115,6 @@ class Config(Mapping[str, Any]):
             raise ConfigError("overload.defer_base_s must be positive")
         if int(self._values["overload.defer_max"]) < 0:
             raise ConfigError("overload.defer_max must be >= 0")
-        throttle = float(self._values["overload.phi_throttle"])
-        suspect = float(self._values["overload.phi_suspect"])
-        confirm = float(self._values["overload.phi_confirm"])
-        if not 0.0 < throttle <= suspect <= confirm:
-            raise ConfigError(
-                "phi thresholds must satisfy 0 < throttle <= suspect <= confirm"
-            )
         if float(self._values["checkpoint.cost_base_s"]) < 0:
             raise ConfigError("checkpoint.cost_base_s must be non-negative")
         if float(self._values["checkpoint.cost_per_byte_s"]) < 0:
@@ -145,13 +122,8 @@ class Config(Mapping[str, Any]):
 
     def replace(self, **overrides: Any) -> "Config":
         """Return a new config with ``overrides`` applied."""
-        merged = dict(self._values)
-        for key, value in overrides.items():
-            dotted = key.replace("__", ".")
-            if dotted not in merged:
-                raise ConfigError(f"unknown configuration key: {dotted!r}")
-            merged[dotted] = value
-        return Config.from_mapping(merged)
+        dotted = {key.replace("__", "."): value for key, value in overrides.items()}
+        return Config.from_mapping({**self._values, **dotted})
 
     # Mapping protocol -----------------------------------------------------
     def __getitem__(self, key: str) -> Any:

@@ -31,10 +31,10 @@ an unprotected one:
 * **A phi-accrual failure detector** -- per-peer inter-arrival windows
   of ack times yield a continuous suspicion level
   ``phi = elapsed / (mean * ln 10)`` (exponential-CDF variant).
-  Crossing ``overload.phi_throttle`` halves the peer's credit ceiling,
-  ``overload.phi_suspect`` opens its breaker, and
-  ``overload.phi_confirm`` confirms the peer dead -- replacing the
-  single hard-coded ack-timeout escalation with a graded verdict.
+  Crossing ``OverloadPolicy.phi_throttle`` halves the peer's credit
+  ceiling, ``phi_suspect`` opens its breaker, and ``phi_confirm``
+  confirms the peer dead -- replacing the single hard-coded ack-timeout
+  escalation with a graded verdict.
 
 Every decision is counter-visible (``/overload{...}``, ``/breaker{...}``
 and ``/phi{...}`` perfcounters) and reported to the installed
@@ -51,6 +51,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Deque, Dict, Set
 
+from ..errors import ConfigError
 from ..runtime import instrument
 from ..runtime.threads.hpx_thread import ThreadPriority
 
@@ -87,15 +88,18 @@ class OverloadPolicy:
     phi_confirm: float = 16.0
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        if not 0.0 < self.phi_throttle <= self.phi_suspect <= self.phi_confirm:
+            raise ConfigError(
+                "phi thresholds must satisfy 0 < throttle <= suspect <= confirm"
+            )
+
     @classmethod
     def from_config(cls, config: "Config") -> "OverloadPolicy":
         return cls(
             credits=config.get_int("overload.credits"),
             defer_base_s=config.get_float("overload.defer_base_s"),
             defer_max=config.get_int("overload.defer_max"),
-            phi_throttle=config.get_float("overload.phi_throttle"),
-            phi_suspect=config.get_float("overload.phi_suspect"),
-            phi_confirm=config.get_float("overload.phi_confirm"),
             seed=config.get_int("seed"),
         )
 
@@ -253,12 +257,6 @@ class OverloadController:
             queue = self._stalled.get(destination)
             return len(queue) if queue else 0
         return sum(len(queue) for queue in self._stalled.values())
-
-    def stalled_destinations(self) -> list[int]:
-        return sorted(d for d, q in self._stalled.items() if q)
-
-    def credits_available(self, destination: int) -> int:
-        return self._credits.get(destination, self._base_credits())
 
     def inflight(self, destination: int) -> int:
         return self._inflight.get(destination, 0)

@@ -22,7 +22,9 @@ check per progress step and nothing on the send path.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, NoReturn
+
+from ...errors import ConfigError
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..agas.component import Component
@@ -30,7 +32,31 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..parcel.parcel import Parcel
     from ..runtime import Runtime
 
-__all__ = ["ExecutionBackend"]
+__all__ = ["ExecutionBackend", "VIRTUAL_CLOCK_ONLY", "refuse_off_virtual_clock"]
+
+#: Features whose semantics are defined on the virtual clock, each with
+#: the reason a backend on real wall time cannot offer it.  The one list:
+#: every refusal is raised from it by :func:`refuse_off_virtual_clock`,
+#: and docs/architecture.md ("Execution backends") repeats these words.
+VIRTUAL_CLOCK_ONLY = {
+    "fault injection": "outage windows and parcel faults are defined on the virtual clock",
+    "overload admission control": "credits and phi-accrual suspicion are virtual-clock quantities",
+    "modelled machine interconnects": "the multiprocess backend measures the real host instead",
+    "run_resilient": (
+        "checkpoint recovery drives partition objects directly and replays virtual time"
+    ),
+    "schedule exploration": "real OS scheduling cannot be replayed",
+}
+
+
+def refuse_off_virtual_clock(feature: str) -> NoReturn:
+    """Raise the :class:`ConfigError` for ``feature`` on a backend that
+    is not the virtual clock -- failing eagerly beats silently measuring
+    something else."""
+    raise ConfigError(
+        f"{feature} requires the virtual-clock backend "
+        f"(runtime.backend='virtual'): {VIRTUAL_CLOCK_ONLY[feature]}"
+    )
 
 
 class ExecutionBackend:

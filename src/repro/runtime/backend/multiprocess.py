@@ -46,7 +46,6 @@ from .wire import decode_message, parcel_entry, send_message
 if TYPE_CHECKING:  # pragma: no cover
     from multiprocessing.connection import Connection
 
-    from ...config import Config
     from ..agas.component import Component
     from ..agas.gid import Gid
     from ..runtime import Runtime
@@ -57,6 +56,10 @@ __all__ = ["MultiprocessBackend"]
 _OUTBOX_CAP = 64
 #: Progress-loop steps between opportunistic transport polls.
 _SERVICE_MASK = 0x3F
+#: Seconds a process blocks on its transport before diagnosing a stall.
+_STALL_TIMEOUT_S = 60.0
+#: Shutdown termination-detection round cap.
+_SYNC_ROUNDS = 64
 
 
 class _PipeBackend(ExecutionBackend):
@@ -333,12 +336,10 @@ class MultiprocessBackend(_PipeBackend):
         import multiprocessing as mp
 
         runtime = self.runtime
-        config = runtime.config
-        method = config.get_str("runtime.mp_start_method")
-        if method == "auto":
-            method = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-        mp_ctx = mp.get_context(method)
-        values = dict(config)
+        mp_ctx = mp.get_context(
+            "fork" if "fork" in mp.get_all_start_methods() else "spawn"
+        )
+        values = dict(runtime.config)
         self.processes = runtime.n_localities
         for worker_id in range(1, runtime.n_localities):
             parent, child = mp_ctx.Pipe(duplex=True)
@@ -364,9 +365,7 @@ class MultiprocessBackend(_PipeBackend):
         round passes with every process idle and no traffic moved."""
         if not self._conns:
             return
-        timeout = self.runtime.config.get_float("runtime.mp_stall_timeout_s")
-        max_rounds = self.runtime.config.get_int("runtime.mp_sync_rounds")
-        for _ in range(max_rounds):
+        for _ in range(_SYNC_ROUNDS):
             self._drain_local()
             round_activity = self._activity
             self._activity = False
@@ -382,7 +381,7 @@ class MultiprocessBackend(_PipeBackend):
                 if not self._service(block=True):
                     raise RuntimeStateError(
                         f"multiprocess shutdown: sync round {seq} timed out "
-                        f"after {timeout:g}s awaiting worker acks"
+                        f"after {_STALL_TIMEOUT_S:g}s awaiting worker acks"
                     )
                 self._drain_local()
             del self._acks[seq]
@@ -398,7 +397,7 @@ class MultiprocessBackend(_PipeBackend):
                 return
         warnings.warn(
             f"multiprocess shutdown: traffic still moving after "
-            f"{max_rounds} sync rounds; stopping anyway",
+            f"{_SYNC_ROUNDS} sync rounds; stopping anyway",
             RuntimeWarning,
             stacklevel=2,
         )
@@ -467,12 +466,7 @@ class MultiprocessBackend(_PipeBackend):
         ]
         if not conns:
             return False
-        timeout = (
-            self.runtime.config.get_float("runtime.mp_stall_timeout_s")
-            if block
-            else 0
-        )
-        ready = conn_wait(conns, timeout)
+        ready = conn_wait(conns, _STALL_TIMEOUT_S if block else 0)
         if not ready:
             return False
         for conn in ready:
@@ -546,11 +540,10 @@ class _WorkerBackend(_PipeBackend):
 
     name = "multiprocess"
 
-    def __init__(self, conn: "Connection", worker_id: int, config: "Config") -> None:
+    def __init__(self, conn: "Connection", worker_id: int) -> None:
         super().__init__()
         self._conn = conn
         self.my_id = worker_id
-        self._timeout = config.get_float("runtime.mp_stall_timeout_s")
         self._sent_stopped = False
 
     def attach(self, runtime: "Runtime") -> None:
@@ -598,7 +591,7 @@ class _WorkerBackend(_PipeBackend):
 
     def _service(self, block: bool) -> bool:
         conn = self._conn
-        if not conn.poll(self._timeout if block else 0):
+        if not conn.poll(_STALL_TIMEOUT_S if block else 0):
             return False
         dispatched = False
         while conn.poll(0) or not dispatched:
@@ -660,7 +653,7 @@ def _worker_entry(
         config = Config.from_mapping(
             {**config_values, "runtime.quiescence": "ignore"}
         )
-        backend = _WorkerBackend(conn, worker_id, config)
+        backend = _WorkerBackend(conn, worker_id)
         runtime = Runtime(
             n_localities=n_localities,
             workers_per_locality=workers_per_locality,

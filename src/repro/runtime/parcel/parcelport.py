@@ -88,10 +88,15 @@ class RetryPolicy:
             raise ConfigError("retry jitter must be in [0, 1]")
 
     def timeout(self, attempt: int) -> float:
-        """Ack-timeout after transmission number ``attempt`` (1-based)."""
+        """Ack-timeout after transmission number ``attempt`` (1-based);
+        saturates at ``max_timeout_s`` for any attempt, however large."""
         if attempt < 1:
             raise ConfigError("attempt numbers are 1-based")
-        return min(self.base_timeout_s * self.backoff ** (attempt - 1), self.max_timeout_s)
+        try:
+            grown = self.base_timeout_s * self.backoff ** (attempt - 1)
+        except OverflowError:  # float ** int past ~1e308 raises, not inf
+            return self.max_timeout_s
+        return min(grown, self.max_timeout_s)
 
     def jittered_timeout(self, attempt: int, sequence: int) -> float:
         """:meth:`timeout` scaled by seeded downward jitter.

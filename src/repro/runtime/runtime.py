@@ -37,6 +37,7 @@ from .futures import pending_demand_states
 from .actions import get_action
 from .agas.component import Component
 from .backend import ExecutionBackend, create_backend
+from .backend.base import refuse_off_virtual_clock
 from .agas.gid import Gid
 from .agas.service import AgasService
 from .futures import Future, Promise
@@ -131,7 +132,7 @@ class Runtime:
         self.localities: list[Locality] = []
         for i in range(n_localities):
             core_ids = None
-            if machine is not None and self.config.get_bool("threads.pin"):
+            if machine is not None:  # workers are pinned (hwloc-bind analogue)
                 cpuset = machine.topology.pin_compact(
                     min(workers_per_locality, machine.spec.cores_per_node)
                 )
@@ -182,29 +183,15 @@ class Runtime:
         self._started = False
 
     def _check_distributed_config(self, fault_injector: "FaultInjector | None") -> None:
-        """Reject features whose semantics are defined on the virtual clock.
-
-        The multiprocess backend runs on real wall time, so outage
-        windows, credit timing, and modelled interconnects have no
-        meaning there -- failing eagerly beats silently measuring
-        something else.
-        """
-        requires = "requires the virtual-clock backend (runtime.backend='virtual')"
+        """Reject features whose semantics are defined on the virtual
+        clock (``backend.VIRTUAL_CLOCK_ONLY``), and a process count the
+        multiprocess backend cannot honour."""
         if fault_injector is not None:
-            raise ConfigError(
-                f"fault injection {requires}: outage windows and parcel "
-                "faults are defined on the virtual clock"
-            )
+            refuse_off_virtual_clock("fault injection")
         if self.config.get_bool("overload.enabled"):
-            raise ConfigError(
-                f"overload admission control {requires}: credits and "
-                "phi-accrual suspicion are virtual-clock quantities"
-            )
+            refuse_off_virtual_clock("overload admission control")
         if self.machine is not None:
-            raise ConfigError(
-                f"modelled machine interconnects {requires}: the "
-                "multiprocess backend measures the real host instead"
-            )
+            refuse_off_virtual_clock("modelled machine interconnects")
         processes = self.config.get_int("runtime.processes")
         if processes not in (0, self.n_localities):
             raise ConfigError(

@@ -1,13 +1,7 @@
 """HPX-thread subsystem: lightweight tasks, schedulers, pools, executors."""
 
 from .hpx_thread import HpxThread, ThreadState
-from .scheduler import (
-    Scheduler,
-    FifoScheduler,
-    StaticScheduler,
-    WorkStealingScheduler,
-    make_scheduler,
-)
+from .scheduler import Scheduler
 from .pool import ThreadPool
 from .executor import Executor, PoolExecutor, BlockExecutor
 
@@ -15,10 +9,6 @@ __all__ = [
     "HpxThread",
     "ThreadState",
     "Scheduler",
-    "FifoScheduler",
-    "StaticScheduler",
-    "WorkStealingScheduler",
-    "make_scheduler",
     "ThreadPool",
     "Executor",
     "PoolExecutor",

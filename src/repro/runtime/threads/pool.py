@@ -26,7 +26,7 @@ from ..context import _stack as _context_stack
 from .. import instrument
 from ..futures import Future
 from .hpx_thread import HpxThread, Label, ThreadPriority, ThreadState
-from .scheduler import Scheduler, WorkStealingScheduler, make_scheduler
+from .scheduler import Scheduler
 
 __all__ = ["ThreadPool"]
 
@@ -61,7 +61,7 @@ class ThreadPool:
     def __init__(
         self,
         n_workers: int,
-        scheduler: str | Scheduler = "work-stealing",
+        scheduler: str = "work-stealing",
         core_ids: Optional[list[int]] = None,
         name: str = "default",
         steal_attempts: int | None = None,
@@ -76,12 +76,7 @@ class ThreadPool:
         self.workers = [
             _Worker(i, core_ids[i] if core_ids else None) for i in range(n_workers)
         ]
-        if isinstance(scheduler, Scheduler):
-            if scheduler.n_workers != n_workers:
-                raise RuntimeStateError("scheduler sized for a different pool")
-            self.scheduler = scheduler
-        else:
-            self.scheduler = make_scheduler(scheduler, n_workers, steal_attempts)
+        self.scheduler = Scheduler(n_workers, scheduler, steal_attempts)
         self.scheduler.pool = self
         self.tasks_executed = 0
         #: High-water mark of the queue depth, maintained on submit --
@@ -123,9 +118,8 @@ class ThreadPool:
 
     @property
     def steals(self) -> int:
-        """Successful steals (work-stealing scheduler only)."""
-        sched = self.scheduler
-        return sched.steals if isinstance(sched, WorkStealingScheduler) else 0
+        """Successful steals (0 unless the policy is work-stealing)."""
+        return self.scheduler.steals
 
     def pending(self) -> int:
         """Queued tasks not yet started."""

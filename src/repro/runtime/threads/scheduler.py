@@ -1,24 +1,24 @@
-"""Task schedulers: FIFO, static, and work-stealing.
+"""The task scheduler: FIFO, static, and work-stealing as one class.
 
 HPX's default scheduler keeps one lock-free deque per worker and steals
 when a worker runs dry; ``schedule(static)``-style executors bind chunks
-to workers with no stealing.  The cooperative analogues here preserve
+to workers with no stealing.  The cooperative analogue here preserves
 the *placement decisions* (which worker runs which task, and when a
-steal happens), which is what matters for the virtual-time model; they
-need no locks because execution is single-threaded.
+steal happens), which is what matters for the virtual-time model; it
+needs no locks because execution is single-threaded.
 
 Everything here is hot: the queue depth is read on every
 progress-engine step and ``acquire`` runs on every task dispatch, so
-every scheduler keeps its depth in a plain ``size`` attribute (no
-per-call sums over deques, no method call to read it) and the work-stealing
-scheduler keeps a live set of victims that actually hold stealable
-work, so thieves stop probing obviously-empty queues.
+the scheduler keeps its depth in a plain ``size`` attribute (no
+per-call sums over deques, no method call to read it) and a live set of
+victims that actually hold stealable work, so thieves stop probing
+obviously-empty queues.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Container, Generic, Optional, TypeVar
+from typing import TYPE_CHECKING, Optional
 
 from ...errors import ConfigError, RuntimeStateError
 from .. import instrument
@@ -27,21 +27,10 @@ from .hpx_thread import HpxThread, ThreadPriority
 if TYPE_CHECKING:  # pragma: no cover
     from .pool import ThreadPool
 
-__all__ = [
-    "Scheduler",
-    "FifoScheduler",
-    "StaticScheduler",
-    "WeightedFairQueues",
-    "WorkStealingScheduler",
-    "make_scheduler",
-]
+__all__ = ["Scheduler"]
 
-T = TypeVar("T")
-
-#: Priorities in service order: HIGH tasks always run before NORMAL/LOW
-#: on the same worker (HPX's priority-queue scheduler behaviour).
-_PRIORITIES = (ThreadPriority.HIGH, ThreadPriority.NORMAL, ThreadPriority.LOW)
-
+# HpxThread.__init__ normalises priority through ThreadPriority(), so
+# identity comparison against the enum members is sound.
 _NORMAL = ThreadPriority.NORMAL
 _HIGH = ThreadPriority.HIGH
 _LOW = ThreadPriority.LOW
@@ -68,8 +57,6 @@ class _PriorityDeques:
         self.regular = 0
 
     def push(self, task: HpxThread) -> None:
-        # HpxThread.__init__ normalises priority through ThreadPriority(),
-        # so identity comparison against the enum members is sound.
         priority = task.priority
         if priority is _NORMAL:
             self._normal.append(task)
@@ -117,10 +104,7 @@ class _PriorityDeques:
 
     def drain(self) -> list[HpxThread]:
         """Remove and return every queued task (crash decommissioning)."""
-        drained: list[HpxThread] = []
-        drained.extend(self._high)
-        drained.extend(self._normal)
-        drained.extend(self._low)
+        drained = self.snapshot()
         self._high.clear()
         self._normal.clear()
         self._low.clear()
@@ -150,125 +134,45 @@ class _PriorityDeques:
             return True
         return False
 
-    def __len__(self) -> int:
-        return self.size
 
-
-class WeightedFairQueues(Generic[T]):
-    """Stride scheduling over named flows, one FIFO deque per flow.
-
-    The same shape as the per-worker :class:`_PriorityDeques` bundle one
-    level up: explicit incremental size counters, deque storage, and a
-    deterministic pop order.  Here the "priority" axis is *fairness
-    between flows* instead of urgency within one queue: every flow
-    carries a weight, each pop advances the flow's virtual pass by
-    ``scale / weight``, and :meth:`pop` always serves the non-empty flow
-    with the smallest pass (ties broken by flow name, so the order is a
-    pure function of the push/pop history).  A flow with weight 2 is
-    therefore served twice as often as a weight-1 flow under sustained
-    backlog, and an idle flow accumulates no credit: when it becomes
-    non-empty again its pass is advanced to the current global floor.
-
-    The multi-tenant job service layers its per-tenant scheduling on
-    this structure; it is generic so queued items can be jobs, tasks, or
-    anything else with FIFO-per-flow semantics.
-    """
-
-    __slots__ = ("scale", "_queues", "_weights", "_passes", "size")
-
-    def __init__(self, scale: float = 1024.0) -> None:
-        if scale <= 0:
-            raise ConfigError("WeightedFairQueues scale must be positive")
-        self.scale = scale
-        self._queues: dict[str, deque[T]] = {}
-        self._weights: dict[str, float] = {}
-        self._passes: dict[str, float] = {}
-        self.size = 0
-
-    def set_weight(self, flow: str, weight: float) -> None:
-        """Register ``flow`` (or update its weight).  Weight must be > 0."""
-        if weight <= 0:
-            raise ConfigError(f"flow {flow!r} weight must be positive, got {weight}")
-        self._weights[flow] = weight
-        if flow not in self._queues:
-            self._queues[flow] = deque()
-            self._passes[flow] = self._floor()
-
-    def _floor(self) -> float:
-        """Global virtual-pass floor: min pass among backlogged flows."""
-        backlogged = [
-            self._passes[flow] for flow, q in self._queues.items() if q
-        ]
-        return min(backlogged, default=0.0)
-
-    def push(self, flow: str, item: T) -> None:
-        """Queue ``item`` on ``flow`` (registered with weight 1 if new)."""
-        if flow not in self._queues:
-            self.set_weight(flow, self._weights.get(flow, 1.0))
-        queue = self._queues[flow]
-        if not queue:
-            # Re-entering service: no credit accrues while idle.
-            self._passes[flow] = max(self._passes[flow], self._floor())
-        queue.append(item)
-        self.size += 1
-
-    def pop(self, skip: Container[str] = ()) -> Optional[tuple[str, T]]:
-        """Serve the eligible flow with the smallest virtual pass.
-
-        Flows named in ``skip`` (e.g. tenants at their concurrency cap)
-        are passed over without being charged.  Returns ``(flow, item)``
-        or None when every non-empty flow is skipped.
-        """
-        best: Optional[str] = None
-        best_pass = 0.0
-        for flow in sorted(self._queues):
-            if not self._queues[flow] or flow in skip:
-                continue
-            flow_pass = self._passes[flow]
-            if best is None or flow_pass < best_pass:
-                best = flow
-                best_pass = flow_pass
-        if best is None:
-            return None
-        item = self._queues[best].popleft()
-        self._passes[best] = best_pass + self.scale / self._weights[best]
-        self.size -= 1
-        return (best, item)
-
-    def pending(self, flow: Optional[str] = None) -> int:
-        if flow is None:
-            return self.size
-        queue = self._queues.get(flow)
-        return len(queue) if queue else 0
-
-    def flows(self) -> list[str]:
-        """Registered flow names, sorted."""
-        return sorted(self._queues)
-
-    def remove(self, flow: str, item: T) -> bool:
-        """Withdraw one queued item (cancellation); O(n) on the flow."""
-        queue = self._queues.get(flow)
-        if not queue:
-            return False
-        try:
-            queue.remove(item)
-        except ValueError:
-            return False
-        self.size -= 1
-        return True
-
-    def __len__(self) -> int:
-        return self.size
+#: The ``threads.scheduler`` policy names.
+_POLICIES = ("fifo", "static", "work-stealing")
 
 
 class Scheduler:
-    """Interface: queue tasks, hand them to workers."""
+    """Priority deques, a worker → queue map and a steal budget.
 
-    name = "abstract"
+    The three ``threads.scheduler`` policies are one body and two numbers:
 
-    def __init__(self, n_workers: int) -> None:
+    * ``work-stealing`` (HPX's default): one deque bundle per worker;
+      owners pop FIFO from the front, and a worker that runs dry probes
+      up to ``steal_attempts`` victims round-robin and steals from the
+      back -- the oldest work the victim queued, the classic
+      contention-minimising split;
+    * ``static`` (OpenMP ``schedule(static)``) is work-stealing with a
+      budget of 0: a worker that drains its queue idles even if others
+      are loaded, the imbalance the work-stealing ablation measures;
+    * ``fifo`` is static with one queue that every worker owns: hints
+      are validated and land in the one global priority-FIFO.
+
+    Unhinted tasks are distributed round-robin.  ``_stealable`` tracks
+    which workers currently hold regular (HIGH/NORMAL) work.  The steal
+    loop still *visits* the same victims in the same round-robin order
+    -- placement decisions are untouched -- but a victim known to be
+    empty costs a set-membership test instead of a deque probe.
+    """
+
+    def __init__(
+        self,
+        n_workers: int,
+        name: str = "work-stealing",
+        steal_attempts: int | None = None,
+    ) -> None:
         if n_workers < 1:
             raise RuntimeStateError("scheduler needs at least one worker")
+        if name not in _POLICIES:
+            raise ConfigError(f"unknown scheduler {name!r}")
+        self.name = name
         self.n_workers = n_workers
         #: Queued tasks, maintained by every push/acquire/drain/remove;
         #: what ``len(scheduler)`` returns, readable without a call.
@@ -276,188 +180,36 @@ class Scheduler:
         #: The pool this scheduler serves (set by the pool): a reported
         #: steal is stamped with the thief's clock and the pool's name.
         self.pool: "ThreadPool | None" = None
-
-    def push(self, task: HpxThread, worker_hint: Optional[int] = None) -> None:
-        """Queue a task, optionally bound/hinted to a worker."""
-        raise NotImplementedError
-
-    def acquire(self, worker_id: int) -> Optional[HpxThread]:
-        """Get a task for ``worker_id`` or None if it can find none."""
-        raise NotImplementedError
-
-    def drain(self) -> list[HpxThread]:
-        """Remove and return every queued task (crash decommissioning)."""
-        raise NotImplementedError
-
-    def snapshot(self) -> list[HpxThread]:
-        """Every queued task in canonical (worker, service) order.
-
-        The schedule-controller seam: an exploration strategy inspects
-        the full ready set at a dispatch point, then claims its pick via
-        :meth:`remove`.  Production dispatch never calls this.
-        """
-        raise NotImplementedError
-
-    def remove(self, task: HpxThread) -> bool:
-        """Withdraw a specific queued task (claimed by a controller).
-
-        Returns False if the task is not queued here.
-        """
-        raise NotImplementedError
-
-    def __len__(self) -> int:
-        return self.size
-
-    def pending_low(self) -> int:
-        """Queued LOW-priority (sheddable background) tasks.
-
-        The overload perfcounters split queue depth by sheddability;
-        ``size - regular`` is already maintained incrementally, so this
-        costs no scan.
-        """
-        raise NotImplementedError
-
-    def _check_worker(self, worker_id: Optional[int]) -> None:
-        if worker_id is not None and not 0 <= worker_id < self.n_workers:
-            raise RuntimeStateError(
-                f"worker {worker_id} out of range [0, {self.n_workers})"
-            )
-
-
-class FifoScheduler(Scheduler):
-    """One global priority-FIFO queue; worker hints are ignored."""
-
-    name = "fifo"
-
-    def __init__(self, n_workers: int) -> None:
-        super().__init__(n_workers)
-        self._queue = _PriorityDeques()
-
-    def push(self, task: HpxThread, worker_hint: Optional[int] = None) -> None:
-        self._check_worker(worker_hint)
-        self._queue.push(task)
-        self.size += 1
-
-    def acquire(self, worker_id: int) -> Optional[HpxThread]:
-        self._check_worker(worker_id)
-        task = self._queue.pop_front()
-        if task is not None:
-            self.size -= 1
-        return task
-
-    def drain(self) -> list[HpxThread]:
-        self.size = 0
-        return self._queue.drain()
-
-    def snapshot(self) -> list[HpxThread]:
-        return self._queue.snapshot()
-
-    def remove(self, task: HpxThread) -> bool:
-        removed = self._queue.remove(task)
-        if removed:
-            self.size -= 1
-        return removed
-
-    def pending_low(self) -> int:
-        return self._queue.size - self._queue.regular
-
-
-class StaticScheduler(Scheduler):
-    """Per-worker FIFO queues, no stealing (OpenMP ``schedule(static)``).
-
-    Unhinted tasks are distributed round-robin.  A worker that drains its
-    queue idles even if others are loaded -- exactly the imbalance the
-    work-stealing ablation benchmark measures.
-    """
-
-    name = "static"
-
-    def __init__(self, n_workers: int) -> None:
-        super().__init__(n_workers)
-        self._queues = [_PriorityDeques() for _ in range(n_workers)]
+        #: The distinct queues, and the queue each worker owns (``fifo``:
+        #: the one queue, aliased once per worker).
+        fifo = name == "fifo"
+        self._queues = [_PriorityDeques() for _ in range(1 if fifo else n_workers)]
+        self._own = self._queues * n_workers if fifo else self._queues
         self._rr = 0
-
-    def push(self, task: HpxThread, worker_hint: Optional[int] = None) -> None:
-        if worker_hint is None:
-            worker_hint = self._rr
-            self._rr = (self._rr + 1) % self.n_workers
-        else:
-            self._check_worker(worker_hint)
-        task.worker_id = worker_hint
-        self._queues[worker_hint].push(task)
-        self.size += 1
-
-    def acquire(self, worker_id: int) -> Optional[HpxThread]:
-        self._check_worker(worker_id)
-        task = self._queues[worker_id].pop_front()
-        if task is not None:
-            self.size -= 1
-        return task
-
-    def drain(self) -> list[HpxThread]:
-        drained: list[HpxThread] = []
-        for queue in self._queues:
-            drained.extend(queue.drain())
-        self.size = 0
-        return drained
-
-    def snapshot(self) -> list[HpxThread]:
-        tasks: list[HpxThread] = []
-        for queue in self._queues:
-            tasks.extend(queue.snapshot())
-        return tasks
-
-    def remove(self, task: HpxThread) -> bool:
-        for queue in self._queues:
-            if queue.remove(task):
-                self.size -= 1
-                return True
-        return False
-
-    def pending_low(self) -> int:
-        return sum(q.size - q.regular for q in self._queues)
-
-
-class WorkStealingScheduler(Scheduler):
-    """Per-worker deques with deterministic round-robin stealing.
-
-    Owners pop FIFO from the front of their deque (HPX default for
-    fairness); thieves steal from the back, which takes the oldest work a
-    victim queued -- the classic contention-minimising split.
-
-    ``_stealable`` tracks which workers currently hold regular
-    (HIGH/NORMAL) work.  The steal loop still *visits* the same victims
-    in the same round-robin order -- placement decisions are untouched --
-    but a victim known to be empty costs a set-membership test instead
-    of a deque probe.
-    """
-
-    name = "work-stealing"
-
-    def __init__(self, n_workers: int, steal_attempts: int | None = None) -> None:
-        super().__init__(n_workers)
-        self._queues = [_PriorityDeques() for _ in range(n_workers)]
-        self._rr = 0
-        self.steal_attempts = (
-            n_workers - 1 if steal_attempts is None else min(steal_attempts, n_workers - 1)
-        )
+        if name != "work-stealing":
+            steal_attempts = 0
+        elif steal_attempts is None:
+            steal_attempts = n_workers - 1
+        self.steal_attempts = min(steal_attempts, n_workers - 1)
         self.steals = 0  # statistic: successful steals
         self._stealable: set[int] = set()
 
     def push(self, task: HpxThread, worker_hint: Optional[int] = None) -> None:
+        """Queue a task, optionally bound/hinted to a worker."""
         if worker_hint is None:
             worker_hint = self._rr
             self._rr = (self._rr + 1) % self.n_workers
         else:
             self._check_worker(worker_hint)
-        self._queues[worker_hint].push(task)
+        self._own[worker_hint].push(task)
         self.size += 1
         if task.priority is not _LOW:
             self._stealable.add(worker_hint)
 
     def acquire(self, worker_id: int) -> Optional[HpxThread]:
+        """Get a task for ``worker_id`` or None if it can find none."""
         self._check_worker(worker_id)
-        own = self._queues[worker_id]
+        own = self._own[worker_id]
         task = own.pop_front()
         if task is not None:
             self.size -= 1
@@ -473,7 +225,7 @@ class WorkStealingScheduler(Scheduler):
             victim = (worker_id + k) % self.n_workers
             if victim not in stealable:
                 continue
-            queue = self._queues[victim]
+            queue = self._own[victim]
             task = queue.pop_back()
             if not queue.regular:
                 stealable.discard(victim)
@@ -499,6 +251,7 @@ class WorkStealingScheduler(Scheduler):
             )
 
     def drain(self) -> list[HpxThread]:
+        """Remove and return every queued task (crash decommissioning)."""
         drained: list[HpxThread] = []
         for queue in self._queues:
             drained.extend(queue.drain())
@@ -507,12 +260,22 @@ class WorkStealingScheduler(Scheduler):
         return drained
 
     def snapshot(self) -> list[HpxThread]:
+        """Every queued task in canonical (queue, service) order.
+
+        The schedule-controller seam: an exploration strategy inspects
+        the full ready set at a dispatch point, then claims its pick via
+        :meth:`remove`.  Production dispatch never calls this.
+        """
         tasks: list[HpxThread] = []
         for queue in self._queues:
             tasks.extend(queue.snapshot())
         return tasks
 
     def remove(self, task: HpxThread) -> bool:
+        """Withdraw a specific queued task (claimed by a controller).
+
+        Returns False if the task is not queued here.
+        """
         for worker_id, queue in enumerate(self._queues):
             if queue.remove(task):
                 self.size -= 1
@@ -522,15 +285,19 @@ class WorkStealingScheduler(Scheduler):
         return False
 
     def pending_low(self) -> int:
+        """Queued LOW-priority (sheddable background) tasks.
+
+        The overload perfcounters split queue depth by sheddability;
+        ``size - regular`` is already maintained incrementally, so this
+        costs no scan.
+        """
         return sum(q.size - q.regular for q in self._queues)
 
+    def __len__(self) -> int:
+        return self.size
 
-def make_scheduler(name: str, n_workers: int, steal_attempts: int | None = None) -> Scheduler:
-    """Factory keyed by the ``threads.scheduler`` config value."""
-    if name == "fifo":
-        return FifoScheduler(n_workers)
-    if name == "static":
-        return StaticScheduler(n_workers)
-    if name == "work-stealing":
-        return WorkStealingScheduler(n_workers, steal_attempts)
-    raise ConfigError(f"unknown scheduler {name!r}")
+    def _check_worker(self, worker_id: int) -> None:
+        if not 0 <= worker_id < self.n_workers:
+            raise RuntimeStateError(
+                f"worker {worker_id} out of range [0, {self.n_workers})"
+            )

@@ -14,11 +14,11 @@ Layers (see ``docs/job-service.md``):
   journal, torn-tail tolerant on replay.
 * :mod:`~repro.service.jobs` -- the :class:`Job` state machine and the
   :class:`JobStore` (dedupe-on-insert idempotent submission).
-* :mod:`~repro.service.leases` -- time-bounded claims with a bounded
-  retry budget and capped exponential backoff.
+* :mod:`~repro.service.leases` -- time-bounded claims; retries are
+  attempt-bounded and separated by the parcel layer's capped exponential
+  backoff.
 * :mod:`~repro.service.scheduler` -- per-tenant quotas and weighted
-  fair scheduling over the runtime's
-  :class:`~repro.runtime.threads.scheduler.WeightedFairQueues`.
+  fair (stride) scheduling.
 * :mod:`~repro.service.admission` -- quota/backlog/breaker admission
   control; rejections always carry ``retry_after``.
 * :mod:`~repro.service.executor` -- runs one job attempt inside a
@@ -38,7 +38,7 @@ from .executor import JobRunner, job_digest
 from .gateway import JobGateway
 from .jobs import Job, JobState, JobStore, TERMINAL_STATES
 from .journal import Journal, read_journal
-from .leases import Lease, LeaseManager, RetryBudget
+from .leases import Lease, LeaseManager
 from .scheduler import FairJobScheduler
 from .service import JobService, ServicePolicy
 
@@ -55,7 +55,6 @@ __all__ = [
     "Lease",
     "LeaseManager",
     "ManualClock",
-    "RetryBudget",
     "ServicePolicy",
     "TERMINAL_STATES",
     "TenantQuota",

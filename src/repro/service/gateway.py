@@ -180,13 +180,19 @@ class JobGateway:
             return 400, {"error": "submit needs a non-empty string 'kind'"}, {}
         if not isinstance(params, dict):
             return 400, {"error": "'params' must be an object"}, {}
+        max_attempts = body.get("max_attempts")
+        # ``type(...) is int``: JSON true/false are ints to isinstance.
+        if max_attempts is not None and (
+            type(max_attempts) is not int or max_attempts < 1
+        ):
+            return 400, {"error": "'max_attempts' must be an integer >= 1"}, {}
         try:
             job, created = self.service.submit(
                 tenant,
                 kind,
                 params,
                 dedupe_key=body.get("dedupe_key"),
-                max_attempts=body.get("max_attempts"),
+                max_attempts=max_attempts,
             )
         except JobShedError as exc:
             retry_after = max(0.0, exc.retry_after)

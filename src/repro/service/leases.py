@@ -1,4 +1,4 @@
-"""Time-bounded job leases and the bounded retry budget.
+"""Time-bounded job leases.
 
 Claiming a job grants a :class:`Lease`: a promise that one worker owns
 the job until ``expires_at``.  Ownership is *temporal*, not structural
@@ -10,9 +10,10 @@ workers from both believing they own the job.
 
 Retries are bounded twice: a job gets at most ``max_attempts`` drives,
 and consecutive attempts are separated by capped exponential backoff
-(:class:`RetryBudget`) so a crashing workload cannot hot-loop the
-service.  When the budget is exhausted the job is failed *with cause*
-rather than retried forever.
+(the parcel layer's :class:`~repro.runtime.parcel.parcelport.RetryPolicy`,
+held by :class:`~repro.service.service.JobService`) so a crashing
+workload cannot hot-loop the service.  When the budget is exhausted the
+job is failed *with cause* rather than retried forever.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Optional
 from ..errors import ConfigError, JobStateError
 from .clock import Clock
 
-__all__ = ["Lease", "LeaseManager", "RetryBudget"]
+__all__ = ["Lease", "LeaseManager"]
 
 
 @dataclass(frozen=True)
@@ -114,36 +115,3 @@ class LeaseManager:
     def __len__(self) -> int:
         return len(self._leases)
 
-
-class RetryBudget:
-    """Capped exponential backoff over a bounded attempt count."""
-
-    def __init__(
-        self,
-        *,
-        base_seconds: float = 0.5,
-        factor: float = 2.0,
-        cap_seconds: float = 30.0,
-    ) -> None:
-        if base_seconds <= 0:
-            raise ConfigError("base_seconds must be positive")
-        if factor < 1.0:
-            raise ConfigError("factor must be >= 1")
-        if cap_seconds < base_seconds:
-            raise ConfigError("cap_seconds must be >= base_seconds")
-        self.base_seconds = base_seconds
-        self.factor = factor
-        self.cap_seconds = cap_seconds
-
-    def delay(self, attempt: int) -> float:
-        """Backoff before attempt ``attempt + 1`` (0-based failures).
-
-        ``delay(0)`` follows the first failure.  Grows geometrically and
-        saturates at ``cap_seconds``.
-        """
-        if attempt < 0:
-            raise ValueError("attempt must be >= 0")
-        return min(self.cap_seconds, self.base_seconds * self.factor**attempt)
-
-    def exhausted(self, attempts: int, max_attempts: int) -> bool:
-        return attempts >= max_attempts

@@ -32,11 +32,12 @@ from typing import Any, Optional
 
 from ..errors import ConfigError, JobShedError, JobStateError, UnknownJobError
 from ..runtime import instrument
+from ..runtime.parcel.parcelport import RetryPolicy
 from .admission import AdmissionControl, TenantQuota
 from .clock import Clock, wall_clock
 from .executor import JobRunner
 from .jobs import Job, JobState, JobStore, TERMINAL_STATES
-from .leases import Lease, LeaseManager, RetryBudget
+from .leases import Lease, LeaseManager
 from .scheduler import FairJobScheduler
 
 __all__ = ["JobService", "ServicePolicy"]
@@ -111,10 +112,10 @@ class JobService:
             breaker_threshold=self.policy.breaker_threshold,
             breaker_reset_seconds=self.policy.breaker_reset_seconds,
         )
-        self.retry = RetryBudget(
-            base_seconds=self.policy.retry_base_seconds,
-            factor=self.policy.retry_factor,
-            cap_seconds=self.policy.retry_cap_seconds,
+        self.retry = RetryPolicy(
+            base_timeout_s=self.policy.retry_base_seconds,
+            max_timeout_s=self.policy.retry_cap_seconds,
+            backoff=self.policy.retry_factor,
         )
         self.runner = JobRunner(
             os.path.join(self.root, "work"),
@@ -375,7 +376,7 @@ class JobService:
         return self._retry_or_fail(job, cause)
 
     def _retry_or_fail(self, job: Job, cause: str) -> Job:
-        if self.retry.exhausted(job.attempts, job.max_attempts):
+        if job.attempts >= job.max_attempts:
             job = self.store.transition(
                 job.job_id,
                 JobState.FAILED,
@@ -392,7 +393,7 @@ class JobService:
             self._bump(job.tenant, "failed")
             self._emit("job_failed", job.tenant, job.job_id, cause=cause)
             return job
-        delay = self.retry.delay(job.attempts - 1)
+        delay = self.retry.timeout(job.attempts)
         not_before = self._clock() + delay
         job = self.store.transition(
             job.job_id,

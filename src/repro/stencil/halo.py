@@ -28,9 +28,10 @@ from typing import Any, Iterable
 
 import numpy as np
 
-from ..errors import ConfigError, ValidationError
+from ..errors import ValidationError
 from ..runtime import context as ctx
 from ..runtime.agas.component import Component
+from ..runtime.backend.base import refuse_off_virtual_clock
 from ..runtime.futures import Future, Promise, make_ready_future, when_all
 from ..runtime.lco.dataflow import dataflow
 from ..runtime.runtime import Runtime
@@ -389,11 +390,7 @@ class HaloDriver:
         The result is bit-identical to a fault-free :meth:`run`.
         """
         if self.runtime.distributed:
-            raise ConfigError(
-                "run_resilient requires the virtual-clock backend "
-                "(runtime.backend='virtual'): checkpoint recovery drives "
-                "partition objects directly and replays virtual time"
-            )
+            refuse_off_virtual_clock("run_resilient")
         self._check("run_resilient()", steps)
         if steps > 0:
             run_with_recovery(

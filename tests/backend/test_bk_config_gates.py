@@ -73,6 +73,47 @@ def test_jacobi_run_resilient_rejected_on_multiprocess():
             solver.run_resilient(4)
 
 
+def test_schedule_exploration_rejected_off_the_virtual_clock():
+    from repro.analysis.explore import ExploreApp, explore
+
+    app = ExploreApp(
+        name="test/mp",
+        build=lambda rt: (lambda: None),
+        config={"runtime.backend": "multiprocess"},
+    )
+    with pytest.raises(ConfigError, match="schedule exploration"):
+        explore(app, strategy="random", budget=1)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--drop-rate", "0.1"], ["--crash", "1@0.5"], ["--overload", "4"]],
+    ids=["drop-rate", "crash", "overload"],
+)
+def test_cli_run_reports_the_refusal_as_a_configuration_error(argv, capsys):
+    from repro.cli import main
+
+    assert main(["run", "--backend", "multiprocess", *argv]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "requires the virtual-clock backend" in err
+
+
+def test_every_listed_feature_is_refused_in_the_documented_words():
+    """One list: the raised message and docs/architecture.md both carry
+    each feature's name and reason verbatim."""
+    import pathlib
+
+    from repro.runtime.backend.base import VIRTUAL_CLOCK_ONLY, refuse_off_virtual_clock
+
+    docs = pathlib.Path(__file__).parents[2] / "docs" / "architecture.md"
+    text = " ".join(docs.read_text().split())
+    for feature, reason in VIRTUAL_CLOCK_ONLY.items():
+        with pytest.raises(ConfigError, match=feature) as raised:
+            refuse_off_virtual_clock(feature)
+        assert reason in str(raised.value)
+        assert feature in text and reason in text
+
+
 def test_virtual_backend_still_accepts_all_features():
     """The gates are backend-specific: virtual keeps the whole stack."""
     injector = FaultInjector(seed=0)

@@ -63,21 +63,6 @@ def test_config_rejects_bad_process_count():
         Config(runtime__processes=-1)
 
 
-def test_config_rejects_unknown_start_method():
-    with pytest.raises(ConfigError):
-        Config(runtime__mp_start_method="forkserver")
-
-
-def test_config_rejects_nonpositive_stall_timeout():
-    with pytest.raises(ConfigError):
-        Config(runtime__mp_stall_timeout_s=0.0)
-
-
-def test_config_rejects_nonpositive_sync_rounds():
-    with pytest.raises(ConfigError):
-        Config(runtime__mp_sync_rounds=0)
-
-
 def test_virtual_runs_are_unaffected_by_backend_seam():
     """The backend hook in the hot loop must not change virtual results."""
     from repro.runtime import async_

@@ -222,9 +222,9 @@ def test_forked_worker_starts_with_an_empty_seam(seam_events):
     process must neither take the probed branches nor be able to
     resurrect the driver's probes with its first ``install``."""
     assert _seam_state() == (True, 1)
-    with _mp_runtime(**{"runtime.mp_start_method": "fork"}) as rt:
+    with _mp_runtime() as rt:
         assert rt.async_at(1, _seam_state).get() == (False, 0)
         probed = rt.async_at(1, _double, [1, 2, 3]).get()
     instrument.uninstall(seam_events)
-    with _mp_runtime(**{"runtime.mp_start_method": "fork"}) as rt:
+    with _mp_runtime() as rt:
         assert rt.async_at(1, _double, [1, 2, 3]).get() == probed

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from repro.runtime import context as ctx
 from repro.runtime.threads.hpx_thread import HpxThread, ThreadPriority
 from repro.runtime.threads.pool import ThreadPool
-from repro.runtime.threads.scheduler import make_scheduler
+from repro.runtime.threads.scheduler import Scheduler
 
 
 @given(
@@ -17,7 +17,7 @@ from repro.runtime.threads.scheduler import make_scheduler
 def test_single_worker_service_order_respects_priority(scheduler_name, priorities):
     """On one worker, any push sequence drains HIGH >= NORMAL >= LOW and
     FIFO within each level."""
-    sched = make_scheduler(scheduler_name, 1)
+    sched = Scheduler(1, scheduler_name)
     tasks = []
     for i, priority in enumerate(priorities):
         task = HpxThread(lambda: None, description=f"{i}", priority=priority)

@@ -13,7 +13,7 @@ from repro.runtime.algorithms.partitioner import auto_chunk_size, partition
 from repro.runtime.threads.executor import static_chunks
 from repro.runtime.threads.hpx_thread import HpxThread
 from repro.runtime.threads.pool import ThreadPool
-from repro.runtime.threads.scheduler import make_scheduler
+from repro.runtime.threads.scheduler import Scheduler
 
 
 @given(
@@ -63,7 +63,7 @@ def test_auto_chunk_size_bounds(n_items, n_workers):
 def test_every_pushed_task_acquired_exactly_once(
     scheduler_name, n_workers, n_tasks, data
 ):
-    sched = make_scheduler(scheduler_name, n_workers)
+    sched = Scheduler(n_workers, scheduler_name)
     tasks = [HpxThread(lambda: None) for _ in range(n_tasks)]
     for task in tasks:
         hint = data.draw(

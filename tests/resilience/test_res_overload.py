@@ -158,19 +158,18 @@ def test_phi_window_is_bounded():
 
 
 def test_policy_from_config_reads_overload_keys():
-    config = Config(
-        overload__credits=7, overload__phi_suspect=5.0, overload__phi_confirm=9.0, seed=3
-    )
-    policy = OverloadPolicy.from_config(config)
+    policy = OverloadPolicy.from_config(Config(overload__credits=7, seed=3))
     assert policy.credits == 7
-    assert policy.phi_suspect == 5.0
     assert policy.seed == 3
+    # The phi thresholds have no key: they are the policy's own fields.
+    assert (policy.phi_throttle, policy.phi_suspect, policy.phi_confirm) == (3.0, 8.0, 16.0)
+    assert OverloadPolicy(phi_suspect=5.0, phi_confirm=9.0).phi_suspect == 5.0
     assert policy.max_inflight == 64  # untouched keys keep their defaults
 
 
 def test_config_rejects_inverted_phi_thresholds():
     with pytest.raises(ConfigError):
-        Config(overload__phi_throttle=9.0, overload__phi_suspect=5.0)
+        OverloadPolicy(phi_throttle=9.0, phi_suspect=5.0)
 
 
 def test_config_rejects_bad_jitter():

@@ -43,14 +43,6 @@ def test_machine_pinning_maps_workers_to_cores():
         assert [w.core_id for w in pool.workers] == [0, 2, 4, 6]
 
 
-def test_unpinned_runtime_has_no_core_ids():
-    from repro.config import Config
-
-    cfg = Config(threads__pin=False)
-    with Runtime(machine="a64fx", workers_per_locality=4, config=cfg) as rt:
-        assert all(w.core_id is None for w in rt.localities[0].pool.workers)
-
-
 def test_scheduler_choice_reaches_pools():
     from repro.config import Config
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.runtime.threads.hpx_thread import HpxThread, ThreadPriority
 from repro.runtime.threads.pool import ThreadPool
-from repro.runtime.threads.scheduler import make_scheduler
+from repro.runtime.threads.scheduler import Scheduler
 
 
 def task(priority=ThreadPriority.NORMAL, name="t"):
@@ -21,7 +21,7 @@ def test_priority_ordering_values():
 
 @pytest.mark.parametrize("scheduler_name", ["fifo", "static", "work-stealing"])
 def test_high_priority_runs_first(scheduler_name):
-    sched = make_scheduler(scheduler_name, 1)
+    sched = Scheduler(1, scheduler_name)
     low = task(ThreadPriority.LOW, "low")
     normal = task(ThreadPriority.NORMAL, "normal")
     high = task(ThreadPriority.HIGH, "high")
@@ -32,7 +32,7 @@ def test_high_priority_runs_first(scheduler_name):
 
 
 def test_fifo_within_priority_level():
-    sched = make_scheduler("fifo", 1)
+    sched = Scheduler(1, "fifo")
     tasks = [task(ThreadPriority.NORMAL, f"n{i}") for i in range(4)]
     for t in tasks:
         sched.push(t)
@@ -41,7 +41,7 @@ def test_fifo_within_priority_level():
 
 
 def test_thieves_steal_high_priority_first():
-    sched = make_scheduler("work-stealing", 2)
+    sched = Scheduler(2)
     sched.push(task(ThreadPriority.LOW, "low"), worker_hint=1)
     sched.push(task(ThreadPriority.HIGH, "high"), worker_hint=1)
     stolen = sched.acquire(0)  # worker 0 steals from worker 1
@@ -59,7 +59,7 @@ def test_pool_submit_priority_end_to_end():
 
 
 def test_priority_does_not_break_counts():
-    sched = make_scheduler("work-stealing", 2)
+    sched = Scheduler(2)
     for i in range(10):
         sched.push(task(ThreadPriority(i % 3)))
     assert len(sched) == 10

@@ -142,5 +142,18 @@ def test_bad_requests(tmp_path):
         assert status == 405
         status, _, _ = await _request(port, "GET", "/v1/nope")
         assert status == 404
+        for bad in ("5", 2.5, 0, True):
+            status, payload, _ = await _request(
+                port, "POST", "/v1/jobs", {**SUBMIT, "max_attempts": bad}
+            )
+            assert status == 400 and "max_attempts" in payload["error"]
+        assert svc.store.jobs() == []  # nothing malformed was journalled
+        status, payload, _ = await _request(
+            port, "POST", "/v1/jobs", {**SUBMIT, "max_attempts": 7}
+        )
+        assert status == 201 and payload["job"]["max_attempts"] == 7
+        return payload["job"]["job_id"]
 
-    _with_gateway(tmp_path, scenario)
+    job_id = _with_gateway(tmp_path, scenario)
+    with JobService(tmp_path / "svc", clock=ManualClock(), policy=POLICY) as reopened:
+        assert reopened.status(job_id)["max_attempts"] == 7

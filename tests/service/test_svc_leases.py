@@ -1,9 +1,18 @@
-"""Leases (temporal ownership) and the bounded retry budget."""
+"""Leases (temporal ownership) and the bounded retry budget (the parcel
+layer's RetryPolicy, held by the JobService)."""
 
 import pytest
 
 from repro.errors import ConfigError, JobStateError
-from repro.service import Lease, LeaseManager, ManualClock, RetryBudget
+from repro.resilience import RetryPolicy
+from repro.service import (
+    JobService,
+    JobState,
+    Lease,
+    LeaseManager,
+    ManualClock,
+    ServicePolicy,
+)
 
 
 @pytest.fixture()
@@ -77,21 +86,37 @@ class TestLeases:
 
 class TestRetryBudget:
     def test_capped_exponential_backoff(self):
-        budget = RetryBudget(base_seconds=0.5, factor=2.0, cap_seconds=3.0)
-        assert [budget.delay(n) for n in range(5)] == [0.5, 1.0, 2.0, 3.0, 3.0]
+        budget = RetryPolicy(base_timeout_s=0.5, backoff=2.0, max_timeout_s=3.0)
+        assert [budget.timeout(n + 1) for n in range(5)] == [0.5, 1.0, 2.0, 3.0, 3.0]
+        # 2.0 ** 1024 overflows a float: the backoff saturates, never raises.
+        assert budget.timeout(1025) == budget.timeout(5000) == 3.0
 
-    def test_exhaustion_is_attempt_bounded(self):
-        budget = RetryBudget()
-        assert not budget.exhausted(2, 3)
-        assert budget.exhausted(3, 3)
-        assert budget.exhausted(4, 3)
+    def test_exhaustion_is_attempt_bounded(self, tmp_path, clock):
+        """2000 drives and no more -- through attempt numbers whose
+        backoff term overflows, which used to wedge the job in RUNNING
+        with its lease already released."""
+        policy = ServicePolicy(sync_journal=False)
+        with JobService(tmp_path / "svc", clock=clock, policy=policy) as service:
+            job, _ = service.submit(
+                "t", "faulty", {"fail_attempts": 2000}, max_attempts=2000
+            )
+            for attempt in range(1, 2001):
+                settled = service.run_one("w")
+                assert settled.attempts == attempt
+                if attempt < 2000:
+                    assert settled.state is JobState.PENDING
+                    assert settled.not_before - clock.now <= policy.retry_cap_seconds
+                    clock.advance(policy.retry_cap_seconds)
+            assert settled.state is JobState.FAILED
+            assert "2000/2000 attempts" in settled.failure
+            assert service.claim("w") is None
 
     def test_validation(self):
         with pytest.raises(ConfigError):
-            RetryBudget(base_seconds=0.0)
+            RetryPolicy(base_timeout_s=0.0)
         with pytest.raises(ConfigError):
-            RetryBudget(factor=0.5)
+            RetryPolicy(backoff=0.5)
         with pytest.raises(ConfigError):
-            RetryBudget(base_seconds=2.0, cap_seconds=1.0)
-        with pytest.raises(ValueError):
-            RetryBudget().delay(-1)
+            RetryPolicy(base_timeout_s=2.0, max_timeout_s=1.0)
+        with pytest.raises(ConfigError):
+            RetryPolicy().timeout(0)

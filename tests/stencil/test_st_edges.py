@@ -1,7 +1,8 @@
 """Edge-branch coverage for the stencil components.
 
-Per-class cases; the protocol both partition classes share is checked
-once, parametrised over both, in ``test_st_halo_protocol.py``.
+Per-class cases (the two refusals both classes make are parametrised
+over both); the protocol both partition classes share is checked once,
+parametrised over both, in ``test_st_halo_protocol.py``.
 """
 
 import numpy as np
@@ -13,19 +14,43 @@ from repro.stencil import Heat1DParams, Heat1DPartition
 from repro.stencil.jacobi2d_dist import Jacobi2DPartition
 
 
-def test_heat_partition_rejects_bad_halo_side():
-    part = Heat1DPartition(np.zeros(4), Heat1DParams())
+def _heat():
+    return Heat1DPartition(np.zeros(4), Heat1DParams())
+
+
+def _jacobi():
+    return Jacobi2DPartition(np.zeros((3, 5)))
+
+
+@pytest.mark.parametrize(
+    "deposit_on_bad_side",
+    [
+        pytest.param(lambda: _heat().deposit_halo(0, "north", 1.0), id="heat"),
+        pytest.param(
+            lambda: _jacobi().deposit_halo_row(0, "left", np.zeros(5)), id="jacobi"
+        ),
+    ],
+)
+def test_partition_rejects_bad_halo_side(deposit_on_bad_side):
     with pytest.raises(ValidationError):
-        part.deposit_halo(0, "north", 1.0)
+        deposit_on_bad_side()
 
 
-def test_heat_partition_rejects_out_of_order_advance():
-    part = Heat1DPartition(np.zeros(4), Heat1DParams())
+@pytest.mark.parametrize(
+    "make, self_ring, step, halo",
+    [
+        pytest.param(_heat, True, 3, 0.0, id="heat"),
+        pytest.param(_jacobi, False, 2, None, id="jacobi"),  # global boundary
+    ],
+)
+def test_partition_rejects_out_of_order_advance(make, self_ring, step, halo):
+    part = make()
     with Runtime(n_localities=1, workers_per_locality=1) as rt:
         gid = rt.new_component(part)
-        part.connect(rt, gid, gid)  # self-ring
+        neighbour = gid if self_ring else None
+        part.connect(rt, neighbour, neighbour)
         with pytest.raises(ValidationError):
-            rt.run(lambda: part.advance(3, 0.0, 0.0))
+            rt.run(lambda: part.advance(step, halo, halo))
 
 
 def test_heat_partition_requires_connection():
@@ -39,21 +64,6 @@ def test_jacobi_partition_rejects_bad_shapes():
         Jacobi2DPartition(np.zeros((2, 5)))
     with pytest.raises(ValidationError):
         Jacobi2DPartition(np.zeros(5))
-
-
-def test_jacobi_partition_rejects_bad_halo_side():
-    part = Jacobi2DPartition(np.zeros((3, 5)))
-    with pytest.raises(ValidationError):
-        part.deposit_halo_row(0, "left", np.zeros(5))
-
-
-def test_jacobi_partition_out_of_order_advance():
-    part = Jacobi2DPartition(np.zeros((3, 5)))
-    with Runtime(n_localities=1, workers_per_locality=1) as rt:
-        rt.new_component(part)
-        part.connect(rt, None, None)
-        with pytest.raises(ValidationError):
-            rt.run(lambda: part.advance(2, None, None))
 
 
 def test_boundary_partition_halo_futures_always_ready():

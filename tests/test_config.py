@@ -13,14 +13,14 @@ from repro.errors import ConfigError
 def test_defaults():
     cfg = default_config()
     assert cfg["threads.scheduler"] == "work-stealing"
-    assert cfg.get_bool("threads.pin")
+    assert cfg.get_bool("parcel.retry")
     assert cfg.get_int("parcel.retry_max_attempts") == 8
 
 
 def test_override_with_dunder_keys():
-    cfg = Config(threads__scheduler="static", threads__pin=False)
+    cfg = Config(threads__scheduler="static", parcel__retry=False)
     assert cfg["threads.scheduler"] == "static"
-    assert not cfg.get_bool("threads.pin")
+    assert not cfg.get_bool("parcel.retry")
 
 
 def test_unknown_key_rejected():
@@ -70,7 +70,7 @@ def test_typed_accessors():
     cfg = default_config()
     assert isinstance(cfg.get_str("threads.scheduler"), str)
     assert isinstance(cfg.get_int("seed"), int)
-    assert isinstance(cfg.get_bool("threads.pin"), bool)
+    assert isinstance(cfg.get_bool("parcel.retry"), bool)
 
 
 def test_every_key_has_a_reader():
