@@ -54,9 +54,9 @@ _DEFAULTS: dict[str, Any] = {
     "seed": 0,
 }
 
-_VALID_SCHEDULERS = ("work-stealing", "static", "fifo")
+VALID_SCHEDULERS = ("work-stealing", "static", "fifo")
 _VALID_QUIESCENCE = ("warn", "raise", "ignore")
-_VALID_BACKENDS = ("virtual", "multiprocess")
+VALID_BACKENDS = ("virtual", "multiprocess")
 
 
 class Config(Mapping[str, Any]):
@@ -88,9 +88,9 @@ class Config(Mapping[str, Any]):
 
     def _validate(self) -> None:
         sched = self._values["threads.scheduler"]
-        if sched not in _VALID_SCHEDULERS:
+        if sched not in VALID_SCHEDULERS:
             raise ConfigError(
-                f"threads.scheduler must be one of {_VALID_SCHEDULERS}, got {sched!r}"
+                f"threads.scheduler must be one of {VALID_SCHEDULERS}, got {sched!r}"
             )
         quiescence = self._values["runtime.quiescence"]
         if quiescence not in _VALID_QUIESCENCE:
@@ -99,9 +99,9 @@ class Config(Mapping[str, Any]):
                 f"got {quiescence!r}"
             )
         backend = self._values["runtime.backend"]
-        if backend not in _VALID_BACKENDS:
+        if backend not in VALID_BACKENDS:
             raise ConfigError(
-                f"runtime.backend must be one of {_VALID_BACKENDS}, got {backend!r}"
+                f"runtime.backend must be one of {VALID_BACKENDS}, got {backend!r}"
             )
         if int(self._values["runtime.processes"]) < 0:
             raise ConfigError("runtime.processes must be >= 0 (0 = one per locality)")

@@ -212,10 +212,3 @@ class PartitionedVector:
             )
         for segment, seg_state in zip(self._segments, state):
             segment.restore_state(seg_state)
-
-    def segment_homes(self) -> list[int]:
-        """Current home locality of every segment (follows migration --
-        after :meth:`~repro.runtime.agas.service.AgasService.evacuate`
-        re-homes a crashed locality's segments, this shows where the
-        data now lives)."""
-        return [self.runtime.agas.home_of(gid) for gid in self._gids]

@@ -43,7 +43,6 @@ __all__ = [
     "SimdError",
     "LaneMismatchError",
     "LayoutError",
-    "SimulationError",
     "ConfigError",
     "ValidationError",
     "AnalysisError",
@@ -253,10 +252,6 @@ class LaneMismatchError(SimdError):
 
 class LayoutError(SimdError):
     """Virtual-node-scheme layout transform got an incompatible shape."""
-
-
-class SimulationError(ReproError):
-    """The discrete-event engine was driven incorrectly."""
 
 
 class ConfigError(ReproError):

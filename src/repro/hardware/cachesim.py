@@ -34,14 +34,6 @@ class CacheStats:
     bytes_from_memory: int = 0
     bytes_to_memory: int = 0
 
-    @property
-    def miss_rate(self) -> float:
-        return self.misses / self.accesses if self.accesses else 0.0
-
-    @property
-    def total_traffic(self) -> int:
-        return self.bytes_from_memory + self.bytes_to_memory
-
 
 class CacheSim:
     """LRU set-associative cache, write-back + (optional) write-allocate.

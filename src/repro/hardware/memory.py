@@ -57,11 +57,6 @@ class DomainBandwidthModel:
             return 0.0
         return self.efficiency * min(n_cores * self.per_core_gbs, self.peak_gbs)
 
-    @property
-    def saturation_cores(self) -> int:
-        """Smallest core count that reaches the domain's peak."""
-        return max(1, -(-int(self.peak_gbs / self.per_core_gbs) // 1))
-
 
 class MemorySystem:
     """Node-level memory model combining topology and domain curves."""

@@ -101,10 +101,6 @@ class MachineModel:
     interconnect: Interconnect
     calibration: Calibration
 
-    @property
-    def clock_hz(self) -> float:
-        return self.spec.clock_ghz * 1e9
-
 
 def _xeon() -> MachineModel:
     spec = ProcessorSpec(

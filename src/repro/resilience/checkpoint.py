@@ -207,22 +207,14 @@ class CheckpointStore:
     Bound to a :class:`~repro.runtime.runtime.Runtime`, every save and
     restore charges virtual time through the cost model (knobs
     ``checkpoint.cost_base_s`` / ``checkpoint.cost_per_byte_s``) and
-    updates the runtime's checkpoint counters.  With ``directory`` given,
-    epochs are also spilled to ``epoch-NNNNNN.ckpt`` files (and pruned
-    with the in-memory ring).
+    updates the runtime's checkpoint counters.
     """
 
-    def __init__(
-        self,
-        runtime: "Runtime | None" = None,
-        keep: int = 2,
-        directory: str | os.PathLike[str] | None = None,
-    ) -> None:
+    def __init__(self, runtime: "Runtime | None" = None, keep: int = 2) -> None:
         if keep < 1:
             raise ConfigError("keep must be at least 1")
         self.runtime = runtime
         self.keep = keep
-        self.directory = os.fspath(directory) if directory is not None else None
         self._epochs: dict[int, Checkpoint] = {}
 
     # Introspection ---------------------------------------------------------
@@ -235,11 +227,6 @@ class CheckpointStore:
             return self._epochs[epoch]
         except KeyError:
             raise CheckpointError(f"no retained checkpoint for epoch {epoch}") from None
-
-    def latest(self) -> Checkpoint:
-        if not self._epochs:
-            raise CheckpointError("the store holds no checkpoints")
-        return self._epochs[max(self._epochs)]
 
     # Cost model ------------------------------------------------------------
     def _charge(self, size_bytes: int) -> float:
@@ -263,15 +250,8 @@ class CheckpointStore:
             self.runtime.checkpoint_bytes_saved += ckpt.size_bytes
             self.runtime.checkpoint_save_time_s += cost
         self._epochs[epoch] = ckpt
-        if self.directory is not None:
-            ckpt.write(self._path(epoch))
         for old in sorted(self._epochs)[: -self.keep]:
             del self._epochs[old]
-            if self.directory is not None:
-                try:
-                    os.remove(self._path(old))
-                except OSError:  # pragma: no cover - best-effort prune
-                    pass
         return ckpt
 
     def restore_latest_valid(self, objects: Sequence[Any]) -> Checkpoint:
@@ -324,15 +304,8 @@ class CheckpointStore:
                 args={"epoch": epoch, "size_bytes": ckpt.size_bytes, "level": "warning"},
             )
 
-    def _path(self, epoch: int) -> str:
-        assert self.directory is not None
-        return os.path.join(self.directory, f"epoch-{epoch:06d}.ckpt")
-
     def __len__(self) -> int:
         return len(self._epochs)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"CheckpointStore(epochs={self.epochs()}, keep={self.keep}, "
-            f"directory={self.directory!r})"
-        )
+        return f"CheckpointStore(epochs={self.epochs()}, keep={self.keep})"

@@ -12,6 +12,7 @@ Supported counter types::
     /threads/count/cumulative      tasks executed
     /threads/count/stolen          successful steals (work-stealing only)
     /threads/queue/length          tasks currently queued
+    /threads/queue/length-low      LOW-priority (sheddable) tasks queued
     /threads/time/average          average attributed cost per task (s)
     /threads/time/busy             attributed compute seconds
     /threads/idle-rate             idle fraction of the pool's makespan
@@ -39,7 +40,6 @@ Supported counter types::
     /breaker/count/closes          breakers closed by a successful probe
     /breaker/count/half-open-probes  probe parcels admitted while half-open
     /phi/suspicion                 max phi-accrual suspicion across peers
-    /threads/queue/length-low      LOW-priority (sheddable) tasks queued
     /localities/count/failed       scheduled locality outages
     /localities/count/decommissioned  localities declared permanently dead
     /checkpoints/count/saved       checkpoint epochs written
@@ -82,13 +82,14 @@ ran a single task.
 from __future__ import annotations
 
 import re
-from typing import TYPE_CHECKING
+from operator import attrgetter
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from ..errors import RuntimeStateError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .runtime import Runtime
-    from .threads.pool import ThreadPool
+    from .threads.pool import ThreadPool, _Worker
 
 __all__ = ["query", "discover"]
 
@@ -101,138 +102,172 @@ _PATH = re.compile(
 _LOCALITY = re.compile(r"^locality#(?P<id>\d+)/total$")
 _WORKER = re.compile(r"^locality#(?P<id>\d+)/worker#(?P<worker>\d+)$")
 
-#: Fault/retry statistics: counter path suffix -> Parcelport attribute.
-_PARCEL_FAULT_COUNTERS = {
-    "count/dropped": "parcels_dropped",
-    "count/corrupted": "parcels_corrupted",
-    "count/duplicated": "parcels_duplicated",
-    "count/delayed": "parcels_delayed",
-    "count/retried": "parcels_retried",
-    "count/dead-lettered": "parcels_dead_lettered",
-    "count/shed-lettered": "parcels_shed_lettered",
-    "count/dead-letter-evicted": "parcels_dlq_evicted",
-}
+_Reader = Callable[["Runtime"], float]
+_PoolsReader = Callable[[Sequence["ThreadPool"]], float]
+_WorkerReader = Callable[["ThreadPool", "_Worker"], float]
 
-#: Overload admission statistics: counter suffix -> OverloadController
-#: attribute.  All read 0.0 when no controller is installed, so counter
-#: consumers need no feature test.
-_OVERLOAD_COUNTERS = {
-    "count/shed": "parcels_shed",
-    "count/deferred": "parcels_deferred",
-    "count/credits-stalled": "credit_stalls",
-    "count/credit-resumes": "credit_resumes",
-    "count/completed": "parcels_completed",
-}
 
-#: Circuit-breaker statistics: counter suffix -> OverloadController attribute.
-_BREAKER_COUNTERS = {
-    "count/opens": "breaker_opens",
-    "count/closes": "breaker_closes",
-    "count/half-open-probes": "breaker_probes",
-}
+def _ratio(total: float, count: float) -> float:
+    return total / count if count else 0.0
 
-#: Cross-process transport statistics: counter suffix -> key in
-#: ``ExecutionBackend.counters()``.  The virtual backend returns an
-#: empty dict, so every path reads 0.0 without a feature test.
-_BACKEND_COUNTERS = {
-    "count/forwarded": "parcels_forwarded",
-    "count/received": "parcels_received",
-    "count/relayed": "parcels_relayed",
-    "count/replies-sent": "replies_sent",
-    "count/replies-received": "replies_received",
-    "count/messages": "messages_sent",
-    "data/sent": "wire_bytes_sent",
-    "count/agas-creates": "agas_creates",
-    "count/agas-resolves": "agas_resolves",
-    "count/sync-rounds": "sync_rounds",
-    "count/processes": "processes",
-    "count/remote-tasks": "remote_tasks_executed",
-    "count/remote-parcels": "remote_parcels_sent",
-}
 
-#: Thread counters valid per worker (``{locality#N/worker#W}``).
-_WORKER_COUNTERS = ("count/cumulative", "time/busy", "idle-rate")
+def _idle(busy: float, capacity: float) -> float:
+    return max(0.0, 1.0 - busy / capacity) if capacity else 0.0
 
-#: Checkpoint statistics: counter path suffix -> Runtime attribute.
-_CHECKPOINT_COUNTERS = {
-    "count/saved": "checkpoints_saved",
-    "count/restored": "checkpoints_restored",
-    "count/fallbacks": "checkpoint_fallbacks",
-    "count/corrupt-skipped": "checkpoint_corrupt_skipped",
-    "data/saved": "checkpoint_bytes_saved",
-    "time/save": "checkpoint_save_time_s",
-    "time/restore": "checkpoint_restore_time_s",
+
+def _summed(read: Callable[["ThreadPool"], float]) -> _PoolsReader:
+    return lambda pools: sum(read(pool) for pool in pools)
+
+
+_tasks = _summed(attrgetter("tasks_executed"))
+_busy = _summed(lambda pool: sum(w.busy_time for w in pool.workers))
+
+#: ``/threads`` counter suffix -> (reader over the pools in view, reader
+#: of one worker or None).  A locality instance puts one pool in view,
+#: ``{total}`` all of them, so the two ratios weight every pool by its
+#: load: busy seconds over tasks, and busy seconds over the job makespan
+#: times every worker in view.
+_THREADS: dict[str, tuple[_PoolsReader, _WorkerReader | None]] = {
+    "count/cumulative": (_tasks, lambda pool, worker: worker.tasks_run),
+    "count/stolen": (_summed(attrgetter("steals")), None),
+    "queue/length": (_summed(lambda pool: pool.pending()), None),
+    "queue/length-low": (_summed(lambda pool: pool.pending_low()), None),
+    "time/average": (lambda pools: _ratio(_busy(pools), _tasks(pools)), None),
+    "time/busy": (_busy, lambda pool, worker: worker.busy_time),
+    "idle-rate": (
+        lambda pools: _idle(
+            _busy(pools),
+            max(p.makespan for p in pools) * sum(p.n_workers for p in pools),
+        ),
+        lambda pool, worker: _idle(worker.busy_time, pool.makespan),
+    ),
 }
 
 
-def _pool_counter(pool: "ThreadPool", counter: str) -> float:
-    if counter == "count/cumulative":
-        return float(pool.tasks_executed)
-    if counter == "count/stolen":
-        return float(pool.steals)
-    if counter == "queue/length":
-        return float(pool.pending())
-    if counter == "queue/length-low":
-        return float(pool.pending_low())
-    if counter == "time/busy":
-        return sum(w.busy_time for w in pool.workers)
-    if counter == "time/average":
-        if pool.tasks_executed == 0:
-            return 0.0
-        busy = sum(w.busy_time for w in pool.workers)
-        return busy / pool.tasks_executed
-    if counter == "idle-rate":
-        makespan = pool.makespan
-        if makespan == 0.0:
-            return 0.0
-        busy = sum(w.busy_time for w in pool.workers)
-        capacity = makespan * pool.n_workers
-        return max(0.0, 1.0 - busy / capacity)
-    raise RuntimeStateError(f"unknown threads counter {counter!r}")
+def _controller(read: Callable[[Any], float]) -> _Reader:
+    """Reader of the overload controller: 0.0 when none is installed, so
+    counter consumers need no feature test."""
+    return lambda rt: 0.0 if rt._overload is None else read(rt._overload)
 
 
-def _worker_counter(pool: "ThreadPool", worker_id: int, counter: str) -> float:
-    if not 0 <= worker_id < pool.n_workers:
-        raise RuntimeStateError(
-            f"worker {worker_id} out of range [0, {pool.n_workers})"
-        )
-    worker = pool.workers[worker_id]
-    if counter == "count/cumulative":
-        return float(worker.tasks_run)
-    if counter == "time/busy":
-        return worker.busy_time
-    if counter == "idle-rate":
-        makespan = pool.makespan
-        if makespan == 0.0:
-            return 0.0
-        return max(0.0, 1.0 - worker.busy_time / makespan)
-    raise RuntimeStateError(
-        f"threads counter {counter!r} has no per-worker instance"
-    )
+def _backend(key: str) -> _Reader:
+    """Reader of one ``ExecutionBackend.counters()`` key (the virtual
+    backend returns an empty dict, so every path reads 0.0 there)."""
+    return lambda rt: rt.backend.counters().get(key, 0.0)
 
 
-def _aggregate_threads(pools: list["ThreadPool"], counter: str) -> float:
-    """Job-wide thread counters, weighted by each pool's actual load.
+def _phi_suspicion(rt: "Runtime") -> float:
+    controller = rt._overload
+    return 0.0 if controller is None else controller.phi.suspicion(rt.makespan)
 
-    ``time/average`` is total busy seconds over total tasks;
-    ``idle-rate`` is one minus total busy seconds over total capacity
-    (the job makespan times every worker in view).  Additive counters
-    are summed.
-    """
-    if counter == "time/average":
-        total_busy = sum(_pool_counter(p, "time/busy") for p in pools)
-        total_tasks = sum(p.tasks_executed for p in pools)
-        if total_tasks == 0:
-            return 0.0
-        return total_busy / total_tasks
-    if counter == "idle-rate":
-        span = max(p.makespan for p in pools)
-        if span == 0.0:
-            return 0.0
-        total_busy = sum(_pool_counter(p, "time/busy") for p in pools)
-        capacity = span * sum(p.n_workers for p in pools)
-        return max(0.0, 1.0 - total_busy / capacity)
-    return float(sum(_pool_counter(pool, counter) for pool in pools))
+
+#: The job-wide catalogue: object -> counter suffix -> reader(runtime).
+#: ``query`` looks a path up here and ``discover`` lists these rows in
+#: this order, so a new counter is one row (plus its docstring line).
+_CATALOGUE: dict[str, dict[str, _Reader]] = {
+    "parcels": {
+        "count/sent": attrgetter("parcelport.parcels_sent"),
+        "data/sent": attrgetter("parcelport.bytes_sent"),
+        "count/delivered": attrgetter("parcelport.parcels_delivered"),
+        "time/average-latency": lambda rt: _ratio(
+            rt.parcelport.latency_total_s, rt.parcelport.parcels_delivered
+        ),
+        "count/retries-in-flight": lambda rt: (
+            rt.parcelport.parcels_retried - rt.parcelport.parcels_retransmitted
+        ),
+        "queue/dead-letter": lambda rt: len(rt.parcelport.dead_letters),
+        "count/dropped": attrgetter("parcelport.parcels_dropped"),
+        "count/corrupted": attrgetter("parcelport.parcels_corrupted"),
+        "count/duplicated": attrgetter("parcelport.parcels_duplicated"),
+        "count/delayed": attrgetter("parcelport.parcels_delayed"),
+        "count/retried": attrgetter("parcelport.parcels_retried"),
+        "count/dead-lettered": attrgetter("parcelport.parcels_dead_lettered"),
+        "count/shed-lettered": attrgetter("parcelport.parcels_shed_lettered"),
+        "count/dead-letter-evicted": attrgetter("parcelport.parcels_dlq_evicted"),
+    },
+    "overload": {
+        "count/shed": _controller(attrgetter("parcels_shed")),
+        "count/deferred": _controller(attrgetter("parcels_deferred")),
+        "count/credits-stalled": _controller(attrgetter("credit_stalls")),
+        "count/credit-resumes": _controller(attrgetter("credit_resumes")),
+        "count/completed": _controller(attrgetter("parcels_completed")),
+        "queue/stalled": _controller(lambda controller: controller.stalled_count()),
+    },
+    "breaker": {
+        "count/opens": _controller(attrgetter("breaker_opens")),
+        "count/closes": _controller(attrgetter("breaker_closes")),
+        "count/half-open-probes": _controller(attrgetter("breaker_probes")),
+    },
+    "phi": {"suspicion": _phi_suspicion},
+    "localities": {
+        "count/failed": attrgetter("localities_failed"),
+        "count/decommissioned": lambda rt: len(rt.decommissioned),
+    },
+    "checkpoints": {
+        "count/saved": attrgetter("checkpoints_saved"),
+        "count/restored": attrgetter("checkpoints_restored"),
+        "count/fallbacks": attrgetter("checkpoint_fallbacks"),
+        "count/corrupt-skipped": attrgetter("checkpoint_corrupt_skipped"),
+        "data/saved": attrgetter("checkpoint_bytes_saved"),
+        "time/save": attrgetter("checkpoint_save_time_s"),
+        "time/restore": attrgetter("checkpoint_restore_time_s"),
+    },
+    "backend": {
+        "count/forwarded": _backend("parcels_forwarded"),
+        "count/received": _backend("parcels_received"),
+        "count/relayed": _backend("parcels_relayed"),
+        "count/replies-sent": _backend("replies_sent"),
+        "count/replies-received": _backend("replies_received"),
+        "count/messages": _backend("messages_sent"),
+        "data/sent": _backend("wire_bytes_sent"),
+        "count/agas-creates": _backend("agas_creates"),
+        "count/agas-resolves": _backend("agas_resolves"),
+        "count/sync-rounds": _backend("sync_rounds"),
+        "count/processes": _backend("processes"),
+        "count/remote-tasks": _backend("remote_tasks_executed"),
+        "count/remote-parcels": _backend("remote_parcels_sent"),
+    },
+    "runtime": {"uptime": attrgetter("makespan")},
+}
+
+
+def _has_controller(rt: "Runtime") -> bool:
+    return rt._overload is not None
+
+
+#: Objects ``discover`` lists only when the runtime has what they count
+#: (``query`` answers 0.0 for them regardless).
+_LISTED_IF: dict[str, Callable[["Runtime"], bool]] = {
+    "overload": _has_controller,
+    "breaker": _has_controller,
+    "phi": _has_controller,
+    "backend": attrgetter("distributed"),
+}
+
+
+def _query_threads(runtime: "Runtime", instance: str | None, counter: str) -> float:
+    if counter not in _THREADS:
+        raise RuntimeStateError(f"unknown threads counter {counter!r}")
+    over_pools, of_worker = _THREADS[counter]
+    if not instance or instance == "total":
+        return float(over_pools([loc.pool for loc in runtime.localities]))
+    worker_match = _WORKER.match(instance)
+    if worker_match:
+        pool = runtime.locality(int(worker_match.group("id"))).pool
+        worker_id = int(worker_match.group("worker"))
+        if not 0 <= worker_id < pool.n_workers:
+            raise RuntimeStateError(
+                f"worker {worker_id} out of range [0, {pool.n_workers})"
+            )
+        if of_worker is None:
+            raise RuntimeStateError(
+                f"threads counter {counter!r} has no per-worker instance"
+            )
+        return float(of_worker(pool, pool.workers[worker_id]))
+    loc_match = _LOCALITY.match(instance)
+    if not loc_match:
+        raise RuntimeStateError(f"malformed instance {instance!r}")
+    return float(over_pools([runtime.locality(int(loc_match.group("id"))).pool]))
 
 
 def query(runtime: "Runtime", path: str) -> float:
@@ -240,150 +275,36 @@ def query(runtime: "Runtime", path: str) -> float:
     match = _PATH.match(path)
     if not match:
         raise RuntimeStateError(f"malformed counter path {path!r}")
-    obj = match.group("object")
-    instance = match.group("instance")
-    counter = match.group("counter")
-
+    obj, instance, counter = match.group("object", "instance", "counter")
     if obj == "threads":
-        pools = [loc.pool for loc in runtime.localities]
-        if instance and instance != "total":
-            worker_match = _WORKER.match(instance)
-            if worker_match:
-                pool = runtime.locality(int(worker_match.group("id"))).pool
-                return _worker_counter(
-                    pool, int(worker_match.group("worker")), counter
-                )
-            loc_match = _LOCALITY.match(instance)
-            if not loc_match:
-                raise RuntimeStateError(f"malformed instance {instance!r}")
-            loc_id = int(loc_match.group("id"))
-            pools = [runtime.locality(loc_id).pool]
-        if len(pools) == 1:
-            return float(_pool_counter(pools[0], counter))
-        return _aggregate_threads(pools, counter)
-
-    if obj == "parcels":
-        if instance not in (None, "total"):
-            raise RuntimeStateError("parcel counters are job-wide; use {total}")
-        port = runtime.parcelport
-        if counter == "count/sent":
-            return float(port.parcels_sent)
-        if counter == "data/sent":
-            return float(port.bytes_sent)
-        if counter == "count/delivered":
-            return float(port.parcels_delivered)
-        if counter == "time/average-latency":
-            if port.parcels_delivered == 0:
-                return 0.0
-            return port.latency_total_s / port.parcels_delivered
-        if counter == "count/retries-in-flight":
-            return float(port.parcels_retried - port.parcels_retransmitted)
-        if counter == "queue/dead-letter":
-            return float(len(port.dead_letters))
-        if counter in _PARCEL_FAULT_COUNTERS:
-            return float(getattr(port, _PARCEL_FAULT_COUNTERS[counter]))
-        raise RuntimeStateError(f"unknown parcels counter {counter!r}")
-
-    if obj in ("overload", "breaker", "phi"):
-        if instance not in (None, "total"):
-            raise RuntimeStateError(f"{obj} counters are job-wide; use {{total}}")
-        controller = getattr(runtime, "_overload", None)
-        if obj == "overload":
-            if counter == "queue/stalled":
-                return 0.0 if controller is None else float(controller.stalled_count())
-            if counter in _OVERLOAD_COUNTERS:
-                if controller is None:
-                    return 0.0
-                return float(getattr(controller, _OVERLOAD_COUNTERS[counter]))
-            raise RuntimeStateError(f"unknown overload counter {counter!r}")
-        if obj == "breaker":
-            if counter in _BREAKER_COUNTERS:
-                if controller is None:
-                    return 0.0
-                return float(getattr(controller, _BREAKER_COUNTERS[counter]))
-            raise RuntimeStateError(f"unknown breaker counter {counter!r}")
-        if counter == "suspicion":
-            if controller is None:
-                return 0.0
-            return controller.phi.suspicion(runtime.makespan)
-        raise RuntimeStateError(f"unknown phi counter {counter!r}")
-
-    if obj == "localities":
-        if instance not in (None, "total"):
-            raise RuntimeStateError("locality counters are job-wide; use {total}")
-        if counter == "count/failed":
-            return float(runtime.localities_failed)
-        if counter == "count/decommissioned":
-            return float(len(runtime.decommissioned))
-        raise RuntimeStateError(f"unknown localities counter {counter!r}")
-
-    if obj == "checkpoints":
-        if instance not in (None, "total"):
-            raise RuntimeStateError("checkpoint counters are job-wide; use {total}")
-        if counter in _CHECKPOINT_COUNTERS:
-            return float(getattr(runtime, _CHECKPOINT_COUNTERS[counter]))
-        raise RuntimeStateError(f"unknown checkpoints counter {counter!r}")
-
-    if obj == "backend":
-        if instance not in (None, "total"):
-            raise RuntimeStateError("backend counters are job-wide; use {total}")
-        if counter in _BACKEND_COUNTERS:
-            stats = runtime.backend.counters()
-            return float(stats.get(_BACKEND_COUNTERS[counter], 0.0))
-        raise RuntimeStateError(f"unknown backend counter {counter!r}")
-
-    if obj == "runtime":
-        if counter == "uptime":
-            return runtime.makespan
-        raise RuntimeStateError(f"unknown runtime counter {counter!r}")
-
-    raise RuntimeStateError(f"unknown counter object {obj!r}")
+        return _query_threads(runtime, instance, counter)
+    if obj not in _CATALOGUE:
+        raise RuntimeStateError(f"unknown counter object {obj!r}")
+    if instance not in (None, "total"):
+        raise RuntimeStateError(f"/{obj} counters are job-wide; use {{total}}")
+    if counter not in _CATALOGUE[obj]:
+        raise RuntimeStateError(f"unknown {obj} counter {counter!r}")
+    return float(_CATALOGUE[obj][counter](runtime))
 
 
 def discover(runtime: "Runtime") -> list[str]:
     """All concrete counter paths available on this runtime."""
     paths = []
-    thread_counters = (
-        "count/cumulative",
-        "count/stolen",
-        "queue/length",
-        "queue/length-low",
-        "time/average",
-        "time/busy",
-        "idle-rate",
-    )
-    for counter in thread_counters:
+    for counter in _THREADS:
         paths.append(f"/threads{{total}}/{counter}")
         for loc in runtime.localities:
             paths.append(f"/threads{{locality#{loc.locality_id}/total}}/{counter}")
-    for counter in _WORKER_COUNTERS:
-        for loc in runtime.localities:
-            for worker in loc.pool.workers:
-                paths.append(
-                    f"/threads{{locality#{loc.locality_id}"
-                    f"/worker#{worker.worker_id}}}/{counter}"
-                )
-    paths.append("/parcels{total}/count/sent")
-    paths.append("/parcels{total}/data/sent")
-    paths.append("/parcels{total}/count/delivered")
-    paths.append("/parcels{total}/time/average-latency")
-    paths.append("/parcels{total}/count/retries-in-flight")
-    paths.append("/parcels{total}/queue/dead-letter")
-    for counter in _PARCEL_FAULT_COUNTERS:
-        paths.append(f"/parcels{{total}}/{counter}")
-    if getattr(runtime, "_overload", None) is not None:
-        for counter in _OVERLOAD_COUNTERS:
-            paths.append(f"/overload{{total}}/{counter}")
-        paths.append("/overload{total}/queue/stalled")
-        for counter in _BREAKER_COUNTERS:
-            paths.append(f"/breaker{{total}}/{counter}")
-        paths.append("/phi{total}/suspicion")
-    paths.append("/localities{total}/count/failed")
-    paths.append("/localities{total}/count/decommissioned")
-    for counter in _CHECKPOINT_COUNTERS:
-        paths.append(f"/checkpoints{{total}}/{counter}")
-    if runtime.distributed:
-        for counter in _BACKEND_COUNTERS:
-            paths.append(f"/backend{{total}}/{counter}")
-    paths.append("/runtime/uptime")
+    for counter, (_, of_worker) in _THREADS.items():
+        if of_worker is not None:
+            paths.extend(
+                f"/threads{{locality#{loc.locality_id}/worker#{w.worker_id}}}/{counter}"
+                for loc in runtime.localities
+                for w in loc.pool.workers
+            )
+    for obj, counters in _CATALOGUE.items():
+        if obj in _LISTED_IF and not _LISTED_IF[obj](runtime):
+            continue
+        # ``/runtime/uptime`` is the one path listed without an instance.
+        instance = "" if obj == "runtime" else "{total}"
+        paths.extend(f"/{obj}{instance}/{counter}" for counter in counters)
     return paths

@@ -595,12 +595,6 @@ class Runtime:
         data = serialize(parcel_body)
         return data, None if self._network_port else parcel_body
 
-    def _source_locality(self) -> int:
-        frame = ctx.current_or_none()
-        if frame is not None and frame.locality is not None:
-            return frame.locality.locality_id
-        return 0
-
     def _send_time(self) -> float:
         frame = _context_stack[-1] if _context_stack else None
         if frame is None or frame.pool is None:
@@ -611,7 +605,7 @@ class Runtime:
         return frame.pool.makespan
 
     def _source_and_time(self) -> tuple[int, float]:
-        """``(_source_locality(), _send_time())`` with one context fetch.
+        """``(sending locality id, _send_time())`` with one context fetch.
 
         Every parcel send needs both; resolving them from a single frame
         lookup (and reading the task clock directly instead of through

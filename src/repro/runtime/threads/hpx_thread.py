@@ -147,10 +147,6 @@ class HpxThread:
     def cost(self) -> float:
         return self._cost
 
-    @property
-    def deps_time(self) -> float:
-        return self._deps_time
-
     def current_virtual_time(self) -> float:
         """The task's position on the virtual clock *right now*.
 

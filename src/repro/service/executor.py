@@ -132,11 +132,10 @@ class JobRunner:
         Raises whatever the workload raises -- the service turns that
         into a retry (with backoff) or a terminal ``failed`` with cause.
         """
-        if job.kind == "stencil1d":
-            return self._run_stencil1d(job)
-        if job.kind == "faulty":
-            return self._run_faulty(job)
-        raise ValidationError(f"unknown job kind {job.kind!r}")
+        run_kind = self.KINDS.get(job.kind)
+        if run_kind is None:
+            raise ValidationError(f"unknown job kind {job.kind!r}")
+        return run_kind(self, job)
 
     def _run_faulty(self, job: Job) -> dict[str, Any]:
         """Test workload: fails deterministically for the first N attempts."""
@@ -206,6 +205,10 @@ class JobRunner:
             )
             solver.initialize(field)
             return runtime.run(lambda: solver.run(steps))
+
+    #: Job kind -> the method :meth:`run` drives one attempt with (also
+    #: what ``repro jobs submit --kind`` offers).
+    KINDS = {"stencil1d": _run_stencil1d, "faulty": _run_faulty}
 
     # ------------------------------------------------------------------
 

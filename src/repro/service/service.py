@@ -73,7 +73,6 @@ class ServicePolicy:
     breaker_reset_seconds: float = 30.0
     epoch_steps: int = 10
     keep_epochs: int = 2
-    cleanup_on_terminal: bool = True
     sync_journal: bool = True
 
     def __post_init__(self) -> None:
@@ -363,8 +362,7 @@ class JobService:
         )
         self.leases.release(job_id, worker)
         self.admission.record_outcome(job.tenant, failed=False)
-        if self.policy.cleanup_on_terminal:
-            self.runner.cleanup(job_id)
+        self.runner.cleanup(job_id)
         self._bump(job.tenant, "completed")
         self._emit("job_done", job.tenant, job_id, worker=worker)
         return job
@@ -388,8 +386,7 @@ class JobService:
                 lease_expires_at=None,
             )
             self.admission.record_outcome(job.tenant, failed=True)
-            if self.policy.cleanup_on_terminal:
-                self.runner.cleanup(job.job_id)
+            self.runner.cleanup(job.job_id)
             self._bump(job.tenant, "failed")
             self._emit("job_failed", job.tenant, job.job_id, cause=cause)
             return job

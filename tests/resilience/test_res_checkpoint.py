@@ -201,16 +201,6 @@ def test_store_prunes_to_keep_limit():
     assert len(store) == 2
 
 
-def test_store_spills_to_directory(tmp_path):
-    store = CheckpointStore(keep=2, directory=tmp_path)
-    store.save(3, [Box(7)])
-    files = list(tmp_path.glob("*.ckpt"))
-    assert len(files) == 1
-    box = Box(0)
-    restore_checkpoint(Checkpoint.read(files[0]), box)
-    assert box.value == 7
-
-
 def test_store_counts_and_costs_charge_the_runtime():
     config = Config(checkpoint__cost_base_s=0.5, checkpoint__cost_per_byte_s=0.0)
     with Runtime(n_localities=1, workers_per_locality=1, config=config) as rt:

@@ -179,6 +179,7 @@ def test_malformed_paths_rejected(rt):
         "/parcels{locality#0/total}/count/sent",
         "/nonsense/count",
         "/runtime/downtime",
+        "/runtime{locality#0/total}/uptime",  # job-wide, like every non-thread object
     ):
         with pytest.raises(RuntimeStateError):
             perfcounters.query(rt, bad)
@@ -190,3 +191,89 @@ def test_discover_lists_queryable_paths(rt):
     for path in paths:
         value = perfcounters.query(rt, path)
         assert isinstance(value, float)
+
+
+def test_docstring_table_lists_exactly_the_catalogue():
+    """One vocabulary: the paths the module documents are the rows
+    ``query`` looks up and ``discover`` iterates."""
+    import re
+
+    documented = {
+        (obj, counter)
+        for obj, counter in re.findall(
+            r"^    /([a-z]+)(?:\{total\})?/(\S+) ", perfcounters.__doc__, re.M
+        )
+    }
+    catalogue = {("threads", counter) for counter in perfcounters._THREADS} | {
+        (obj, counter)
+        for obj, counters in perfcounters._CATALOGUE.items()
+        for counter in counters
+    }
+    assert documented == catalogue
+
+
+#: ``discover()`` on a 2x2 virtual runtime, as recorded before the tables.
+_DISCOVERED_2X2 = """
+/threads{total}/count/cumulative
+/threads{locality#0/total}/count/cumulative
+/threads{locality#1/total}/count/cumulative
+/threads{total}/count/stolen
+/threads{locality#0/total}/count/stolen
+/threads{locality#1/total}/count/stolen
+/threads{total}/queue/length
+/threads{locality#0/total}/queue/length
+/threads{locality#1/total}/queue/length
+/threads{total}/queue/length-low
+/threads{locality#0/total}/queue/length-low
+/threads{locality#1/total}/queue/length-low
+/threads{total}/time/average
+/threads{locality#0/total}/time/average
+/threads{locality#1/total}/time/average
+/threads{total}/time/busy
+/threads{locality#0/total}/time/busy
+/threads{locality#1/total}/time/busy
+/threads{total}/idle-rate
+/threads{locality#0/total}/idle-rate
+/threads{locality#1/total}/idle-rate
+/threads{locality#0/worker#0}/count/cumulative
+/threads{locality#0/worker#1}/count/cumulative
+/threads{locality#1/worker#0}/count/cumulative
+/threads{locality#1/worker#1}/count/cumulative
+/threads{locality#0/worker#0}/time/busy
+/threads{locality#0/worker#1}/time/busy
+/threads{locality#1/worker#0}/time/busy
+/threads{locality#1/worker#1}/time/busy
+/threads{locality#0/worker#0}/idle-rate
+/threads{locality#0/worker#1}/idle-rate
+/threads{locality#1/worker#0}/idle-rate
+/threads{locality#1/worker#1}/idle-rate
+/parcels{total}/count/sent
+/parcels{total}/data/sent
+/parcels{total}/count/delivered
+/parcels{total}/time/average-latency
+/parcels{total}/count/retries-in-flight
+/parcels{total}/queue/dead-letter
+/parcels{total}/count/dropped
+/parcels{total}/count/corrupted
+/parcels{total}/count/duplicated
+/parcels{total}/count/delayed
+/parcels{total}/count/retried
+/parcels{total}/count/dead-lettered
+/parcels{total}/count/shed-lettered
+/parcels{total}/count/dead-letter-evicted
+/localities{total}/count/failed
+/localities{total}/count/decommissioned
+/checkpoints{total}/count/saved
+/checkpoints{total}/count/restored
+/checkpoints{total}/count/fallbacks
+/checkpoints{total}/count/corrupt-skipped
+/checkpoints{total}/data/saved
+/checkpoints{total}/time/save
+/checkpoints{total}/time/restore
+/runtime/uptime
+""".split()
+
+
+def test_discover_order_is_pinned():
+    with Runtime(n_localities=2, workers_per_locality=2) as rt:
+        assert perfcounters.discover(rt) == _DISCOVERED_2X2

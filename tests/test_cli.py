@@ -149,3 +149,47 @@ def test_parser_lists_all_exhibits():
     parser = build_parser()
     # Smoke: help text builds without error.
     assert "exhibits" in parser.format_help()
+
+
+def _subparsers(parser, prefix=()):
+    """(argv prefix, parser) of every sub-parser below ``parser``."""
+    import argparse
+
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                yield (*prefix, name), child
+                yield from _subparsers(child, (*prefix, name))
+
+
+def test_every_leaf_parser_binds_a_handler_and_prints_help(capsys):
+    """The handler table *is* the dispatch: a sub-parser without a
+    ``handler`` default would parse and then fail in ``main``."""
+    parsers = dict(_subparsers(build_parser()))
+    assert len(parsers) == 18  # nine commands, ``jobs`` and its eight
+    for argv, parser in parsers.items():
+        if argv != ("jobs",):  # not a leaf: it requires a sub-command
+            assert callable(parser.get_default("handler")), argv
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--help"])
+        assert exc.value.code == 0
+        assert "usage: repro " + " ".join(argv) in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["counters", "--machine", "a64fx", "--sample-interval", "-1"],
+        ["counters", "--machine", "a64fx", "--sample-interval", "0.5",
+         "--paths", "/bogus/x"],
+        # Locality 7 does not exist; locality 0 cannot be decommissioned.
+        ["run", "--nodes", "2", "--steps", "4", "--crash", "7@0.001"],
+        ["run", "--nodes", "2", "--steps", "4", "--crash", "0@0.001"],
+    ],
+    ids=["interval", "path", "crash-beyond-nodes", "crash-locality-0"],
+)
+def test_bad_user_input_is_a_one_line_usage_error(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
