@@ -37,11 +37,10 @@ class ExecutionContext:
     """One frame of the execution-context stack.
 
     A frame is built for every task execution, so this is a slotted
-    plain class rather than a dataclass: no per-frame ``extras`` dict is
-    allocated up front (callers that need scratch space assign one).
+    plain class rather than a dataclass.
     """
 
-    __slots__ = ("runtime", "locality", "pool", "worker_id", "task", "extras")
+    __slots__ = ("runtime", "locality", "pool", "worker_id", "task")
 
     def __init__(
         self,
@@ -50,14 +49,12 @@ class ExecutionContext:
         pool: "ThreadPool | None" = None,
         worker_id: int | None = None,
         task: "HpxThread | None" = None,
-        extras: dict | None = None,
     ) -> None:
         self.runtime = runtime
         self.locality = locality
         self.pool = pool
         self.worker_id = worker_id
         self.task = task
-        self.extras = extras
 
 
 _stack: list[ExecutionContext] = []

@@ -28,56 +28,83 @@ def dataflow(fn: Callable[..., Any], *args: Any, **kwargs: Any) -> Future:
     means immediately or never -- pending futures raise on ``get``).
     """
     deps: list[Future] = [a for a in args if isinstance(a, Future)]
-    deps += [v for v in kwargs.values() if isinstance(v, Future)]
+    if kwargs:
+        deps += [v for v in kwargs.values() if isinstance(v, Future)]
     promise = Promise()
     name = getattr(fn, "__name__", "fn")
     demand(promise._state, f"dataflow({name})")
-
-    def body() -> None:
-        try:
-            unwrapped_args = [
-                a.get_nowait() if isinstance(a, Future) else a for a in args
-            ]
-            unwrapped_kwargs = {
-                k: (v.get_nowait() if isinstance(v, Future) else v)
-                for k, v in kwargs.items()
-            }
-            promise.set_value(fn(*unwrapped_args, **unwrapped_kwargs))
-        except BaseException as exc:  # noqa: BLE001 - forwarded
-            promise.set_exception(exc)
-
-    def launch() -> None:
-        frame = _context_stack[-1] if _context_stack else None
-        if frame is not None and frame.pool is not None:
-            # Detached: ``body`` fulfils ``promise`` itself, so the
-            # thread's own result would have no reader.
-            frame.pool.post(body, description=("dataflow:%s", name))
-        else:
-            body()
-
+    link = _Link(fn, args, kwargs, promise, name, len(deps))
     if instrument.enabled and (probe := instrument.probe) is not None:
         probe.state_linked(
             [d._state for d in deps], promise._state, f"dataflow({name})"
         )
     if not deps:
-        launch()
+        link.launch()
     else:
-        # A bare countdown: ``launch`` fires from inside the last
-        # dependency's fulfilment callbacks, in that frame and at that
-        # virtual time.
-        counter = [len(deps)]
-
-        def one_ready(dep: Future) -> None:
-            # Each input's release clock joins the result, so a reader of
-            # the dataflow future is ordered after *every* producer, not
-            # just the one that happened to complete last.
-            if instrument.enabled and (probe := instrument.probe) is not None:
-                probe.state_read(dep._state)
-                probe.state_contribute(promise._state)
-            counter[0] -= 1
-            if counter[0] == 0:
-                launch()
-
         for dep in deps:
-            dep._on_ready(one_ready)
+            dep._on_ready(link)
     return promise.get_future()
+
+
+class _Link:
+    """One ``dataflow`` link: the countdown every dependency calls back,
+    the launch, and the task body -- one object instead of a closure
+    each, since the stencil time loop builds one link per partition
+    step."""
+
+    __slots__ = ("fn", "args", "kwargs", "promise", "name", "pending")
+
+    def __init__(
+        self,
+        fn: Callable[..., Any],
+        args: tuple[Any, ...],
+        kwargs: dict[str, Any],
+        promise: Promise,
+        name: str,
+        pending: int,
+    ) -> None:
+        self.fn = fn
+        self.args = args
+        self.kwargs = kwargs
+        self.promise = promise
+        self.name = name
+        self.pending = pending
+
+    def __call__(self, dep: Future) -> None:
+        """One dependency became ready.
+
+        The last one launches the body from inside its fulfilment
+        callbacks, in that frame and at that virtual time.  Each input's
+        release clock joins the result, so a reader of the dataflow
+        future is ordered after *every* producer, not just the one that
+        happened to complete last.
+        """
+        if instrument.enabled and (probe := instrument.probe) is not None:
+            probe.state_read(dep._state)
+            probe.state_contribute(self.promise._state)
+        self.pending -= 1
+        if self.pending == 0:
+            self.launch()
+
+    def launch(self) -> None:
+        frame = _context_stack[-1] if _context_stack else None
+        if frame is not None and frame.pool is not None:
+            # Detached: ``body`` fulfils the promise itself, so the
+            # thread's own result would have no reader.
+            frame.pool.post(self.body, description=("dataflow:%s", self.name))
+        else:
+            self.body()
+
+    def body(self) -> None:
+        promise = self.promise
+        try:
+            args = [a.get_nowait() if isinstance(a, Future) else a for a in self.args]
+            kwargs = self.kwargs
+            if kwargs:
+                kwargs = {
+                    k: (v.get_nowait() if isinstance(v, Future) else v)
+                    for k, v in kwargs.items()
+                }
+            promise.set_value(self.fn(*args, **kwargs))
+        except BaseException as exc:  # noqa: BLE001 - forwarded
+            promise.set_exception(exc)

@@ -25,7 +25,6 @@ from ..errors import (
     ConfigError,
     DeadlockError,
     ParcelDeadLetterError,
-    ParcelError,
     QuiescenceWarning,
     RuntimeStateError,
 )
@@ -513,7 +512,7 @@ class Runtime:
     def invoke_async(self, gid: Gid, method: str, *args: Any, **kwargs: Any) -> Future:
         """Invoke a component action where the component lives (parcel)."""
         entry = self.agas.entry(gid)  # the one lookup; validates the target
-        payload, by_ref = self._encode((("__component__", method, gid), args, kwargs))
+        payload, by_ref = self._encode((method, args, kwargs))
         source, send_time = self._source_and_time()
         parcel = Parcel(source, payload, gid, None, send_time)
         parcel.target_entry = entry
@@ -531,7 +530,7 @@ class Runtime:
         which matters on platforms that cannot hide network time.
         """
         entry = self.agas.entry(gid)  # the one lookup; validates the target
-        payload, by_ref = self._encode((("__component__", method, gid), args, kwargs))
+        payload, by_ref = self._encode((method, args, kwargs))
         source, send_time = self._source_and_time()
         parcel = Parcel(source, payload, gid, None, send_time)
         parcel.target_entry = entry
@@ -558,7 +557,7 @@ class Runtime:
         action keyword arguments cannot collide with ``priority``.
         """
         self.locality(locality_id)  # validate
-        payload, by_ref = self._encode((("__plain__", fn, None), args, kwargs or {}))
+        payload, by_ref = self._encode((fn, args, kwargs or {}))
         source, send_time = self._source_and_time()
         parcel = Parcel(source, payload, None, locality_id, send_time)
         parcel.by_ref_body = by_ref
@@ -576,7 +575,7 @@ class Runtime:
         registered action name.
         """
         self.locality(locality_id)  # validate
-        payload, by_ref = self._encode((("__plain__", fn, None), args, kwargs))
+        payload, by_ref = self._encode((fn, args, kwargs))
         source, send_time = self._source_and_time()
         parcel = Parcel(source, payload, None, locality_id, send_time)
         parcel.by_ref_body = by_ref
@@ -584,7 +583,11 @@ class Runtime:
 
     # Parcel plumbing ---------------------------------------------------------------
     def _encode(self, parcel_body: tuple) -> tuple[bytes, tuple | None]:
-        """Serialize a parcel body.
+        """Serialize a parcel body ``(action, args, kwargs)``.
+
+        The target is not part of the body: it rides on the parcel
+        (``target_gid`` or ``target_locality``), which also tells the
+        handler which kind of action ``action`` names.
 
         Returns ``(wire_bytes, by_reference_body)``.  The body is always
         encoded -- picklability is validated and the cost model sees the
@@ -710,11 +713,15 @@ class Runtime:
         )
 
     def _handle_parcel(self, parcel: Parcel, destination: int, body: tuple) -> None:
-        """Run a delivered parcel's action (the handler HPX-thread's body)."""
-        head, args, kwargs = body
-        kind = head[0]
+        """Run a delivered parcel's action (the handler HPX-thread's body).
+
+        ``body`` is ``(action, args, kwargs)``: a method name when the
+        parcel targets a component (``target_gid`` set), else a plain
+        callable or registered action name.
+        """
+        action, args, kwargs = body
         try:
-            if kind == "__component__":
+            if parcel.target_gid is not None:
                 entry = parcel.target_entry
                 if not entry.alive:  # destroyed (or re-registered) in flight
                     entry = self._resolve_target(parcel)
@@ -727,18 +734,15 @@ class Runtime:
                     return
                 entry.pinned += 1  # AgasService.pin/unpin, on the handle
                 try:
-                    result = entry.obj.act(head[1], *args, **kwargs)
+                    result = entry.obj.act(action, *args, **kwargs)
                 finally:
                     entry.pinned -= 1
-            elif kind == "__plain__":
+            else:
                 if self.fault_injector is not None and self._duplicate_delivery(parcel):
                     return
-                fn = head[1]
-                if isinstance(fn, str):
-                    fn = get_action(fn)
-                result = fn(*args, **kwargs)
-            else:  # pragma: no cover - defensive
-                raise ParcelError(f"unknown parcel kind {kind!r}")
+                if isinstance(action, str):
+                    action = get_action(action)
+                result = action(*args, **kwargs)
         except BaseException as exc:  # noqa: BLE001 - forwarded
             if parcel.fire_and_forget:
                 raise  # surface in the destination pool's failure list

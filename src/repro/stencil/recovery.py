@@ -39,7 +39,7 @@ quiesced baseline.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from ..errors import BrokenPromiseError, DeadlockError, ParcelDeadLetterError
 from ..resilience.checkpoint import CheckpointStore
@@ -94,8 +94,26 @@ def _recover_from_crash(
     # Roll every partition back to one coordinated epoch (restore_state
     # also resets its live chain), then forgive the continuation chains
     # the rollback abandoned so the quiescence check stays meaningful.
-    store.restore_latest_valid(parts)
+    _on_the_clock(runtime, store.restore_latest_valid, parts)
     runtime.forgive_lost_continuations()
+
+
+def _on_the_clock(runtime: Runtime, fn: Callable[..., object], *args: object) -> None:
+    """Run a checkpoint save or restore as an HPX-thread on locality 0.
+
+    The driver runs outside any HPX-thread, where ``add_cost`` has no task
+    to charge: called from there, the ``checkpoint.cost_*`` charge would
+    reach the ``/checkpoints`` counters but never the virtual clock.  As
+    a task it starts when the last locality has drained (the coordinated
+    epoch's barrier; the driver's own clock, locality 0's, can lag it),
+    occupies a locality-0 worker for its cost, and the next epoch's
+    parcels leave after it.
+    """
+    future = runtime.localities[0].pool.submit(
+        fn, *args, ready_time=runtime.makespan, description="checkpoint"
+    )
+    runtime.progress_until(future.is_ready)
+    future.get()
 
 
 def _advance_to(
@@ -176,8 +194,8 @@ def run_with_recovery(
     store: CheckpointStore | None = None
     if checkpoint_every > 0 or (injector is not None and injector.has_permanent_failures):
         store = CheckpointStore(runtime=runtime)
-        store.save(start, parts)
+        _on_the_clock(runtime, store.save, start, parts)
     for boundary in _epoch_boundaries(start, target, checkpoint_every):
         _advance_to(driver, boundary, store, max_recovery_rounds)
         if store is not None and checkpoint_every > 0 and boundary < target:
-            store.save(boundary, parts)
+            _on_the_clock(runtime, store.save, boundary, parts)

@@ -8,8 +8,9 @@ length ``K`` on the distributed heat solver:
 * **crash-free**: the full overhead of taking epochs nobody needs --
   makespan grows as ``K`` shrinks (more saves);
 * **crashed**: a permanent mid-run locality crash forces a restore --
-  short epochs lose less recomputation, long epochs re-run more steps,
-  so the save-overhead ordering inverts on the recovery side.
+  recovery re-runs the steps since the last epoch on top of the saves
+  (short epochs lose less recomputation, but at this save cost the
+  saves dominate).
 
 Correctness is constant throughout: every run -- crashed or not, any
 ``K`` -- stays bit-identical to the fault-free reference.  The sweep
@@ -39,7 +40,9 @@ _COUNTER_PATHS = (
 )
 
 
-def _run(every: int, crash: bool) -> tuple[float, np.ndarray, dict[str, float]]:
+def _run(
+    every: int, crash: bool, config: Config = COST
+) -> tuple[float, np.ndarray, dict[str, float]]:
     injector = None
     if crash:
         injector = FaultInjector(seed=SEED)
@@ -49,7 +52,7 @@ def _run(every: int, crash: bool) -> tuple[float, np.ndarray, dict[str, float]]:
         n_localities=4,
         workers_per_locality=2,
         fault_injector=injector,
-        config=COST,
+        config=config,
     ) as rt:
         solver = DistributedHeat1D(rt, NX, Heat1DParams(), cost_per_step=1e-3)
         solver.initialize(U0)
@@ -99,3 +102,14 @@ def test_crash_free_epochs_charge_the_clock():
     assert many["/checkpoints{total}/time/save"] > few[
         "/checkpoints{total}/time/save"
     ]
+
+
+def test_save_cost_reaches_the_makespan():
+    """The driver takes its epochs outside any HPX-thread; the save cost
+    must still land on the virtual clock, not only in the counter."""
+    free = Config(checkpoint__cost_base_s=0.0, checkpoint__cost_per_byte_s=0.0)
+    for every in INTERVALS:
+        paid, _, counters = _run(every, crash=False)
+        unpaid, _, _ = _run(every, crash=False, config=free)
+        assert counters["/checkpoints{total}/time/save"] > 0
+        assert paid > unpaid

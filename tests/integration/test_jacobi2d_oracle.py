@@ -29,7 +29,7 @@ SCHEDULES = {
     "fifo": (71, 9.216000000000001e-06),
     "static": (73, 1.0240000000000002e-05),
 }
-PARCELS_SENT, PARCEL_BYTES = 46, 36_176
+PARCELS_SENT, PARCEL_BYTES = 46, 32_312
 
 
 @pytest.mark.parametrize("scheduler", sorted(SCHEDULES))

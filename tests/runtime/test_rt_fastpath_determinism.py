@@ -146,7 +146,7 @@ def test_retransmit_charges_encoded_size_every_attempt():
     port = LoopbackParcelport()
     delivered = []
     port.install_router(lambda parcel, arrival: delivered.append(parcel))
-    body = (("__plain__", _echo_len, None), (list(range(50)), 3), {})
+    body = (_echo_len, (list(range(50)), 3), {})
     data = serialize(body)
     parcel = Parcel(source_locality=0, payload=data, target_locality=1)
     assert parcel.size_bytes == len(data) + 64

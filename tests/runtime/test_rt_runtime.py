@@ -195,8 +195,8 @@ def test_kunpeng_charges_sender_for_transfers():
 #: cannot hide a transfer, so every send bills the *sending task*
 #: (Sec. VII-A); A64FX overlaps it.
 UNHIDDEN_NETWORK_MAKESPANS = {
-    "kunpeng916": (0.7980255130000002, 1.533078589000001),
-    "a64fx": (3.892156862745099e-05, 8.938839869281035e-05),
+    "kunpeng916": (0.7980233219999997, 1.533072541000001),
+    "a64fx": (3.874313725490196e-05, 8.922369281045741e-05),
 }
 
 
