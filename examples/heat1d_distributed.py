@@ -11,8 +11,6 @@ analytic cost model's Fig 3 numbers.
 Run:  python examples/heat1d_distributed.py
 """
 
-import numpy as np
-
 from repro.hardware import machine
 from repro.perf.cost import (
     STRONG_SCALING_POINTS,

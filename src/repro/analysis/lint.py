@@ -6,11 +6,15 @@ model violations: wall-clock reads break determinism, OS threading
 primitives bypass the scheduler, and a blocking ``.get()`` inside an
 action handler can re-enter the scheduler and deadlock a locality.
 These constraints are invisible to generic linters, so this module
-walks the AST and enforces them with repro-specific error codes:
+walks the AST and enforces them with repro-specific error codes.  A
+rule stays only while it guards a hazard that no dynamic tool (the
+race detector, the deadlock detector, the schedule explorer or a
+runtime raise) reports, or has caught a real defect:
 
 ======  ================================================================
 code    rule
 ======  ================================================================
+PX000   the file does not parse
 PX101   no wall-clock time (``time.time``/``sleep``/``datetime.now``
         and friends) inside the ``repro`` package -- virtual time only
 PX102   no unseeded randomness (module-level ``random.*`` functions or
@@ -19,32 +23,14 @@ PX201   no OS ``threading``/``multiprocessing``/``concurrent.futures``
         primitives outside the scheduler -- HPX-threads only
 PX301   no blocking ``.get()`` inside a component action handler --
         suspension re-enters the scheduler on the locality's own pool
-PX302   the interprocedural form of PX301: the handler reaches a
-        blocking ``.get()`` through helper calls (``self._helper()`` or
-        a module-level function) -- the call chain is reported
-PX401   no LCO/promise ``set`` after retirement (``break_promise`` /
-        ``close`` earlier in the same function)
 PX501   no mutable default arguments (``[]``/``{}``/``set()``/...)
-PX601   no unused imports
-PX701   no unbounded container growth in component action handlers --
-        an ``append``/``extend`` on a ``self.*`` container in a public
-        (parcel-invokable) method with no shrink/bound evidence anywhere
-        in the class is the overload failure mode admission control
-        exists to prevent
-PX702   no raw ``*.parcelport.send(...)`` calls outside the runtime's
-        own parcel plumbing -- direct port sends bypass overload
-        admission and credit accounting; route through the runtime
-        invoke/apply APIs
+PX601   no unused imports (the stand-in for ruff's F401; honours
+        ``# noqa`` and ``# noqa: F401`` on the import line)
 PX801   no iterating unordered collections of shared identity in an
         action handler -- a ``for`` over a ``self.*`` set, or over a
         dict that other handlers populate, dispatches in arrival/hash
         order, which the schedule explorer will happily permute;
         iterate ``sorted(...)`` instead
-PX811   no mutating captured outer-scope state from a spawned closure
-        (``pool.submit(fn)`` / ``future.then(fn)`` / ``dataflow``):
-        ``nonlocal`` rebinding or mutating a captured container/object
-        is unsynchronized sharing between HPX-threads -- return the
-        value, or communicate through a future/Channel/LCO
 PX901   no bare ``except:`` and no swallowed broad exceptions in
         service and handler code paths (``repro/service/`` files and
         component action handlers): a bare ``except`` also traps
@@ -58,11 +44,7 @@ Any finding can be suppressed with a trailing
 ``# repro-lint: disable=PX101`` comment (comma-separated codes, or
 ``all``) on the offending line, or for a whole file with a
 ``# repro-lint: disable-file=...`` comment anywhere in the file.
-``--json`` emits machine-readable findings for CI tooling;
-``--select``/``--ignore`` filter by code prefix (ruff-style, e.g.
-``--select PX1,PX601 --ignore PX301``); ``--fix`` rewrites the
-auto-fixable findings in place (currently PX601: unused imports are
-removed, keeping the aliases that are used).
+``--json`` emits machine-readable findings for CI tooling.
 """
 
 from __future__ import annotations
@@ -77,18 +59,12 @@ import tokenize
 from dataclasses import asdict, dataclass
 from typing import Dict, Iterable, Iterator, List, Sequence, Set
 
-__all__ = [
-    "Finding",
-    "filter_findings",
-    "fix_file",
-    "fix_source",
-    "lint_file",
-    "lint_paths",
-    "main",
-]
+__all__ = ["Finding", "lint_file", "lint_paths", "lint_source", "main"]
 
 _DISABLE_LINE = re.compile(r"#\s*repro-lint:\s*disable=([A-Za-z0-9,\s]+)")
 _DISABLE_FILE = re.compile(r"#\s*repro-lint:\s*disable-file=([A-Za-z0-9,\s]+)")
+#: ruff's suppression comment: bare ``# noqa`` or ``# noqa: F401, ...``.
+_NOQA = re.compile(r"#\s*noqa(?::\s*([A-Z]+[0-9]+(?:[,\s]+[A-Z]+[0-9]+)*))?")
 
 _WALL_CLOCK_TIME = {
     "time", "time_ns", "monotonic", "monotonic_ns", "perf_counter",
@@ -97,27 +73,6 @@ _WALL_CLOCK_TIME = {
 _WALL_CLOCK_DATETIME = {"now", "utcnow", "today"}
 _OS_THREADING_MODULES = {"threading", "multiprocessing", "_thread"}
 _MUTABLE_DEFAULT_CALLS = {"list", "dict", "set", "bytearray", "defaultdict", "deque"}
-_RETIRING_METHODS = {"break_promise", "close"}
-_SETTING_METHODS = {"set_value", "set_exception", "set"}
-_GROWTH_METHODS = {"append", "extend", "appendleft", "extendleft"}
-_SHRINK_METHODS = {"pop", "popleft", "popitem", "remove", "clear", "discard"}
-#: Calls that hand a closure to another HPX-thread (PX811).
-_SPAWN_METHODS = {"submit", "then", "dataflow"}
-#: Container/object mutations that are unsynchronized when applied to
-#: captured state from a spawned closure (PX811).  LCO operations
-#: (``set``/``set_value``/``put``/...) are the *legal* way to publish
-#: from a closure and are deliberately absent.
-_MUTATING_METHODS = _GROWTH_METHODS | _SHRINK_METHODS | {
-    "add", "update", "insert", "setdefault",
-}
-#: Files whose job is implementing the synchronization layer itself:
-#: the closure-capture rule (PX811) does not apply to the futures/LCO
-#: internals, where continuation callbacks legitimately update shared
-#: completion state under the model's own rules.
-_PX811_EXEMPT_PARTS = ("runtime/futures.py", "runtime/lco/")
-#: Files allowed to call ``*.parcelport.send`` directly (PX702): the
-#: runtime's own parcel plumbing, where admission control lives.
-_PX702_EXEMPT_SUFFIXES = ("runtime/runtime.py", "parcel/parcelport.py")
 #: Paths whose every function is a "service code path" for PX901: the
 #: job service's durability audits only work when failures surface.
 _PX901_SERVICE_PARTS = ("repro/service/",)
@@ -161,6 +116,9 @@ def _collect_disables(source: str) -> tuple[Dict[int, Set[str]], Set[str]]:
             if line_match:
                 codes = _parse_codes(line_match.group(1))
                 per_line.setdefault(tok.start[0], set()).update(codes)
+            noqa = _NOQA.search(tok.string)
+            if noqa and "F401" in re.split(r"[,\s]+", noqa.group(1) or "F401"):
+                per_line.setdefault(tok.start[0], set()).add("PX601")
     except tokenize.TokenError:  # pragma: no cover - half-written files
         pass
     return per_line, per_file
@@ -189,8 +147,6 @@ class _Checker(ast.NodeVisitor):
         self.path = path
         self.model_rules = apply_model_rules
         normalized = os.path.abspath(path).replace(os.sep, "/")
-        self._px702_exempt = normalized.endswith(_PX702_EXEMPT_SUFFIXES)
-        self._px811_exempt = any(p in normalized for p in _PX811_EXEMPT_PARTS)
         self._px901_file = any(p in normalized for p in _PX901_SERVICE_PARTS)
         #: Nesting stack: True while inside a public component action
         #: handler (the "handler code path" half of PX901's scope).
@@ -200,16 +156,6 @@ class _Checker(ast.NodeVisitor):
         self._imported: Dict[str, tuple[int, int, str]] = {}
         self._used_names: Set[str] = set()
         self._has_all_export = False
-        #: Module-level function bodies, for the PX302 call-graph walk.
-        self._module_funcs: Dict[str, ast.FunctionDef | ast.AsyncFunctionDef] = {}
-
-    def prepare(self, tree: ast.Module) -> None:
-        """Pre-pass before ``visit``: index module-level functions so
-        handler call chains can be followed regardless of definition
-        order."""
-        for stmt in tree.body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                self._module_funcs[stmt.name] = stmt
 
     def report(self, node: ast.AST, code: str, message: str) -> None:
         self.findings.append(
@@ -298,24 +244,9 @@ class _Checker(ast.NodeVisitor):
                         "random.Random() without a seed is nondeterministic; "
                         "pass an explicit seed",
                     )
-        # PX702: raw parcelport sends bypass admission/credit accounting.
-        if (
-            self.model_rules
-            and not self._px702_exempt
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in ("send", "retransmit")
-            and isinstance(node.func.value, ast.Attribute)
-            and node.func.value.attr == "parcelport"
-        ):
-            self.report(
-                node, "PX702",
-                f"raw '...parcelport.{node.func.attr}()' bypasses overload "
-                f"admission and credit accounting; route through the "
-                f"runtime's invoke/apply APIs",
-            )
         self.generic_visit(node)
 
-    # Component action handlers (PX301, PX401) ------------------------------
+    # Component action handlers (PX301, PX801) ------------------------------
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
         def base_name(b: ast.expr) -> str:
             if isinstance(b, ast.Name):
@@ -330,9 +261,7 @@ class _Checker(ast.NodeVisitor):
         )
         self._class_stack.append(is_component)
         if self.model_rules and is_component:
-            self._check_unbounded_growth(node)
             self._check_unordered_iteration(node)
-            self._check_transitive_blocking(node)
         self.generic_visit(node)
         self._class_stack.pop()
 
@@ -346,82 +275,6 @@ class _Checker(ast.NodeVisitor):
         ):
             return expr.attr
         return None
-
-    def _check_unbounded_growth(self, node: ast.ClassDef) -> None:
-        """PX701: growth-only ``self.*`` containers in action handlers.
-
-        Public methods of a Component are parcel handlers: remotely
-        invokable, possibly millions of times.  An ``append``/``extend``
-        on a ``self.*`` container there is unbounded state growth unless
-        the class shows *bound evidence* for that attribute anywhere --
-        a shrink call (``pop``/``clear``/...), ``del`` on a subscript, a
-        rebinding slice (``self.x = self.x[...]``), a
-        ``deque(maxlen=...)``, or a ``len(self.x)`` comparison guarding
-        the growth.
-        """
-        bounded: Set[str] = set()
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute):
-                attr = self._self_attr(sub.func.value)
-                if attr is not None and sub.func.attr in _SHRINK_METHODS:
-                    bounded.add(attr)
-                continue
-            if isinstance(sub, ast.Delete):
-                for target in sub.targets:
-                    if isinstance(target, ast.Subscript):
-                        attr = self._self_attr(target.value)
-                        if attr is not None:
-                            bounded.add(attr)
-                continue
-            if isinstance(sub, ast.Assign):
-                value = sub.value
-                for target in sub.targets:
-                    attr = self._self_attr(target)
-                    if attr is None:
-                        continue
-                    if (
-                        isinstance(value, ast.Call)
-                        and _call_name(value).split(".")[-1] == "deque"
-                        and any(kw.arg == "maxlen" for kw in value.keywords)
-                    ):
-                        bounded.add(attr)
-                    elif isinstance(value, ast.Subscript) and (
-                        self._self_attr(value.value) == attr
-                    ):
-                        bounded.add(attr)  # self.x = self.x[-n:] trims
-                continue
-            if isinstance(sub, ast.Compare):
-                for operand in [sub.left, *sub.comparators]:
-                    if (
-                        isinstance(operand, ast.Call)
-                        and isinstance(operand.func, ast.Name)
-                        and operand.func.id == "len"
-                        and operand.args
-                    ):
-                        attr = self._self_attr(operand.args[0])
-                        if attr is not None:
-                            bounded.add(attr)
-        for stmt in node.body:
-            if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if stmt.name.startswith("_"):
-                continue  # not remotely invokable (component.act refuses)
-            for sub in ast.walk(stmt):
-                if (
-                    isinstance(sub, ast.Call)
-                    and isinstance(sub.func, ast.Attribute)
-                    and sub.func.attr in _GROWTH_METHODS
-                ):
-                    attr = self._self_attr(sub.func.value)
-                    if attr is not None and attr not in bounded:
-                        self.report(
-                            sub, "PX701",
-                            f"'self.{attr}.{sub.func.attr}()' in action "
-                            f"handler '{stmt.name}' grows without any bound "
-                            f"or shrink in class '{node.name}'; cap it "
-                            f"(deque(maxlen=...), eviction, or a len() "
-                            f"guard) or shed under pressure",
-                        )
 
     def _check_unordered_iteration(self, node: ast.ClassDef) -> None:
         """PX801: handlers iterating unordered shared collections.
@@ -512,217 +365,7 @@ class _Checker(ast.NodeVisitor):
                         f"sorted(self.{attr}) for deterministic dispatch",
                     )
 
-    @staticmethod
-    def _blocking_gets(
-        fn: ast.FunctionDef | ast.AsyncFunctionDef,
-    ) -> List[ast.Call]:
-        """Direct no-argument ``.get()`` calls in ``fn``'s own body."""
-        return [
-            call
-            for call in ast.walk(fn)
-            if isinstance(call, ast.Call)
-            and isinstance(call.func, ast.Attribute)
-            and call.func.attr == "get"
-            and not call.args
-            and not call.keywords
-        ]
-
-    def _check_transitive_blocking(self, node: ast.ClassDef) -> None:
-        """PX302: a handler reaches a blocking ``.get()`` via helpers.
-
-        Follows ``self._helper()`` calls and module-level function
-        calls (an intra-module call graph) from each public method.
-        The direct case stays PX301; this reports only chains of
-        length >= 1, with the path.
-        """
-        methods: Dict[str, ast.FunctionDef | ast.AsyncFunctionDef] = {
-            stmt.name: stmt
-            for stmt in node.body
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-        }
-
-        def callees(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> List[str]:
-            names: List[str] = []
-            for call in ast.walk(fn):
-                if not isinstance(call, ast.Call):
-                    continue
-                if isinstance(call.func, ast.Attribute):
-                    receiver = call.func.value
-                    if (
-                        isinstance(receiver, ast.Name)
-                        and receiver.id == "self"
-                        and call.func.attr in methods
-                    ):
-                        names.append(call.func.attr)
-                elif (
-                    isinstance(call.func, ast.Name)
-                    and call.func.id in self._module_funcs
-                ):
-                    names.append(call.func.id)
-            return names
-
-        def resolve(name: str) -> ast.FunctionDef | ast.AsyncFunctionDef:
-            return methods.get(name) or self._module_funcs[name]
-
-        for name, fn in methods.items():
-            if name.startswith("_"):
-                continue
-            # BFS from the handler; remember how each callee was reached.
-            came_from: Dict[str, str] = {}
-            queue = list(dict.fromkeys(callees(fn)))
-            for callee in queue:
-                came_from.setdefault(callee, name)
-            while queue:
-                current = queue.pop(0)
-                target = resolve(current)
-                blocking = self._blocking_gets(target)
-                if blocking:
-                    chain = [current]
-                    while chain[-1] in came_from and came_from[chain[-1]] != name:
-                        chain.append(came_from[chain[-1]])
-                    path = " -> ".join(f"'{c}'" for c in reversed(chain))
-                    self.report(
-                        fn, "PX302",
-                        f"action handler '{name}' reaches a blocking "
-                        f".get() through {path} (line "
-                        f"{blocking[0].lineno}); the suspension re-enters "
-                        f"the scheduler on the locality's pool -- chain "
-                        f"with .then()/dataflow instead",
-                    )
-                    break
-                for nxt in callees(target):
-                    if nxt not in came_from and nxt != name:
-                        came_from[nxt] = current
-                        queue.append(nxt)
-
-    def _check_spawned_closures(
-        self, node: ast.FunctionDef | ast.AsyncFunctionDef
-    ) -> None:
-        """PX811: spawned closures mutating captured outer-scope state."""
-        nested: Dict[str, ast.FunctionDef | ast.AsyncFunctionDef] = {}
-        for sub in ast.walk(node):
-            if sub is not node and isinstance(
-                sub, (ast.FunctionDef, ast.AsyncFunctionDef)
-            ):
-                nested[sub.name] = sub
-
-        # Spawn calls inside nested defs are analysed when the visitor
-        # reaches that def; skip them here so findings are not doubled.
-        inner_nodes: Set[int] = set()
-        for inner in nested.values():
-            for sub in ast.walk(inner):
-                if sub is not inner:
-                    inner_nodes.add(id(sub))
-
-        spawned: List[tuple[ast.AST, str]] = []
-        for call in ast.walk(node):
-            if not isinstance(call, ast.Call) or id(call) in inner_nodes:
-                continue
-            name = _call_name(call)
-            tail = name.split(".")[-1]
-            if tail not in _SPAWN_METHODS:
-                continue
-            for arg in call.args:
-                if isinstance(arg, ast.Lambda):
-                    spawned.append((arg, tail))
-                elif isinstance(arg, ast.Name) and arg.id in nested:
-                    spawned.append((nested[arg.id], tail))
-
-        reported: Set[int] = set()
-        for fn, spawn in spawned:
-            if id(fn) in reported:
-                continue
-            reported.add(id(fn))
-            self._check_one_closure(fn, spawn)
-
-    def _check_one_closure(self, fn: ast.AST, spawn: str) -> None:
-        label = getattr(fn, "name", "<lambda>")
-        args = fn.args  # type: ignore[attr-defined]
-        local: Set[str] = {
-            a.arg
-            for a in [*args.posonlyargs, *args.args, *args.kwonlyargs]
-        }
-        if args.vararg:
-            local.add(args.vararg.arg)
-        if args.kwarg:
-            local.add(args.kwarg.arg)
-        nonlocals: Set[str] = set()
-        for sub in ast.walk(fn):
-            if isinstance(sub, ast.Nonlocal):
-                nonlocals.update(sub.names)
-            elif isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if sub is not fn:
-                    local.add(sub.name)
-            elif isinstance(sub, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
-                targets = (
-                    sub.targets if isinstance(sub, ast.Assign) else [sub.target]
-                )
-                for target in targets:
-                    for leaf in ast.walk(target):
-                        # Store context only: ``x.attr = v`` / ``x[k] = v``
-                        # mutate a *captured* x, they do not bind it.
-                        if isinstance(leaf, ast.Name) and isinstance(
-                            leaf.ctx, ast.Store
-                        ):
-                            local.add(leaf.id)
-            elif isinstance(sub, (ast.For, ast.AsyncFor)):
-                for leaf in ast.walk(sub.target):
-                    if isinstance(leaf, ast.Name):
-                        local.add(leaf.id)
-            elif isinstance(sub, ast.comprehension):
-                for leaf in ast.walk(sub.target):
-                    if isinstance(leaf, ast.Name):
-                        local.add(leaf.id)
-        local -= nonlocals
-
-        def captured(name: str) -> bool:
-            return name not in local and name != "self"
-
-        for sub in ast.walk(fn):
-            if isinstance(sub, (ast.Assign, ast.AugAssign)):
-                targets = (
-                    sub.targets if isinstance(sub, ast.Assign) else [sub.target]
-                )
-                for target in targets:
-                    if isinstance(target, ast.Name) and target.id in nonlocals:
-                        self.report(
-                            sub, "PX811",
-                            f"closure '{label}' passed to {spawn}() rebinds "
-                            f"nonlocal '{target.id}': unsynchronized "
-                            f"cross-thread mutation; return the value or "
-                            f"publish through a future/Channel",
-                        )
-                    elif isinstance(target, (ast.Subscript, ast.Attribute)):
-                        root = target.value
-                        if isinstance(root, ast.Name) and captured(root.id):
-                            self.report(
-                                sub, "PX811",
-                                f"closure '{label}' passed to {spawn}() "
-                                f"mutates captured '{root.id}' without an "
-                                f"LCO: unsynchronized cross-thread "
-                                f"mutation; publish through a "
-                                f"future/Channel instead",
-                            )
-            elif (
-                isinstance(sub, ast.Call)
-                and isinstance(sub.func, ast.Attribute)
-                and sub.func.attr in _MUTATING_METHODS
-                and isinstance(sub.func.value, ast.Name)
-                and captured(sub.func.value.id)
-            ):
-                receiver = sub.func.value.id
-                self.report(
-                    sub, "PX811",
-                    f"closure '{label}' passed to {spawn}() calls "
-                    f"'{receiver}.{sub.func.attr}()' on captured "
-                    f"'{receiver}' without an LCO: unsynchronized "
-                    f"cross-thread mutation; publish through a "
-                    f"future/Channel instead",
-                )
-
     def _check_function(self, node: ast.FunctionDef | ast.AsyncFunctionDef) -> None:
-        if self.model_rules and not self._px811_exempt:
-            self._check_spawned_closures(node)
         # PX501: mutable defaults.
         for default in list(node.args.defaults) + [
             d for d in node.args.kw_defaults if d is not None
@@ -738,36 +381,6 @@ class _Checker(ast.NodeVisitor):
                     f"across calls; default to None and construct inside",
                 )
 
-        calls = sorted(
-            (n for n in ast.walk(node) if isinstance(n, ast.Call)),
-            key=lambda n: (n.lineno, n.col_offset),
-        )
-
-        # PX401: set after retirement on the same receiver name.
-        retired: Set[str] = set()
-        for call in calls:
-            func = call.func
-            if not isinstance(func, ast.Attribute):
-                continue
-            receiver = ""
-            if isinstance(func.value, ast.Name):
-                receiver = func.value.id
-            elif isinstance(func.value, ast.Attribute) and isinstance(
-                func.value.value, ast.Name
-            ):
-                receiver = f"{func.value.value.id}.{func.value.attr}"
-            if not receiver:
-                continue
-            if func.attr in _RETIRING_METHODS:
-                retired.add(receiver)
-            elif func.attr in _SETTING_METHODS and receiver in retired:
-                self.report(
-                    call, "PX401",
-                    f"'{receiver}.{func.attr}()' after '{receiver}' was "
-                    f"retired earlier in '{node.name}()'; a retired "
-                    f"LCO/promise must not be set again",
-                )
-
         # PX301: blocking future.get() inside a component action handler.
         if (
             self.model_rules
@@ -775,7 +388,9 @@ class _Checker(ast.NodeVisitor):
             and self._class_stack[-1]
             and not node.name.startswith("_")
         ):
-            for call in calls:
+            for call in ast.walk(node):
+                if not isinstance(call, ast.Call):
+                    continue
                 func = call.func
                 if (
                     isinstance(func, ast.Attribute)
@@ -913,7 +528,6 @@ def lint_source(source: str, path: str) -> List[Finding]:
             )
         ]
     checker = _Checker(path, apply_model_rules=_in_repro_package(path))
-    checker.prepare(tree)
     checker.visit(tree)
     checker.finish(tree)
     per_line, per_file = _collect_disables(source)
@@ -931,103 +545,6 @@ def lint_source(source: str, path: str) -> List[Finding]:
 def lint_file(path: str) -> List[Finding]:
     with open(path, "r", encoding="utf-8") as fh:
         return lint_source(fh.read(), path)
-
-
-def filter_findings(
-    findings: Iterable[Finding],
-    select: Sequence[str] = (),
-    ignore: Sequence[str] = (),
-) -> List[Finding]:
-    """Ruff-style code-prefix filtering.
-
-    A finding survives when its code starts with one of the ``select``
-    prefixes (all codes when ``select`` is empty) and with none of the
-    ``ignore`` prefixes.  Prefixes are case-insensitive: ``PX1``
-    matches ``PX101`` and ``PX102``.
-    """
-    keep = tuple(p.strip().upper() for p in select if p.strip())
-    drop = tuple(p.strip().upper() for p in ignore if p.strip())
-    kept: List[Finding] = []
-    for finding in findings:
-        code = finding.code.upper()
-        if keep and not code.startswith(keep):
-            continue
-        if drop and code.startswith(drop):
-            continue
-        kept.append(finding)
-    return kept
-
-
-def fix_source(source: str, path: str) -> tuple[str, int]:
-    """Apply the auto-fixable findings (PX601) to ``source``.
-
-    Unused imports are removed alias-by-alias: a statement binding a
-    mix of used and unused names keeps the used ones; a statement whose
-    every binding is unused is deleted.  Statements on lines carrying a
-    ``repro-lint`` suppression for PX601 (or files suppressing it) are
-    left alone -- the fixer never removes what the linter would not
-    report.  Returns ``(new_source, number_of_aliases_removed)``.
-    """
-    unused = {
-        (f.line, f.message.split("'")[1])
-        for f in lint_source(source, path)
-        if f.code == "PX601"
-    }
-    if not unused:
-        return source, 0
-    tree = ast.parse(source, filename=path)
-    lines = source.splitlines(True)
-    removed = 0
-    # Bottom-up so earlier line numbers stay valid while splicing.
-    statements = [
-        stmt
-        for stmt in ast.walk(tree)
-        if isinstance(stmt, (ast.Import, ast.ImportFrom))
-    ]
-    for stmt in sorted(statements, key=lambda s: s.lineno, reverse=True):
-        module = (stmt.module or "") if isinstance(stmt, ast.ImportFrom) else ""
-        kept_aliases: List[ast.alias] = []
-        for alias in stmt.names:
-            if isinstance(stmt, ast.ImportFrom):
-                original = f"{module}.{alias.name}"
-            else:
-                original = alias.name
-            if (stmt.lineno, original) in unused:
-                removed += 1
-            else:
-                kept_aliases.append(alias)
-        if len(kept_aliases) == len(stmt.names):
-            continue
-        indent = lines[stmt.lineno - 1][
-            : len(lines[stmt.lineno - 1]) - len(lines[stmt.lineno - 1].lstrip())
-        ]
-        if not kept_aliases:
-            replacement: List[str] = []
-        else:
-            rendered = ", ".join(
-                a.name + (f" as {a.asname}" if a.asname else "")
-                for a in kept_aliases
-            )
-            if isinstance(stmt, ast.ImportFrom):
-                dots = "." * stmt.level
-                text = f"{indent}from {dots}{module} import {rendered}\n"
-            else:
-                text = f"{indent}import {rendered}\n"
-            replacement = [text]
-        end = stmt.end_lineno or stmt.lineno
-        lines[stmt.lineno - 1 : end] = replacement
-    return "".join(lines), removed
-
-
-def fix_file(path: str) -> int:
-    """Rewrite ``path`` in place; returns the number of fixes applied."""
-    with open(path, "r", encoding="utf-8") as fh:
-        source = fh.read()
-    fixed, count = fix_source(source, path)
-    if count:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(fixed)
-    return count
 
 
 def _iter_python_files(paths: Sequence[str]) -> Iterator[str]:
@@ -1062,28 +579,8 @@ def main(argv: Iterable[str] | None = None) -> int:
         "--json", action="store_true",
         help="emit findings as a JSON array instead of text",
     )
-    parser.add_argument(
-        "--fix", action="store_true",
-        help="apply auto-fixes in place (PX601: remove unused imports)",
-    )
-    parser.add_argument(
-        "--select", default="",
-        help="comma-separated code prefixes to report (default: all)",
-    )
-    parser.add_argument(
-        "--ignore", default="",
-        help="comma-separated code prefixes to suppress",
-    )
     args = parser.parse_args(list(argv) if argv is not None else None)
-    select = [p for p in args.select.split(",") if p.strip()]
-    ignore = [p for p in args.ignore.split(",") if p.strip()]
-    if args.fix and filter_findings(
-        [Finding("", 1, 1, "PX601", "")], select, ignore
-    ):
-        fixed = sum(fix_file(p) for p in _iter_python_files(args.paths))
-        if fixed and not args.json:
-            print(f"fixed {fixed} finding(s)")
-    findings = filter_findings(lint_paths(args.paths), select, ignore)
+    findings = lint_paths(args.paths)
     if args.json:
         print(json.dumps([asdict(f) for f in findings], indent=2))
     else:

@@ -62,21 +62,6 @@ def add_commands(sub: argparse._SubParsersAction) -> None:
     p_an.add_argument(
         "--json", action="store_true", help="machine-readable lint findings"
     )
-    p_an.add_argument(
-        "--fix",
-        action="store_true",
-        help="apply lint auto-fixes in place (PX601 unused imports)",
-    )
-    p_an.add_argument(
-        "--select",
-        default="",
-        help="lint: comma-separated code prefixes to report (ruff-style)",
-    )
-    p_an.add_argument(
-        "--ignore",
-        default="",
-        help="lint: comma-separated code prefixes to suppress",
-    )
     p_an.add_argument("--nodes", type=int, default=2)
     p_an.add_argument("--steps", type=int, default=4)
     p_an.add_argument(
@@ -294,11 +279,5 @@ def _analyze(args: argparse.Namespace) -> int:
         lint_argv = list(args.paths) or ["src"]
         if args.json:
             lint_argv.append("--json")
-        if args.fix:
-            lint_argv.append("--fix")
-        if args.select:
-            lint_argv.extend(["--select", args.select])
-        if args.ignore:
-            lint_argv.extend(["--ignore", args.ignore])
         status |= lint_pass.main(lint_argv)
     return status

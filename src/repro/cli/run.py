@@ -121,7 +121,7 @@ def _launch_overload_storm(rt, factor: float) -> dict:
     def wave(index: int) -> None:
         # Waves form a chain (each submits the next), so appends are
         # totally ordered by construction; no concurrent writer exists.
-        depth_samples.append(target_pool.pending())  # repro-lint: disable=PX811
+        depth_samples.append(target_pool.pending())
         for _ in range(per_wave):
             rt.apply_at(
                 target,

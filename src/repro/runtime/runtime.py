@@ -780,7 +780,7 @@ class Runtime:
         def resume() -> None:
             # The parcel is off the wire awaiting this resume; the task
             # is its sole owner, so the stamp has no concurrent reader.
-            parcel.send_time = max(pool.now, at_time)  # repro-lint: disable=PX811
+            parcel.send_time = max(pool.now, at_time)
             self.parcelport.send(parcel)
 
         pool.post(
@@ -801,7 +801,7 @@ class Runtime:
         def retransmit() -> None:
             # A lost parcel awaiting retry is owned by this task alone;
             # stamping the new send time races with nothing.
-            parcel.send_time = pool.now  # repro-lint: disable=PX811
+            parcel.send_time = pool.now
             self.parcelport.retransmit(parcel)
 
         pool.post(

@@ -170,7 +170,7 @@ class TestChannel:
         channel = Channel()
         channel.close()
         with pytest.raises(ChannelClosedError):
-            channel.set(1)  # repro-lint: disable=PX401 -- the rejection under test
+            channel.set(1)
 
     def test_get_sync_in_runtime(self, rt):
         channel = Channel()

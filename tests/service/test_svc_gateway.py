@@ -3,8 +3,6 @@
 import asyncio
 import json
 
-import pytest
-
 from repro.service import JobGateway, JobService, ManualClock, ServicePolicy, TenantQuota
 
 POLICY = ServicePolicy(sync_journal=False)
