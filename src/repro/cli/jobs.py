@@ -232,7 +232,7 @@ def _work(args: argparse.Namespace) -> int:
             if service.run_one(args.worker) is not None:
                 settled += 1
                 continue
-            if not service.open_jobs():
+            if not service.store.open_count():
                 if args.exit_when_idle:
                     break
             # Open jobs exist but none is claimable right now

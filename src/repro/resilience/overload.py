@@ -76,7 +76,6 @@ class OverloadPolicy:
     that have an ``overload.*`` key, the rest keep these defaults."""
 
     credits: int = 32
-    max_inflight: int = 64
     max_queue_depth: int = 128
     defer_base_s: float = 1e-4
     defer_max: int = 3
@@ -270,12 +269,9 @@ class OverloadController:
             self._breakers[destination] = breaker
         return breaker
 
-    def _base_credits(self) -> int:
-        return min(self.policy.credits, self.policy.max_inflight)
-
     def _ceiling(self, destination: int, now: float) -> int:
         """Credit ceiling, halved while phi says ``throttle`` (or worse)."""
-        base = self._base_credits()
+        base = self.policy.credits
         if self.phi.phi(destination, now) >= self.policy.phi_throttle:
             return max(1, base // 2)
         return base
@@ -334,12 +330,8 @@ class OverloadController:
             # Sheddable background traffic: defer (bounded times) instead
             # of stalling, so nothing about a LOW storm queues unboundedly.
             depth = self._runtime.localities[destination].pool.pending()
-            credits = self._credits.setdefault(destination, self._base_credits())
-            pressed = (
-                depth >= self.policy.max_queue_depth
-                or inflight >= self.policy.max_inflight
-                or credits <= 0
-            )
+            credits = self._credits.setdefault(destination, self.policy.credits)
+            pressed = depth >= self.policy.max_queue_depth or credits <= 0
             if pressed:
                 delay = self._defer_delay(parcel)
                 if parcel.deferrals >= self.policy.defer_max:
@@ -364,8 +356,8 @@ class OverloadController:
                 self._runtime._schedule_parcel_resume(parcel, now + delay)
                 return ("defer", None)
         else:
-            credits = self._credits.setdefault(destination, self._base_credits())
-            if credits <= 0 or inflight >= self.policy.max_inflight:
+            credits = self._credits.setdefault(destination, self.policy.credits)
+            if credits <= 0:
                 self._stalled.setdefault(destination, deque()).append(parcel)
                 self.credit_stalls += 1
                 self._emit("credit_stall", now, parcel, dest=destination)

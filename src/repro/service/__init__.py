@@ -13,10 +13,8 @@ Layers (see ``docs/job-service.md``):
 * :mod:`~repro.service.journal` -- append-only fsync'd checksummed job
   journal, torn-tail tolerant on replay.
 * :mod:`~repro.service.jobs` -- the :class:`Job` state machine and the
-  :class:`JobStore` (dedupe-on-insert idempotent submission).
-* :mod:`~repro.service.leases` -- time-bounded claims; retries are
-  attempt-bounded and separated by the parcel layer's capped exponential
-  backoff.
+  :class:`JobStore`, the one record of a job: its lease is two journalled
+  fields, and its per-tenant counts and dedupe index are kept on apply.
 * :mod:`~repro.service.scheduler` -- per-tenant quotas and weighted
   fair (stride) scheduling.
 * :mod:`~repro.service.admission` -- quota/backlog/breaker admission
@@ -36,9 +34,8 @@ from .admission import AdmissionControl, TenantQuota
 from .clock import ManualClock, wall_clock
 from .executor import JobRunner, job_digest
 from .gateway import JobGateway
-from .jobs import Job, JobState, JobStore, TERMINAL_STATES
+from .jobs import Job, JobState, JobStore, Lease, TERMINAL_STATES
 from .journal import Journal, read_journal
-from .leases import Lease, LeaseManager
 from .scheduler import FairJobScheduler
 from .service import JobService, ServicePolicy
 
@@ -53,7 +50,6 @@ __all__ = [
     "JobStore",
     "Journal",
     "Lease",
-    "LeaseManager",
     "ManualClock",
     "ServicePolicy",
     "TERMINAL_STATES",

@@ -65,8 +65,6 @@ class AdmissionControl:
         self.default_quota = default_quota or TenantQuota()
         self._quotas: dict[str, TenantQuota] = {}
         self._breakers: dict[str, CircuitBreaker] = {}
-        self.admitted = 0
-        self.shed = 0
 
     def set_quota(self, tenant: str, quota: TenantQuota) -> None:
         self._quotas[tenant] = quota
@@ -89,15 +87,14 @@ class AdmissionControl:
         """Admit one submission or raise :class:`JobShedError`.
 
         ``tenant_pending`` counts the tenant's non-terminal jobs;
-        ``total_backlog`` counts everyone's.  Callers pass live numbers
-        from the store so admission reflects reality, not a shadow
-        counter that can drift.
+        ``total_backlog`` counts everyone's.  Callers pass the store's
+        counts, kept by the same apply step that replays the journal, so
+        admission reflects the record, not a shadow counter that can drift.
         """
         now = self._clock()
         breaker = self.breaker(tenant)
         verdict = breaker.allow(now)
         if verdict == "reject":
-            self.shed += 1
             raise JobShedError(
                 f"tenant {tenant!r} circuit breaker is open "
                 f"({breaker.failures} consecutive job failures)",
@@ -105,20 +102,17 @@ class AdmissionControl:
             )
         quota = self.quota(tenant)
         if tenant_pending >= quota.max_pending:
-            self.shed += 1
             raise JobShedError(
                 f"tenant {tenant!r} backlog quota reached "
                 f"({tenant_pending}/{quota.max_pending} jobs pending)",
                 retry_after=1.0,
             )
         if total_backlog >= self.max_backlog:
-            self.shed += 1
             raise JobShedError(
                 f"service backlog bound reached "
                 f"({total_backlog}/{self.max_backlog} jobs outstanding)",
                 retry_after=1.0,
             )
-        self.admitted += 1
 
     def record_outcome(self, tenant: str, *, failed: bool) -> None:
         """Feed job outcomes to the tenant's breaker."""

@@ -153,7 +153,7 @@ class JobGateway:
         path = split.path.rstrip("/") or "/"
         query = {k: v[-1] for k, v in parse_qs(split.query).items()}
         if path == "/v1/healthz" and method == "GET":
-            return 200, {"status": "ok", "open_jobs": len(self.service.open_jobs())}, {}
+            return 200, {"status": "ok", "open_jobs": self.service.store.open_count()}, {}
         if path == "/v1/counters" and method == "GET":
             return 200, self.service.counters(), {}
         if path == "/v1/jobs":

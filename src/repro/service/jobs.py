@@ -5,9 +5,11 @@ A :class:`Job` moves through a *strict* state machine::
     pending --> claimed --> running --> done
        |           |           |------> failed
        |           |           |------> cancelled
-       |           |           '------> pending   (lease expired / retry)
+       |           |           |------> pending   (lease expired / retry)
+       |           |           '------> running   (lease renewed)
        |           |------> pending               (lease expired)
        |           |------> cancelled | failed
+       |           '------> claimed               (lease renewed)
        '--> cancelled
 
 Terminal states (``done``, ``failed``, ``cancelled``) are absorbing:
@@ -22,6 +24,12 @@ replaying the journal on open.  Submission is idempotent: a resubmit
 carrying a ``dedupe_key`` the tenant has already used returns the
 existing job instead of creating a new one, so a client that crashed
 after submitting but before learning its job id can safely retry.
+
+The store is the service's one record of a job.  A lease is the job's
+own ``lease_owner``/``lease_expires_at`` (a renewal is a same-state
+transition), and the per-tenant counts the service admits, schedules
+and reports by are kept by the one apply step that both replay and live
+mutations run, so they read the same after a restart.
 """
 
 from __future__ import annotations
@@ -30,14 +38,15 @@ import enum
 import hashlib
 import json
 import os
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional
+from typing import Any, Iterable, NamedTuple, Optional
 
 from ..errors import JobStateError, JournalCorruptError, UnknownJobError
 from .clock import Clock
 from .journal import Journal, read_journal
 
-__all__ = ["Job", "JobState", "JobStore", "TERMINAL_STATES"]
+__all__ = ["Job", "JobState", "JobStore", "Lease", "TERMINAL_STATES"]
 
 
 class JobState(str, enum.Enum):
@@ -59,15 +68,19 @@ TERMINAL_STATES = frozenset(
     {JobState.DONE, JobState.FAILED, JobState.CANCELLED}
 )
 
+#: States meaning "a worker owns this job right now".
+_ACTIVE_STATES = frozenset({JobState.CLAIMED, JobState.RUNNING})
+
 #: Legal edges of the state machine.  ``claimed/running -> pending`` are
-#: the lease-expiry/retry requeues; everything terminal is absorbing.
+#: the lease-expiry/retry requeues, ``claimed -> claimed`` and ``running
+#: -> running`` the lease renewals; everything terminal is absorbing.
 _TRANSITIONS: dict[JobState, frozenset[JobState]] = {
     JobState.PENDING: frozenset({JobState.CLAIMED, JobState.CANCELLED}),
     JobState.CLAIMED: frozenset(
-        {JobState.RUNNING, JobState.PENDING, JobState.CANCELLED, JobState.FAILED}
+        {JobState.CLAIMED, JobState.RUNNING, JobState.PENDING, JobState.CANCELLED, JobState.FAILED}
     ),
     JobState.RUNNING: frozenset(
-        {JobState.DONE, JobState.FAILED, JobState.PENDING, JobState.CANCELLED}
+        {JobState.RUNNING, JobState.DONE, JobState.FAILED, JobState.PENDING, JobState.CANCELLED}
     ),
     JobState.DONE: frozenset(),
     JobState.FAILED: frozenset(),
@@ -78,6 +91,20 @@ _TRANSITIONS: dict[JobState, frozenset[JobState]] = {
 _MUTABLE_FIELDS = frozenset(
     {"attempts", "lease_owner", "lease_expires_at", "not_before", "result", "failure"}
 )
+
+
+class Lease(NamedTuple):
+    """One worker's time-bounded claim on a job, read off the job.
+
+    Ownership is *temporal*: a SIGKILLed worker cannot release anything,
+    so its job runs again only once the lease silently expires.
+    """
+
+    owner: str
+    expires_at: float
+
+    def expired(self, now: float) -> bool:
+        return now >= self.expires_at
 
 
 @dataclass
@@ -104,6 +131,12 @@ class Job:
     @property
     def terminal(self) -> bool:
         return self.state in TERMINAL_STATES
+
+    @property
+    def lease(self) -> Optional[Lease]:
+        if self.lease_owner is None or self.lease_expires_at is None:
+            return None
+        return Lease(self.lease_owner, self.lease_expires_at)
 
     def to_record(self) -> dict[str, Any]:
         return {
@@ -162,6 +195,10 @@ class JobStore:
         self._clock = clock
         self._jobs: dict[str, Job] = {}
         self._dedupe: dict[str, str] = {}
+        #: Per tenant: jobs by state value, plus ``submitted`` and
+        #: ``retried`` (transitions into pending that set ``not_before``).
+        self.tallies: dict[str, Counter[str]] = {}
+        self._active: set[str] = set()
         self._sequence = 0
         records, torn = read_journal(self.path)
         self.replayed_records = len(records)
@@ -196,6 +233,9 @@ class JobStore:
             self._jobs[job.job_id] = job
             if job.dedupe_key is not None:
                 self._dedupe[_dedupe_index_key(job.tenant, job.dedupe_key)] = job.job_id
+            tally = self.tallies.setdefault(job.tenant, Counter())
+            tally["submitted"] += 1
+            tally[JobState.PENDING.value] += 1
             self._sequence += 1
             return job
         if op == "transition":
@@ -206,10 +246,20 @@ class JobStore:
                     f"job {job.job_id!r} cannot move {job.state} -> {target}"
                     + (" (terminal states are exactly-once)" if job.terminal else "")
                 )
+            updates = record.get("set", {})
+            tally = self.tallies[job.tenant]
+            tally[job.state.value] -= 1
+            tally[target.value] += 1
+            if target is JobState.PENDING and "not_before" in updates:
+                tally["retried"] += 1
+            if target in _ACTIVE_STATES:
+                self._active.add(job.job_id)
+            else:
+                self._active.discard(job.job_id)
             job.state = target
             job.updated_at = float(record["at"])
             job.history.append(target.value)
-            for name, value in record.get("set", {}).items():
+            for name, value in updates.items():
                 if name not in _MUTABLE_FIELDS:
                     raise JobStateError(f"transition may not set field {name!r}")
                 setattr(job, name, value)
@@ -244,9 +294,9 @@ class JobStore:
         if max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
         if dedupe_key is not None:
-            existing = self._dedupe.get(_dedupe_index_key(tenant, dedupe_key))
+            existing = self.find(tenant, dedupe_key)
             if existing is not None:
-                return self._jobs[existing], False
+                return existing, False
         job_id = self._mint_job_id(tenant, kind, params, dedupe_key)
         record = {
             "op": "submit",
@@ -312,8 +362,27 @@ class JobStore:
         out.sort(key=lambda job: job.job_id)
         return out
 
-    def tenants(self) -> list[str]:
-        return sorted({job.tenant for job in self._jobs.values()})
+    def find(self, tenant: str, dedupe_key: str) -> Optional[Job]:
+        """The tenant's job submitted under ``dedupe_key``, if any."""
+        job_id = self._dedupe.get(_dedupe_index_key(tenant, dedupe_key))
+        return None if job_id is None else self._jobs[job_id]
+
+    def open_count(self, tenant: Optional[str] = None) -> int:
+        """Non-terminal jobs of ``tenant``, or of every tenant."""
+        tallies = self.tallies.values() if tenant is None else [self.tallies.get(tenant, Counter())]
+        return sum(
+            tally["submitted"] - tally["done"] - tally["failed"] - tally["cancelled"]
+            for tally in tallies
+        )
+
+    def active_count(self, tenant: str) -> int:
+        """The tenant's claimed or running jobs."""
+        tally = self.tallies.get(tenant, Counter())
+        return tally["claimed"] + tally["running"]
+
+    def active_jobs(self) -> list[Job]:
+        """Claimed or running jobs, in job-id order."""
+        return [self._jobs[job_id] for job_id in sorted(self._active)]
 
     def __len__(self) -> int:
         return len(self._jobs)

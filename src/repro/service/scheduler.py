@@ -41,7 +41,6 @@ class FairJobScheduler:
         self._queues: dict[str, deque[str]] = {}
         self._weights: dict[str, float] = {}
         self._passes: dict[str, float] = {}
-        self._queued = 0
         # job_id -> (tenant, not_before) for jobs waiting out a backoff.
         self._delayed: dict[str, tuple[str, float]] = {}
 
@@ -69,7 +68,6 @@ class FairJobScheduler:
             # Re-entering service: no credit accrues while idle.
             self._passes[tenant] = max(self._passes[tenant], self._floor())
         queue.append(job_id)
-        self._queued += 1
 
     def enqueue(self, tenant: str, job_id: str, *, not_before: float, now: float) -> None:
         """Make a pending job schedulable (immediately or after backoff)."""
@@ -113,7 +111,6 @@ class FairJobScheduler:
             return None
         job_id = self._queues[best].popleft()
         self._passes[best] = best_pass + _STRIDE / self._weights[best]
-        self._queued -= 1
         return (best, job_id)
 
     def remove(self, tenant: str, job_id: str) -> bool:
@@ -126,25 +123,4 @@ class FairJobScheduler:
             self._queues[tenant].remove(job_id)
         except (KeyError, ValueError):
             return False
-        self._queued -= 1
         return True
-
-    def pending(self, tenant: Optional[str] = None) -> int:
-        """Jobs waiting (queued or delayed), optionally for one tenant."""
-        if tenant is None:
-            return self._queued + len(self._delayed)
-        return len(self._queues.get(tenant, ())) + sum(
-            1 for owner, _ in self._delayed.values() if owner == tenant
-        )
-
-    def delayed(self) -> int:
-        return len(self._delayed)
-
-    def next_wakeup(self) -> Optional[float]:
-        """Earliest ``not_before`` in the delay room (idle-loop hint)."""
-        if not self._delayed:
-            return None
-        return min(not_before for _, not_before in self._delayed.values())
-
-    def __len__(self) -> int:
-        return self.pending()

@@ -1,9 +1,8 @@
 """The durable multi-tenant job service, tying the layers together.
 
 :class:`JobService` owns one service directory (journal + per-job
-checkpoint trails) and composes the store, lease manager, fair
-scheduler, admission control, and executor into the lifecycle clients
-see::
+checkpoint trails) and composes the store, fair scheduler, admission
+control, and executor into the lifecycle clients see::
 
     submit --> pending --> claim (lease) --> running --> done
                   ^            |                 |-----> failed (cause)
@@ -30,32 +29,25 @@ import os
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from ..errors import ConfigError, JobShedError, JobStateError, UnknownJobError
+from ..errors import ConfigError, JobShedError, JobStateError
 from ..runtime import instrument
 from ..runtime.parcel.parcelport import RetryPolicy
 from .admission import AdmissionControl, TenantQuota
 from .clock import Clock, wall_clock
 from .executor import JobRunner
-from .jobs import Job, JobState, JobStore, TERMINAL_STATES
-from .leases import Lease, LeaseManager
+from .jobs import Job, JobState, JobStore, Lease
 from .scheduler import FairJobScheduler
 
 __all__ = ["JobService", "ServicePolicy"]
 
-#: States meaning "a worker owns this job right now".
-_ACTIVE_STATES = frozenset({JobState.CLAIMED, JobState.RUNNING})
-
-#: Per-tenant counter names the service maintains.
-_COUNTER_NAMES = (
-    "submitted",
-    "deduped",
-    "completed",
-    "failed",
-    "cancelled",
-    "retried",
-    "requeued",
-    "shed",
-    "lease-expired",
+#: Durable counters: ``/jobs{tenant}/count/<name>`` reads the store's
+#: tally ``<key>``, so it means the same after a restart.
+_DURABLE_COUNTERS = (
+    ("submitted", "submitted"),
+    ("completed", "done"),
+    ("failed", "failed"),
+    ("cancelled", "cancelled"),
+    ("retried", "retried"),
 )
 
 
@@ -76,6 +68,8 @@ class ServicePolicy:
     sync_journal: bool = True
 
     def __post_init__(self) -> None:
+        if self.lease_seconds <= 0:
+            raise ConfigError("lease_seconds must be positive")
         if self.max_attempts < 1:
             raise ConfigError("max_attempts must be >= 1")
         if self.epoch_steps < 1:
@@ -101,9 +95,6 @@ class JobService:
             clock=self._clock,
             sync=self.policy.sync_journal,
         )
-        self.leases = LeaseManager(
-            self._clock, lease_seconds=self.policy.lease_seconds
-        )
         self.scheduler = FairJobScheduler()
         self.admission = AdmissionControl(
             self._clock,
@@ -127,9 +118,9 @@ class JobService:
     # ------------------------------------------------------------------
     # observability
 
-    def _bump(self, tenant: str, name: str, delta: int = 1) -> None:
+    def _bump(self, tenant: str, name: str) -> None:
         path = f"/jobs{{{tenant}}}/count/{name}"
-        self._counters[path] = self._counters.get(path, 0) + delta
+        self._counters[path] = self._counters.get(path, 0) + 1
 
     def _emit(self, kind: str, tenant: str, job_id: str, **args: Any) -> None:
         if instrument.enabled and (probe := instrument.probe) is not None:
@@ -140,11 +131,18 @@ class JobService:
             )
 
     def counters(self) -> dict[str, int]:
-        """All per-tenant counters, sorted by path."""
-        return dict(sorted(self._counters.items()))
+        """All non-zero per-tenant counters, sorted by path: the durable
+        ones read from the store, the event ones (``deduped``, ``shed``,
+        ``requeued``, ``lease-expired``) counted by this process."""
+        out = dict(self._counters)
+        for tenant, tally in self.store.tallies.items():
+            for name, key in _DURABLE_COUNTERS:
+                if tally[key]:
+                    out[f"/jobs{{{tenant}}}/count/{name}"] = tally[key]
+        return dict(sorted(out.items()))
 
     def query_counter(self, path: str) -> int:
-        return self._counters.get(path, 0)
+        return self.counters().get(path, 0)
 
     # ------------------------------------------------------------------
     # recovery
@@ -160,21 +158,9 @@ class JobService:
         now = self._clock()
         recovered = 0
         for job in self.store.jobs():
-            # Reconstruct the durable counters from replayed state so
-            # `repro jobs counters` means the same thing across
-            # restarts.  Event-ish counters (deduped, shed, requeued,
-            # lease-expired) stay process-local.
-            self._bump(job.tenant, "submitted")
-            self._bump(job.tenant, "retried", max(0, job.attempts - 1))
-            if job.state is JobState.DONE:
-                self._bump(job.tenant, "completed")
-            elif job.state is JobState.FAILED:
-                self._bump(job.tenant, "failed")
-            elif job.state is JobState.CANCELLED:
-                self._bump(job.tenant, "cancelled")
             if job.terminal:
                 continue
-            if job.state in _ACTIVE_STATES:
+            if job.state is not JobState.PENDING:  # claimed or running
                 self.store.transition(
                     job.job_id,
                     JobState.PENDING,
@@ -214,15 +200,14 @@ class JobService:
         Rejections raise :class:`~repro.errors.JobShedError` carrying
         ``retry_after``; nothing is ever dropped silently.
         """
-        job, created = self._submit_dedupe_check(tenant, dedupe_key)
+        job = self._submit_dedupe_check(tenant, dedupe_key)
         if job is not None:
-            return job, created
-        backlog = self.store.jobs(states=None)
-        open_jobs = [j for j in backlog if not j.terminal]
-        tenant_pending = sum(1 for j in open_jobs if j.tenant == tenant)
+            return job, False
         try:
             self.admission.check(
-                tenant, tenant_pending=tenant_pending, total_backlog=len(open_jobs)
+                tenant,
+                tenant_pending=self.store.open_count(tenant),
+                total_backlog=self.store.open_count(),
             )
         except JobShedError as exc:
             self._bump(tenant, "shed")
@@ -240,33 +225,23 @@ class JobService:
         self.scheduler.enqueue(
             tenant, job.job_id, not_before=job.not_before, now=self._clock()
         )
-        self._bump(tenant, "submitted")
         self._emit("job_submitted", tenant, job.job_id, job_kind=kind)
         return job, created
 
     def _submit_dedupe_check(
         self, tenant: str, dedupe_key: Optional[str]
-    ) -> tuple[Optional[Job], bool]:
-        if dedupe_key is None:
-            return None, True
-        job, created = None, True
-        for candidate in self.store.jobs(tenant=tenant):
-            if candidate.dedupe_key == dedupe_key:
-                job, created = candidate, False
-                self._bump(tenant, "deduped")
-                self._emit("job_deduped", tenant, candidate.job_id)
-                break
-        return job, created
+    ) -> Optional[Job]:
+        job = None if dedupe_key is None else self.store.find(tenant, dedupe_key)
+        if job is not None:
+            self._bump(tenant, "deduped")
+            self._emit("job_deduped", tenant, job.job_id)
+        return job
 
     def status(self, job_id: str) -> dict[str, Any]:
         job = self.store.get(job_id)
         info = job.describe()
-        lease = self.leases.holder(job_id)
-        info["lease"] = (
-            None
-            if lease is None
-            else {"owner": lease.owner, "expires_at": lease.expires_at}
-        )
+        lease = job.lease
+        info["lease"] = None if lease is None else lease._asdict()
         return info
 
     def cancel(self, job_id: str) -> Job:
@@ -278,11 +253,9 @@ class JobService:
                 f"terminal states are exactly-once"
             )
         self.scheduler.remove(job.tenant, job_id)
-        self.leases.revoke(job_id)
         job = self.store.transition(
             job_id, JobState.CANCELLED, lease_owner=None, lease_expires_at=None
         )
-        self._bump(job.tenant, "cancelled")
         self._emit("job_cancelled", job.tenant, job_id)
         return job
 
@@ -296,13 +269,10 @@ class JobService:
     # worker surface
 
     def _tenants_at_capacity(self) -> set[str]:
-        active: dict[str, int] = {}
-        for job in self.store.jobs(states=_ACTIVE_STATES):
-            active[job.tenant] = active.get(job.tenant, 0) + 1
         return {
             tenant
-            for tenant, count in active.items()
-            if count >= self.admission.quota(tenant).max_active
+            for tenant in self.store.tallies
+            if self.store.active_count(tenant) >= self.admission.quota(tenant).max_active
         }
 
     def claim(self, worker: str) -> Optional[tuple[Job, Lease]]:
@@ -321,20 +291,20 @@ class JobService:
             return None
         tenant, job_id = picked
         job = self.store.get(job_id)
-        lease = self.leases.grant(job_id, worker)
+        expires_at = self._clock() + self.policy.lease_seconds
         job = self.store.transition(
             job_id,
             JobState.CLAIMED,
             attempts=job.attempts + 1,
             lease_owner=worker,
-            lease_expires_at=lease.expires_at,
+            lease_expires_at=expires_at,
         )
         self._emit("job_claimed", tenant, job_id, worker=worker, attempt=job.attempts)
-        return job, lease
+        return job, Lease(worker, expires_at)
 
     def _check_owner(self, job_id: str, worker: str) -> Job:
         job = self.store.get(job_id)
-        lease = self.leases.holder(job_id)
+        lease = job.lease
         if lease is None or lease.owner != worker or lease.expired(self._clock()):
             raise JobStateError(
                 f"{worker!r} does not hold a live lease on job {job_id!r}"
@@ -342,17 +312,21 @@ class JobService:
         return job
 
     def start(self, job_id: str, worker: str) -> Job:
-        self._check_owner(job_id, worker)
+        if self._check_owner(job_id, worker).state is JobState.RUNNING:
+            raise JobStateError(f"job {job_id!r} is already running")
         job = self.store.transition(job_id, JobState.RUNNING)
         self._emit("job_started", job.tenant, job_id, worker=worker)
         return job
 
     def renew(self, job_id: str, worker: str) -> Lease:
-        self._check_owner(job_id, worker)
-        return self.leases.renew(job_id, worker)
+        """Extend a live lease: a journalled same-state transition."""
+        job = self._check_owner(job_id, worker)
+        expires_at = self._clock() + self.policy.lease_seconds
+        self.store.transition(job_id, job.state, lease_expires_at=expires_at)
+        return Lease(worker, expires_at)
 
     def complete(self, job_id: str, worker: str, result: dict[str, Any]) -> Job:
-        job = self._check_owner(job_id, worker)
+        self._check_owner(job_id, worker)
         job = self.store.transition(
             job_id,
             JobState.DONE,
@@ -360,18 +334,14 @@ class JobService:
             lease_owner=None,
             lease_expires_at=None,
         )
-        self.leases.release(job_id, worker)
         self.admission.record_outcome(job.tenant, failed=False)
         self.runner.cleanup(job_id)
-        self._bump(job.tenant, "completed")
         self._emit("job_done", job.tenant, job_id, worker=worker)
         return job
 
     def fail_attempt(self, job_id: str, worker: str, cause: str) -> Job:
         """One attempt failed: retry with backoff, or fail with cause."""
-        job = self._check_owner(job_id, worker)
-        self.leases.release(job_id, worker)
-        return self._retry_or_fail(job, cause)
+        return self._retry_or_fail(self._check_owner(job_id, worker), cause)
 
     def _retry_or_fail(self, job: Job, cause: str) -> Job:
         if job.attempts >= job.max_attempts:
@@ -387,7 +357,6 @@ class JobService:
             )
             self.admission.record_outcome(job.tenant, failed=True)
             self.runner.cleanup(job.job_id)
-            self._bump(job.tenant, "failed")
             self._emit("job_failed", job.tenant, job.job_id, cause=cause)
             return job
         delay = self.retry.timeout(job.attempts)
@@ -402,21 +371,19 @@ class JobService:
         self.scheduler.enqueue(
             job.tenant, job.job_id, not_before=not_before, now=self._clock()
         )
-        self._bump(job.tenant, "retried")
         self._emit(
             "job_retried", job.tenant, job.job_id, cause=cause, backoff=delay
         )
         return job
 
     def expire_leases(self) -> list[str]:
-        """Harvest expired leases; requeue or fail their jobs."""
+        """Harvest expired leases (of the active jobs only); requeue or
+        fail their jobs, in job-id order."""
+        now = self._clock()
         expired = []
-        for lease in self.leases.expired():
-            try:
-                job = self.store.get(lease.job_id)
-            except UnknownJobError:  # pragma: no cover - defensive
-                continue
-            if job.state not in _ACTIVE_STATES:
+        for job in self.store.active_jobs():
+            lease = job.lease
+            if lease is None or not lease.expired(now):
                 continue
             self._bump(job.tenant, "lease-expired")
             self._emit(
@@ -454,9 +421,6 @@ class JobService:
         return settled
 
     # ------------------------------------------------------------------
-
-    def open_jobs(self) -> list[Job]:
-        return [job for job in self.store.jobs() if not job.terminal]
 
     def close(self) -> None:
         self.store.close()

@@ -164,7 +164,6 @@ def test_policy_from_config_reads_overload_keys():
     # The phi thresholds have no key: they are the policy's own fields.
     assert (policy.phi_throttle, policy.phi_suspect, policy.phi_confirm) == (3.0, 8.0, 16.0)
     assert OverloadPolicy(phi_suspect=5.0, phi_confirm=9.0).phi_suspect == 5.0
-    assert policy.max_inflight == 64  # untouched keys keep their defaults
 
 
 def test_config_rejects_inverted_phi_thresholds():

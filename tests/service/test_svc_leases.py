@@ -1,5 +1,6 @@
-"""Leases (temporal ownership) and the bounded retry budget (the parcel
-layer's RetryPolicy, held by the JobService)."""
+"""Leases (temporal ownership, the job's own two journalled fields) and
+the bounded retry budget (the parcel layer's RetryPolicy, held by the
+JobService)."""
 
 import pytest
 
@@ -9,10 +10,11 @@ from repro.service import (
     JobService,
     JobState,
     Lease,
-    LeaseManager,
     ManualClock,
     ServicePolicy,
 )
+
+POLICY = ServicePolicy(lease_seconds=10.0, retry_base_seconds=1.0, sync_journal=False)
 
 
 @pytest.fixture()
@@ -21,67 +23,87 @@ def clock():
 
 
 @pytest.fixture()
-def leases(clock):
-    return LeaseManager(clock, lease_seconds=10.0)
+def service(tmp_path, clock):
+    with JobService(tmp_path / "svc", clock=clock, policy=POLICY) as svc:
+        yield svc
+
+
+def _submit(service, key):
+    return service.submit("t", "faulty", {}, dedupe_key=key)[0].job_id
 
 
 class TestLeases:
-    def test_grant_and_holder(self, leases, clock):
-        lease = leases.grant("j1", "w1")
-        assert lease == Lease("j1", "w1", granted_at=0.0, expires_at=10.0)
-        assert leases.holder("j1") == lease
-        assert len(leases) == 1
+    def test_grant_and_holder(self, service):
+        job_id = _submit(service, "j1")
+        job, lease = service.claim("w1")
+        assert lease == Lease("w1", expires_at=10.0)
+        assert job.lease == lease
+        assert (job.lease_owner, job.lease_expires_at) == ("w1", 10.0)
+        assert service.status(job_id)["lease"] == {"owner": "w1", "expires_at": 10.0}
 
-    def test_double_grant_refused_while_live(self, leases):
-        leases.grant("j1", "w1")
-        with pytest.raises(JobStateError, match="already leased"):
-            leases.grant("j1", "w2")
+    def test_double_grant_refused_while_live(self, service):
+        job_id = _submit(service, "j1")
+        service.claim("w1")
+        assert service.claim("w2") is None
+        with pytest.raises(JobStateError, match="live lease"):
+            service.start(job_id, "w2")
 
-    def test_expired_lease_can_be_regranted(self, leases, clock):
-        leases.grant("j1", "w1")
+    def test_expired_lease_can_be_regranted(self, service, clock):
+        _submit(service, "j1")
+        service.claim("w1")
         clock.advance(10.0)  # expiry is inclusive: now >= expires_at
-        lease = leases.grant("j1", "w2")
-        assert lease.owner == "w2"
+        assert service.claim("w2") is None  # harvested into retry backoff
+        clock.advance(1.0)
+        job, lease = service.claim("w2")
+        assert lease.owner == "w2" and job.lease_owner == "w2"
 
-    def test_renew_extends_only_live_own_leases(self, leases, clock):
-        leases.grant("j1", "w1")
+    def test_renew_extends_only_live_own_leases(self, service, clock):
+        job_id = _submit(service, "j1")
+        service.claim("w1")
         clock.advance(6.0)
-        renewed = leases.renew("j1", "w1")
-        assert renewed.expires_at == 16.0
-        assert renewed.granted_at == 0.0  # original grant time preserved
-        with pytest.raises(JobStateError, match="holds no lease"):
-            leases.renew("j1", "w2")
+        renewed = service.renew(job_id, "w1")
+        assert renewed == Lease("w1", expires_at=16.0)
+        assert service.store.get(job_id).state is JobState.CLAIMED
+        with pytest.raises(JobStateError, match="live lease"):
+            service.renew(job_id, "w2")
         clock.advance(11.0)
-        with pytest.raises(JobStateError, match="expired"):
-            leases.renew("j1", "w1")
+        with pytest.raises(JobStateError, match="live lease"):
+            service.renew(job_id, "w1")
 
-    def test_release_is_owner_scoped(self, leases):
-        leases.grant("j1", "w1")
-        leases.release("j1", "w2")  # foreign release: no-op
-        assert leases.holder("j1") is not None
-        leases.release("j1", "w1")
-        assert leases.holder("j1") is None
+    def test_release_is_owner_scoped(self, service):
+        job_id = _submit(service, "j1")
+        service.claim("w1")
+        service.start(job_id, "w1")
+        with pytest.raises(JobStateError, match="live lease"):
+            service.complete(job_id, "w2", {})  # foreign release: refused
+        assert service.store.get(job_id).lease is not None
+        service.complete(job_id, "w1", {})
+        assert service.store.get(job_id).lease is None
+        assert service.status(job_id)["lease"] is None
 
-    def test_expired_harvests_and_drops(self, leases, clock):
-        leases.grant("a", "w1")
+    def test_expired_harvests_and_drops(self, service, clock):
+        a = _submit(service, "a")
+        b = _submit(service, "b")
+        service.claim("w1")
         clock.advance(5.0)
-        leases.grant("b", "w2")
+        service.claim("w2")
         clock.advance(5.0)  # "a" expired, "b" has 5s left
-        dead = leases.expired()
-        assert [lease.job_id for lease in dead] == ["a"]
-        assert leases.holder("a") is None
-        assert leases.holder("b") is not None
-        assert leases.expired() == []  # harvest is one-shot
+        assert service.expire_leases() == [a]
+        assert service.store.get(a).lease is None
+        assert service.store.get(b).lease is not None
+        assert service.expire_leases() == []  # harvest is one-shot
 
-    def test_revoke_unconditional(self, leases):
-        leases.grant("j1", "w1")
-        leases.revoke("j1")
-        assert leases.holder("j1") is None
-        leases.revoke("j1")  # idempotent
+    def test_revoke_unconditional(self, service):
+        job_id = _submit(service, "j1")
+        service.claim("w1")
+        cancelled = service.cancel(job_id)
+        assert cancelled.lease is None
+        with pytest.raises(JobStateError, match="live lease"):
+            service.start(job_id, "w1")
 
-    def test_config_validation(self, clock):
+    def test_config_validation(self):
         with pytest.raises(ConfigError):
-            LeaseManager(clock, lease_seconds=0.0)
+            ServicePolicy(lease_seconds=0.0)
 
 
 class TestRetryBudget:

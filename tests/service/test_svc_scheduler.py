@@ -60,12 +60,12 @@ def test_delay_room_holds_backoff_jobs():
     sched = FairJobScheduler()
     sched.enqueue("t", "late", not_before=5.0, now=0.0)
     sched.enqueue("t", "now", not_before=0.0, now=0.0)
-    assert sched.delayed() == 1
-    assert sched.pending("t") == 2
-    assert sched.next_wakeup() == 5.0
+    # A delayed job is not returned before its not_before...
     assert _drain(sched, 4.9) == [("t", "now")]
+    assert _drain(sched, 4.9) == []
+    # ...and is returned once it has passed, exactly once.
     assert _drain(sched, 5.0) == [("t", "late")]
-    assert sched.delayed() == 0
+    assert _drain(sched, 100.0) == []
 
 
 def test_skip_tenants_leaves_queue_untouched():
@@ -74,18 +74,19 @@ def test_skip_tenants_leaves_queue_untouched():
     sched.enqueue("b", "b0", not_before=0.0, now=0.0)
     assert sched.next_job(0.0, skip_tenants={"a"}) == ("b", "b0")
     assert sched.next_job(0.0, skip_tenants={"a"}) is None
-    assert sched.pending("a") == 1  # still queued, not lost
-    assert sched.next_job(0.0) == ("a", "a0")
+    assert sched.next_job(0.0) == ("a", "a0")  # still queued, not lost
 
 
 def test_remove_from_queue_and_delay_room():
     sched = FairJobScheduler()
     sched.enqueue("t", "queued", not_before=0.0, now=0.0)
     sched.enqueue("t", "delayed", not_before=9.0, now=0.0)
+    sched.enqueue("t", "kept", not_before=0.0, now=0.0)
     assert sched.remove("t", "queued")
     assert sched.remove("t", "delayed")
     assert not sched.remove("t", "gone")
-    assert len(sched) == 0
+    # A removed job never comes back, before or after its not_before.
+    assert _drain(sched, 0.0) == [("t", "kept")]
     assert _drain(sched, 10.0) == []
 
 

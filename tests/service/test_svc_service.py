@@ -6,6 +6,7 @@ from repro.errors import JobShedError, JobStateError
 from repro.service import (
     JobService,
     JobState,
+    JobStore,
     ManualClock,
     ServicePolicy,
     TenantQuota,
@@ -171,6 +172,23 @@ class TestLeaseExpiry:
             service.renew(job.job_id, "w1")
         assert service.claim("w2") is None  # renewed lease still owns it
 
+    def test_renewal_is_journalled_on_the_job(self, tmp_path, clock):
+        """The lease is the job's own two fields: status reports one
+        expiry, and a reopened store replays the renewed one."""
+        root = tmp_path / "svc"
+        with JobService(root, clock=clock, policy=FAST) as svc:
+            job = _submit_faulty(svc)
+            clock.advance(2.0)
+            svc.claim("w1")
+            clock.advance(6.0)
+            svc.renew(job.job_id, "w1")
+            status = svc.status(job.job_id)
+            assert status["lease_expires_at"] == status["lease"]["expires_at"] == 18.0
+        with JobStore(root / "jobs.journal", clock=clock, sync=False) as store:
+            replayed = store.get(job.job_id)
+            assert replayed.state is JobState.CLAIMED
+            assert replayed.lease == ("w1", 18.0)
+
     def test_expiry_consumes_retry_budget_to_failure(self, service, clock):
         job = _submit_faulty(service, max_attempts=2)
         for worker in ("w1", "w2"):
@@ -235,6 +253,17 @@ class TestRecovery:
             # Durable counters were rebuilt from the journal.
             assert svc2.query_counter("/jobs{t}/count/submitted") == 1
             assert svc2.query_counter("/jobs{t}/count/completed") == 1
+
+    def test_retried_counter_survives_restart(self, tmp_path, clock):
+        """A job that failed once and waits in backoff was retried once,
+        live and after a reopen."""
+        root = tmp_path / "svc"
+        with JobService(root, clock=clock, policy=FAST) as svc:
+            _submit_faulty(svc, fails=1)
+            assert svc.run_one("w1").state is JobState.PENDING
+            live = svc.query_counter("/jobs{t}/count/retried")
+        with JobService(root, clock=clock, policy=FAST) as svc2:
+            assert live == svc2.query_counter("/jobs{t}/count/retried") == 1
 
 
 class TestObservability:
