@@ -33,7 +33,7 @@ from ..resilience.checkpoint import (
     save_checkpoint,
 )
 from ..runtime.runtime import Runtime
-from ..stencil.heat1d import DistributedHeat1D, Heat1DParams, heat1d_reference
+from ..stencil.heat1d import DistributedHeat1D, Heat1DParams, heat1d_steps
 from ..stencil.validation import analytic_heat_profile
 from .jobs import Job
 
@@ -196,7 +196,7 @@ class JobRunner:
         distributed: bool,
     ) -> np.ndarray:
         if not distributed:
-            return heat1d_reference(field, steps, heat)
+            return heat1d_steps(field, steps, heat)
         with Runtime(
             n_localities=localities, workers_per_locality=2
         ) as runtime:

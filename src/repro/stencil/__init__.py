@@ -20,6 +20,7 @@
 from .grid import Grid, GridPair
 from .heat1d import (
     heat1d_reference,
+    heat1d_steps,
     Heat1DPartitioned,
     Heat1DPartition,
     DistributedHeat1D,
@@ -39,6 +40,7 @@ __all__ = [
     "Grid",
     "GridPair",
     "heat1d_reference",
+    "heat1d_steps",
     "Heat1DPartitioned",
     "Heat1DPartition",
     "DistributedHeat1D",

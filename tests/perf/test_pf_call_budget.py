@@ -1,4 +1,5 @@
-"""A deterministic guard on the runtime's per-task overhead.
+"""Deterministic guards on the runtime's per-task overhead and on the
+job service's local kernel.
 
 Wall time on a shared host is not a gate (PR 14 measured the old 25 %
 wall gate failing on an unchanged tree); the number of function calls
@@ -32,9 +33,12 @@ import numpy as np
 
 from repro.runtime.perfcounters import query
 from repro.runtime.runtime import Runtime
+from repro.service.executor import JobRunner
 from repro.stencil.heat1d import DistributedHeat1D, Heat1DParams
+from repro.stencil.validation import analytic_heat_profile
 
 CALLS_PER_TASK_BUDGET = 74.0
+LOCAL_CALLS_PER_STEP_BUDGET = 3.0
 
 
 def _count_calls(fn) -> int:
@@ -74,4 +78,36 @@ def test_calls_per_hpx_thread_stay_within_budget():
     assert per_task <= CALLS_PER_TASK_BUDGET, (
         f"{per_task:.1f} calls per HPX-thread exceeds the budget of "
         f"{CALLS_PER_TASK_BUDGET}: see this module's docstring"
+    )
+
+
+def test_local_job_kernel_calls_per_step_stay_within_budget(tmp_path):
+    """One warm local epoch of the ``service_jobs`` job shape (nx = 256,
+    40 steps) through the executor's own segment runner.
+
+    Budget: **3 calls per step**, about 10 % above the 2.15 this tree
+    makes (86 calls / 40 steps: ``_update_interior`` and its
+    ``np.empty_like`` per step, plus a handful per segment).  The
+    ``np.roll`` oracle makes 34 per step, so a local job that slides
+    back onto it fails here.  If the test fails, find the new calls with
+    ``pytest tests/perf/test_pf_call_budget.py -s`` (the figure is
+    printed), then either remove them or -- when they buy something --
+    raise the budget here, to 10 % above the new figure, in the same
+    change and say so in CHANGES.md.
+    """
+    nx, steps = 256, 40
+    runner = JobRunner(tmp_path)
+    field = analytic_heat_profile(nx, mode=3)
+    heat = Heat1DParams()
+
+    def segment():
+        runner._run_segment(field, steps, heat, 2, 1, False)
+
+    segment()  # warm
+    calls = _count_calls(segment)
+    per_step = calls / steps
+    print(f"\n{calls} calls / {steps} steps = {per_step:.2f} calls per local job step")
+    assert per_step <= LOCAL_CALLS_PER_STEP_BUDGET, (
+        f"{per_step:.2f} calls per local job step exceeds the budget of "
+        f"{LOCAL_CALLS_PER_STEP_BUDGET}: see this test's docstring"
     )

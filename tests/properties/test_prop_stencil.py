@@ -1,7 +1,7 @@
 """Property-based tests for the stencil solvers' mathematical invariants."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -11,6 +11,7 @@ from repro.stencil import (
     Heat1DPartitioned,
     Jacobi2D,
     heat1d_reference,
+    heat1d_steps,
     jacobi_reference_step,
     max_error,
 )
@@ -48,6 +49,33 @@ def test_heat1d_linearity(a, b, steps):
     combined = heat1d_reference(a + b, steps, PARAMS)
     separate = heat1d_reference(a, steps, PARAMS) + heat1d_reference(b, steps, PARAMS)
     assert np.allclose(combined, separate, atol=1e-7)
+
+
+#: Signed values of ordinary size, and the subnormal range on its own,
+#: where every product underflows and rounds.
+any_sign = st.one_of(
+    st.floats(min_value=-1e6, max_value=1e6),
+    st.floats(min_value=-2.3e-308, max_value=2.3e-308),
+)
+
+
+@given(
+    u0=arrays(
+        np.float64,
+        st.one_of(st.sampled_from([1, 2, 3]), st.integers(0, 300)),
+        elements=any_sign,
+    ),
+    steps=st.integers(0, 60),
+)
+@example(u0=np.array([-1.5]), steps=7)
+@example(u0=np.array([3.0, -5e-324]), steps=60)
+@example(u0=np.array([1e-310, -2.0, 7.25]), steps=13)
+@settings(max_examples=80)
+def test_heat1d_steps_is_the_oracle_bit_for_bit(u0, steps):
+    """The solvers' kernel over the whole periodic field performs the
+    oracle's IEEE operations in the oracle's order, ends included."""
+    got = heat1d_steps(u0, steps, PARAMS)
+    assert got.tobytes() == heat1d_reference(u0, steps, PARAMS).tobytes()
 
 
 @given(

@@ -6,6 +6,13 @@ import pytest
 from repro.errors import ValidationError
 from repro.service import JobRunner, job_digest
 from repro.service.jobs import Job
+from repro.stencil import Heat1DParams, analytic_heat_profile, heat1d_reference
+
+
+def _oracle_digest(nx, steps, mode):
+    """The job's answer from the np.roll oracle, which no job runs."""
+    field = analytic_heat_profile(nx, mode=mode)
+    return job_digest(heat1d_reference(field, steps, Heat1DParams()))
 
 
 def _job(job_id="job-x", kind="stencil1d", attempts=1, **params):
@@ -124,15 +131,41 @@ class TestKinds:
             JobRunner(tmp_path).run(_job(kind="nope"))
 
     def test_distributed_matches_reference(self, tmp_path):
-        # The distributed runtime path must agree bit-for-bit with the
-        # pure-NumPy reference path for the same parameters.
-        ref = JobRunner(tmp_path / "a", epoch_steps=6).run(
+        # Both job paths run the solvers' kernel, so each is checked
+        # against the independent np.roll oracle, not against the other.
+        want = _oracle_digest(nx=16, steps=6, mode=1)
+        local = JobRunner(tmp_path / "a", epoch_steps=6).run(
             _job(nx=16, steps=6, distributed=False)
         )
         dist = JobRunner(tmp_path / "b", epoch_steps=6).run(
             _job(nx=16, steps=6, localities=2, distributed=True)
         )
-        assert dist["digest"] == ref["digest"]
+        assert local["digest"] == want
+        assert dist["digest"] == want
+
+    @pytest.mark.parametrize("mode", range(1, 9))
+    def test_bench_job_shape_matches_the_oracle(self, tmp_path, mode):
+        # The benchmark's job: nx=256, 40 steps in epochs of 10.
+        shape = dict(nx=256, steps=40, mode=mode)
+        want = _oracle_digest(**shape)
+        local = JobRunner(tmp_path / "local", epoch_steps=10).run(
+            _job(distributed=False, **shape)
+        )
+        dist = JobRunner(tmp_path / "dist", epoch_steps=10).run(
+            _job(localities=2, distributed=True, **shape)
+        )
+
+        def die_at_epoch_20(job_id, steps_done):
+            if steps_done == 20:
+                raise _Interrupt
+
+        runner = JobRunner(tmp_path / "resumed", epoch_steps=10, after_epoch=die_at_epoch_20)
+        with pytest.raises(_Interrupt):
+            runner.run(_job(distributed=False, **shape))
+        runner.after_epoch = None
+        resumed = runner.run(_job(attempts=2, distributed=False, **shape))
+        assert resumed["resumed_at"] == 20 and resumed["epochs"] == 2
+        assert local["digest"] == dist["digest"] == resumed["digest"] == want
 
     def test_validation(self, tmp_path):
         with pytest.raises(ValidationError):

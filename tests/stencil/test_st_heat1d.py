@@ -12,6 +12,7 @@ from repro.stencil import (
     analytic_heat_profile,
     discrete_heat_decay_factor,
     heat1d_reference,
+    heat1d_steps,
     l2_error,
 )
 
@@ -48,6 +49,27 @@ def test_reference_zero_steps_identity():
     assert np.array_equal(heat1d_reference(u0, 0, PARAMS), u0)
     with pytest.raises(ValidationError):
         heat1d_reference(u0, -1, PARAMS)
+
+
+class TestSteps:
+    """``heat1d_steps`` takes the oracle's edge cases the oracle's way."""
+
+    def test_negative_steps_refused_like_the_oracle(self):
+        with pytest.raises(ValidationError, match="non-negative"):
+            heat1d_steps(np.zeros(4), -1, PARAMS)
+
+    @pytest.mark.parametrize("steps", [0, 3])
+    def test_empty_field_is_an_empty_copy(self, steps):
+        out = heat1d_steps(np.empty(0), steps, PARAMS)
+        assert out.dtype == np.float64 and out.shape == (0,)
+        assert out.tobytes() == heat1d_reference(np.empty(0), steps, PARAMS).tobytes()
+
+    def test_zero_steps_is_a_float64_copy(self):
+        u0 = np.arange(8, dtype=np.int64)
+        out = heat1d_steps(u0, 0, PARAMS)
+        assert out.dtype == np.float64 and np.array_equal(out, u0)
+        out[0] = 99.0
+        assert u0[0] == 0
 
 
 # Partitioned (Listing 1) ------------------------------------------------------
