@@ -39,7 +39,7 @@ _DEFAULTS: dict[str, Any] = {
     # Execution backend: where the localities live.  "virtual" is the
     # deterministic single-process simulation on the virtual clock (the
     # CI/sanitizer/explorer mode); "multiprocess" runs one OS process per
-    # locality with parcels carried over pipes, doing real concurrent
+    # locality with parcels carried over sockets, doing real concurrent
     # work on real cores (see repro.runtime.backend).
     "runtime.backend": "virtual",  # virtual | multiprocess
     # multiprocess: OS process count; 0 = one per locality, and any other

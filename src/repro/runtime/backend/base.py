@@ -11,8 +11,8 @@ answers exactly that question:
   hot path (and its bit-exact virtual timings) untouched;
 * the :class:`~repro.runtime.backend.multiprocess.MultiprocessBackend`
   says "one OS process each" -- parcels whose destination is another
-  process are intercepted at the router and carried over pipes in the
-  existing encode-once wire format, and stalls block on the transport
+  process are intercepted at the router and written to a socket pair in
+  the existing encode-once wire format, and stalls block on the transport
   instead of raising :class:`~repro.errors.DeadlockError`.
 
 The Runtime consults the backend through a single nullable reference
@@ -84,7 +84,7 @@ class ExecutionBackend:
 
     # Lifecycle -------------------------------------------------------------
     def start(self) -> None:
-        """Bring up the transport (spawn processes, connect pipes)."""
+        """Bring up the transport (spawn processes, connect sockets)."""
 
     def quiesce(self) -> None:
         """Drive the job to a globally idle state before shutdown.
@@ -123,9 +123,6 @@ class ExecutionBackend:
     def poll(self) -> bool:
         """Non-blocking service pass; True when anything was dispatched."""
         return False
-
-    def flush(self) -> None:
-        """Push any locally-queued outbound wire traffic."""
 
     def on_stall(self) -> bool:
         """The progress loop found no runnable work anywhere.

@@ -1,12 +1,17 @@
 """The multiprocess backend: one OS process per locality, real cores.
 
 Topology is hub-and-spoke: the driver process (locality 0, the one that
-constructed the user's :class:`Runtime`) owns a duplex pipe to each
+constructed the user's :class:`Runtime`) owns a socket pair to each
 worker process and relays worker-to-worker traffic.  Every process runs
 a full Runtime over the *same* locality count -- its own locality is the
 one it executes; parcels routed anywhere else are intercepted at the
-router and carried over the pipes in the existing encode-once wire
-format (:mod:`repro.runtime.backend.wire`).
+router and written to the socket the moment they are routed, in the
+existing encode-once wire format (:mod:`repro.runtime.backend.wire`).
+
+No write ever blocks: a :class:`_Channel` writes what the socket takes
+and keeps the rest of a frame while its process goes on reading, so two
+processes that both send more than a socket holds cannot wedge each
+other, and a halo row leaves while the next partition's kernel runs.
 
 Because each process is a real Python interpreter, per-locality worker
 pools do real concurrent work outside the driver's GIL -- which is the
@@ -33,8 +38,12 @@ driver as the fallback for a GID a process has never heard of.
 from __future__ import annotations
 
 import os
+import select
+import socket
+import struct
 import warnings
-from typing import TYPE_CHECKING, Any
+from collections import deque
+from typing import TYPE_CHECKING, Any, Iterator
 
 from ...errors import RuntimeStateError
 from ..futures import Promise
@@ -44,22 +53,135 @@ from .base import ExecutionBackend
 from .wire import decode_message, parcel_entry, send_message
 
 if TYPE_CHECKING:  # pragma: no cover
-    from multiprocessing.connection import Connection
-
     from ..agas.component import Component
     from ..agas.gid import Gid
     from ..runtime import Runtime
 
 __all__ = ["MultiprocessBackend"]
 
-#: Outbound parcel entries buffered before an automatic flush.
-_OUTBOX_CAP = 64
 #: Progress-loop steps between opportunistic transport polls.
 _SERVICE_MASK = 0x3F
 #: Seconds a process blocks on its transport before diagnosing a stall.
 _STALL_TIMEOUT_S = 60.0
 #: Shutdown termination-detection round cap.
 _SYNC_ROUNDS = 64
+#: A frame is this length prefix, then that many bytes.
+_HEADER = struct.Struct("!Q")
+#: Poll events that send a channel to :meth:`_Channel.frames`: data, or
+#: the end of the stream.
+_READABLE = select.POLLIN | select.POLLHUP | select.POLLERR
+
+
+class _Channel:
+    """One end of a socket pair, carrying length-prefixed frames.
+
+    The socket never blocks.  :meth:`send` queues a frame and writes
+    what the socket takes; the rest waits in ``out`` for :meth:`pump`,
+    which the process calls whenever it services its transport, so it
+    keeps reading while its own output is stuck.
+    """
+
+    __slots__ = ("sock", "out", "_head", "_in", "_got", "_eof")
+
+    def __init__(self, sock: socket.socket) -> None:
+        sock.setblocking(False)
+        self.sock = sock
+        #: Frames (or the unwritten tail of the first) not yet written.
+        self.out: deque[bytes | memoryview] = deque()
+        self._head = bytearray(_HEADER.size)
+        #: The length prefix or the frame being read, and its bytes so far.
+        self._in = self._head
+        self._got = 0
+        self._eof = False
+
+    def fileno(self) -> int:
+        return self.sock.fileno()
+
+    def send(self, data: bytes) -> None:
+        self.out.append(_HEADER.pack(len(data)) + data)
+        self.pump()
+
+    def pump(self) -> None:
+        """Write as much queued output as the socket will take.  Output
+        for a peer that has gone is dropped: reading reports the loss."""
+        out = self.out
+        try:
+            while out:
+                sent = self.sock.send(out[0])
+                if sent < len(out[0]):
+                    out[0] = memoryview(out[0])[sent:]
+                    return
+                out.popleft()
+        except (BlockingIOError, InterruptedError):
+            pass
+        except (BrokenPipeError, ConnectionResetError):
+            out.clear()
+
+    def frames(self) -> Iterator[bytearray]:
+        """Every complete inbound frame, oldest first; raises
+        :class:`EOFError` once the peer has closed and none is left.
+
+        A frame is read straight into a buffer of its own length, so no
+        frame is copied on the way in.  Reading state is reset before a
+        frame is yielded: a handler that services the channel again
+        continues with the next frame, in order.
+        """
+        while True:
+            buf = self._in
+            if self._got < len(buf):
+                if self._eof:
+                    raise EOFError
+                try:
+                    got = self.sock.recv_into(memoryview(buf)[self._got :])
+                except (BlockingIOError, InterruptedError):
+                    return
+                except ConnectionResetError:
+                    got = 0
+                self._eof = not got
+                self._got += got
+                continue
+            self._got = 0
+            if buf is self._head:
+                self._in = bytearray(_HEADER.unpack_from(buf)[0])
+            else:
+                self._in = self._head
+                yield buf
+
+    def close(self) -> None:
+        """Write what is still queued (bounded by the stall timeout), then
+        close: a final reply must not die with its sender."""
+        try:
+            self.sock.settimeout(_STALL_TIMEOUT_S)
+            for data in self.out:
+                self.sock.sendall(data)
+        except OSError:
+            pass
+        self.sock.close()
+
+
+def _wait(channels: list[_Channel], timeout: float) -> list[_Channel]:
+    """Pump every channel whose socket takes output until one of them
+    is readable; returns the readable ones (none after ``timeout``)."""
+    poller = select.poll()
+    by_fd = {}
+    for channel in channels:
+        by_fd[channel.fileno()] = channel
+        poller.register(
+            channel, select.POLLIN | (select.POLLOUT if channel.out else 0)
+        )
+    while True:
+        events = poller.poll(timeout * 1e3)
+        readable = []
+        for fd, event in events:
+            channel = by_fd[fd]
+            if event & select.POLLOUT:
+                channel.pump()
+                if not channel.out:
+                    poller.modify(channel, select.POLLIN)
+            if event & _READABLE:
+                readable.append(channel)
+        if readable or not events:
+            return readable
 
 
 class _PipeBackend(ExecutionBackend):
@@ -68,10 +190,6 @@ class _PipeBackend(ExecutionBackend):
     distributed = True
 
     def __init__(self) -> None:
-        # Per-destination-locality parcel entries awaiting a flush (many
-        # parcels, one framed message).
-        self._outbox: dict[int, list[tuple]] = {}
-        self._outbox_size = 0
         # seq -> reply Promise for tokened sends originated here.
         self._tokens: dict[int, Promise] = {}
         self._token_seq = 0
@@ -110,44 +228,27 @@ class _PipeBackend(ExecutionBackend):
             self._token_seq += 1
             token = (self.my_id, self._token_seq)
             self._tokens[self._token_seq] = promise
-        self._outbox.setdefault(destination, []).append(
-            parcel_entry(parcel, destination, token)
-        )
-        self._outbox_size += 1
+        self._send(destination, ("parcel", parcel_entry(parcel, destination, token)))
         self.parcels_forwarded += 1
-        if self._outbox_size >= _OUTBOX_CAP:
-            self.flush()
-
-    def flush(self) -> None:
-        if not self._outbox_size:
-            return
-        outbox, self._outbox = self._outbox, {}
-        self._outbox_size = 0
-        for destination, entries in outbox.items():
-            self._send(destination, ("parcels", entries))
         self._activity = True
 
     def maybe_service(self) -> bool:
         self._tick += 1
         if self._tick & _SERVICE_MASK:
             return False
-        self.flush()
         return self._service(block=False)
 
     def poll(self) -> bool:
-        self.flush()
         return self._service(block=False)
 
     def on_stall(self) -> bool:
-        self.flush()
         return self._service(block=True)
 
     # Inbound dispatch ------------------------------------------------------
     def _dispatch(self, message: tuple) -> None:
         kind = message[0]
-        if kind == "parcels":
-            for entry in message[1]:
-                self._route_entry(entry)
+        if kind == "parcel":
+            self._route_entry(message[1])
         elif kind == "reply":
             _, origin, seq, ok, data = message
             self._route_reply(origin, seq, ok, data)
@@ -172,9 +273,9 @@ class _PipeBackend(ExecutionBackend):
         if destination == self.my_id:
             self._deliver_entry(entry)
         else:
-            self._outbox.setdefault(destination, []).append(entry)
-            self._outbox_size += 1
+            self._send(destination, ("parcel", entry))
             self.parcels_relayed += 1
+            self._activity = True
 
     def _deliver_entry(self, entry: tuple) -> None:
         source, _dest, payload, gid, target_locality, token, faf, priority = entry
@@ -281,7 +382,7 @@ class _PipeBackend(ExecutionBackend):
 
     # Local draining --------------------------------------------------------
     def _drain_local(self) -> None:
-        """Run every runnable task in this process, then flush."""
+        """Run every runnable task in this process."""
         runtime = self.runtime
         while True:
             pool, worker, hint = runtime._next_locality()
@@ -289,15 +390,6 @@ class _PipeBackend(ExecutionBackend):
                 break
             pool.dispatch(worker, hint)
             self.maybe_service()
-        self.flush()
-
-    def _busy(self) -> bool:
-        return (
-            self._activity
-            or bool(self._tokens)
-            or bool(self._outbox_size)
-            or any(loc.pool.pending() for loc in self.runtime.localities)
-        )
 
     # Observability ---------------------------------------------------------
     def counters(self) -> dict[str, float]:
@@ -323,7 +415,7 @@ class MultiprocessBackend(_PipeBackend):
 
     def __init__(self) -> None:
         super().__init__()
-        self._conns: dict[int, "Connection"] = {}
+        self._channels: dict[int, _Channel] = {}
         self._procs: dict[int, Any] = {}
         self._worker_stats: dict[int, dict[str, Any]] = {}
         self._stopped_workers: set[int] = set()
@@ -342,7 +434,7 @@ class MultiprocessBackend(_PipeBackend):
         values = dict(runtime.config)
         self.processes = runtime.n_localities
         for worker_id in range(1, runtime.n_localities):
-            parent, child = mp_ctx.Pipe(duplex=True)
+            parent, child = socket.socketpair()
             proc = mp_ctx.Process(
                 target=_worker_entry,
                 args=(
@@ -357,13 +449,13 @@ class MultiprocessBackend(_PipeBackend):
             )
             proc.start()
             child.close()
-            self._conns[worker_id] = parent
+            self._channels[worker_id] = _Channel(parent)
             self._procs[worker_id] = proc
 
     def quiesce(self) -> None:
         """Termination detection: repeat drain+sync rounds until a full
         round passes with every process idle and no traffic moved."""
-        if not self._conns:
+        if not self._channels:
             return
         for _ in range(_SYNC_ROUNDS):
             self._drain_local()
@@ -373,9 +465,9 @@ class MultiprocessBackend(_PipeBackend):
             seq = self._sync_seq
             self._acks[seq] = set()
             self._worker_busy = {}
-            for worker_id in self._conns:
+            for worker_id in self._channels:
                 self._send(worker_id, ("sync", seq))
-            while len(self._acks[seq]) < len(self._conns) - len(
+            while len(self._acks[seq]) < len(self._channels) - len(
                 self._stopped_workers
             ):
                 if not self._service(block=True):
@@ -407,95 +499,69 @@ class MultiprocessBackend(_PipeBackend):
             return
         self._stopping = True
         try:
-            for worker_id, conn in self._conns.items():
+            for worker_id in self._channels:
                 if worker_id not in self._stopped_workers:
-                    try:
-                        self.messages_sent += 1
-                        self.wire_bytes_sent += send_message(conn, ("stop",))
-                    except (BrokenPipeError, OSError):
-                        self._stopped_workers.add(worker_id)
-            while len(self._stopped_workers) < len(self._conns):
+                    self._send(worker_id, ("stop",))
+            while len(self._stopped_workers) < len(self._channels):
                 if not self._service(block=True):
                     break  # timed out; join/terminate below
         finally:
-            for proc in self._procs.values():
-                proc.join(timeout=5.0)
-                if proc.is_alive():  # pragma: no cover - hung worker
-                    proc.terminate()
-                    proc.join(timeout=1.0)
-            for conn in self._conns.values():
-                try:
-                    conn.close()
-                except OSError:  # pragma: no cover
-                    pass
+            self._reap(5.0)
 
     def abort(self) -> None:
         self._stopping = True
-        for conn in self._conns.values():
-            try:
-                send_message(conn, ("abort",))
-            except (BrokenPipeError, OSError):
-                pass
+        for channel in self._channels.values():
+            send_message(channel, ("abort",))
+        self._reap(1.0)
+
+    def _reap(self, timeout: float) -> None:
         for proc in self._procs.values():
-            proc.join(timeout=1.0)
-            if proc.is_alive():
+            proc.join(timeout=timeout)
+            if proc.is_alive():  # pragma: no cover - hung worker
                 proc.terminate()
                 proc.join(timeout=1.0)
-        for conn in self._conns.values():
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover
-                pass
+        for channel in self._channels.values():
+            channel.sock.close()  # its worker is gone: nothing queued matters
 
     # Transport -------------------------------------------------------------
     def _send(self, destination: int, message: tuple) -> None:
         if destination == self.my_id:
             self._dispatch(message)
             return
-        conn = self._conns[destination]
         self.messages_sent += 1
-        self.wire_bytes_sent += send_message(conn, message)
+        self.wire_bytes_sent += send_message(self._channels[destination], message)
 
     def _service(self, block: bool) -> bool:
-        from multiprocessing.connection import wait as conn_wait
-
-        conns = [
-            conn
-            for worker_id, conn in self._conns.items()
+        channels = [
+            channel
+            for worker_id, channel in self._channels.items()
             if worker_id not in self._stopped_workers
         ]
-        if not conns:
+        if not channels:
             return False
-        ready = conn_wait(conns, _STALL_TIMEOUT_S if block else 0)
-        if not ready:
-            return False
-        for conn in ready:
-            while True:
-                try:
-                    data = conn.recv_bytes()
-                except (EOFError, OSError):
-                    self._mark_dead(conn)
-                    break
-                self._dispatch(decode_message(data))
-                if not conn.poll(0):
-                    break
-        self.flush()
-        return True
+        ready = _wait(channels, _STALL_TIMEOUT_S if block else 0)
+        for channel in ready:
+            try:
+                for data in channel.frames():
+                    self._dispatch(decode_message(data))
+            except EOFError:
+                self._mark_dead(channel)
+        return bool(ready)
 
-    def _mark_dead(self, conn: "Connection") -> None:
-        for worker_id, c in self._conns.items():
-            if c is conn and worker_id not in self._stopped_workers:
+    def _mark_dead(self, channel: _Channel) -> None:
+        for worker_id, c in self._channels.items():
+            if c is channel and worker_id not in self._stopped_workers:
                 self._stopped_workers.add(worker_id)
                 if not self._stopping:
                     raise RuntimeStateError(
                         f"worker process for locality {worker_id} exited "
-                        "unexpectedly (pipe closed)"
+                        "unexpectedly (socket closed)"
                     )
 
     def _broadcast_create(
         self, origin: int, gid: "Gid", home: int, data: bytes, exclude: int
     ) -> None:
-        for worker_id in self._conns:
+        for worker_id in self._channels:
             if worker_id != exclude and worker_id not in self._stopped_workers:
                 self._send(worker_id, ("create", origin, gid, home, data))
 
@@ -536,13 +602,13 @@ class MultiprocessBackend(_PipeBackend):
 
 
 class _WorkerBackend(_PipeBackend):
-    """Worker side: a single pipe to the driver, which relays everything."""
+    """Worker side: a single channel to the driver, which relays everything."""
 
     name = "multiprocess"
 
-    def __init__(self, conn: "Connection", worker_id: int) -> None:
+    def __init__(self, channel: _Channel, worker_id: int) -> None:
         super().__init__()
-        self._conn = conn
+        self._channel = channel
         self.my_id = worker_id
         self._sent_stopped = False
 
@@ -560,10 +626,7 @@ class _WorkerBackend(_PipeBackend):
         if self._sent_stopped:
             return
         self._sent_stopped = True
-        try:
-            self._send(0, ("stopped", self.my_id, self._stats()))
-        except (BrokenPipeError, OSError):  # driver already gone
-            pass
+        self._send(0, ("stopped", self.my_id, self._stats()))
         self._stopping = True
 
     def _stats(self) -> dict[str, Any]:
@@ -587,23 +650,27 @@ class _WorkerBackend(_PipeBackend):
         # Everything funnels through the driver, which relays by the
         # destination embedded in the message.
         self.messages_sent += 1
-        self.wire_bytes_sent += send_message(self._conn, message)
+        self.wire_bytes_sent += send_message(self._channel, message)
 
     def _service(self, block: bool) -> bool:
-        conn = self._conn
-        if not conn.poll(_STALL_TIMEOUT_S if block else 0):
+        channel = self._channel
+        if not _wait([channel], _STALL_TIMEOUT_S if block else 0):
             return False
-        dispatched = False
-        while conn.poll(0) or not dispatched:
-            try:
-                data = conn.recv_bytes()
-            except (EOFError, OSError):
-                self._stopping = True
-                raise SystemExit(0) from None
-            self._dispatch(decode_message(data))
-            dispatched = True
-        self.flush()
+        try:
+            for data in channel.frames():
+                self._dispatch(decode_message(data))
+        except EOFError:
+            self._stopping = True
+            raise SystemExit(0) from None
         return True
+
+    def _busy(self) -> bool:
+        return (
+            self._activity
+            or bool(self._tokens)
+            or bool(self._channel.out)
+            or any(loc.pool.pending() for loc in self.runtime.localities)
+        )
 
     def _broadcast_create(
         self, origin: int, gid: "Gid", home: int, data: bytes, exclude: int
@@ -615,7 +682,6 @@ class _WorkerBackend(_PipeBackend):
     def _dispatch_control(self, message: tuple) -> None:
         kind = message[0]
         if kind == "sync":
-            self.flush()
             busy = self._busy()
             self._activity = False
             self._send(0, ("sync-ack", message[1], self.my_id, busy))
@@ -623,19 +689,20 @@ class _WorkerBackend(_PipeBackend):
             self._stopping = True
         elif kind == "abort":
             self._stopping = True
+            self._channel.out.clear()  # exit at once: nothing more is written
             raise SystemExit(0)
         else:
             super()._dispatch_control(message)
 
 
 def _worker_entry(
-    conn: "Connection",
+    sock: socket.socket,
     worker_id: int,
     n_localities: int,
     workers_per_locality: int,
     config_values: dict[str, Any],
 ) -> None:
-    """Worker process main: build a fresh Runtime and serve the pipe.
+    """Worker process main: build a fresh Runtime and serve the socket.
 
     Module-level (spawn-picklable) and defensive about forked state: the
     parent's context stack and probes must not leak into this process.
@@ -649,11 +716,12 @@ def _worker_entry(
 
     ctx._stack.clear()
     instrument.reset()
+    channel = _Channel(sock)
     try:
         config = Config.from_mapping(
             {**config_values, "runtime.quiescence": "ignore"}
         )
-        backend = _WorkerBackend(conn, worker_id)
+        backend = _WorkerBackend(channel, worker_id)
         runtime = Runtime(
             n_localities=n_localities,
             workers_per_locality=workers_per_locality,
@@ -665,12 +733,6 @@ def _worker_entry(
     except SystemExit:
         pass
     except BaseException:
-        try:
-            send_message(conn, ("error", worker_id, traceback.format_exc()))
-        except Exception:
-            pass
+        send_message(channel, ("error", worker_id, traceback.format_exc()))
     finally:
-        try:
-            conn.close()
-        except Exception:
-            pass
+        channel.close()

@@ -3,18 +3,19 @@
 Messages between the driver (locality 0) and the workers are tuples
 ``(kind, ...)`` encoded with the parcel layer's own
 :func:`~repro.runtime.parcel.serialization.serialize` -- the same
-encode-once format parcels already use -- and framed by
-``multiprocessing.Connection.send_bytes``.  Parcel payloads inside a
-``"parcels"`` message are the *already-encoded* bytes produced by
-``Runtime._encode``; they are never re-pickled, only wrapped.
+encode-once format parcels already use -- and framed by the
+multiprocess backend's ``_Channel`` over a socket pair (an 8-byte
+length, then the message).  A parcel payload inside a ``"parcel"``
+message is the *already-encoded* bytes produced by ``Runtime._encode``;
+it is never re-pickled, only wrapped.
 
 Message kinds
 -------------
-``("parcels", [entry, ...])``
-    Batch of parcels for this process, ``entry = (source, destination,
-    payload, target_gid, target_locality, token, fire_and_forget,
-    priority)``.  ``token`` is ``(origin_locality, seq)`` for sends that
-    expect a reply, ``None`` for fire-and-forget.
+``("parcel", entry)``
+    One parcel, written when it is routed: ``entry = (source,
+    destination, payload, target_gid, target_locality, token,
+    fire_and_forget, priority)``.  ``token`` is ``(origin_locality,
+    seq)`` for sends that expect a reply, ``None`` for fire-and-forget.
 ``("reply", origin, token, ok, data)``
     Result of a tokened parcel: ``data`` is the serialized value when
     ``ok``, the serialized exception otherwise.  Routed to ``origin``.
@@ -44,27 +45,27 @@ from typing import TYPE_CHECKING, Any
 from ..parcel.serialization import deserialize, serialize
 
 if TYPE_CHECKING:  # pragma: no cover
-    from multiprocessing.connection import Connection  # repro-lint: disable=PX201
-
     from ..parcel.parcel import Parcel
+    from .multiprocess import _Channel
 
 __all__ = ["encode_message", "decode_message", "parcel_entry", "send_message"]
 
 
 def encode_message(message: tuple) -> bytes:
-    """Frame one protocol message as wire bytes."""
+    """Encode one protocol message as wire bytes."""
     return serialize(message)
 
 
-def decode_message(data: bytes) -> tuple:
+def decode_message(data: bytes | bytearray) -> tuple:
     """Inverse of :func:`encode_message`."""
     return deserialize(data)
 
 
-def send_message(conn: "Connection", message: tuple) -> int:
-    """Encode and write one message; returns the byte count written."""
+def send_message(channel: "_Channel", message: tuple) -> int:
+    """Encode one message and hand it to ``channel``, which writes what
+    the socket takes now and the rest later; returns the byte count."""
     data = encode_message(message)
-    conn.send_bytes(data)
+    channel.send(data)
     return len(data)
 
 

@@ -54,8 +54,8 @@ Supported counter types::
     /backend{total}/count/relayed        worker-to-worker parcels relayed here
     /backend{total}/count/replies-sent   serialized reply messages sent
     /backend{total}/count/replies-received  reply messages consumed
-    /backend{total}/count/messages       wire messages written to the pipes
-    /backend{total}/data/sent            wire bytes written to the pipes
+    /backend{total}/count/messages       wire messages sent to other processes
+    /backend{total}/data/sent            wire bytes sent to other processes
     /backend{total}/count/agas-creates   AGAS registrations mirrored out
     /backend{total}/count/agas-resolves  cross-process GID resolutions brokered
     /backend{total}/count/sync-rounds    termination-detection rounds run

@@ -391,30 +391,24 @@ class Runtime:
                     continue
                 self._raise_stalled()
             pool.dispatch(worker, hint)
-        if remote is not None:
-            remote.flush()
 
     def progress_before(self, predicate: Callable[[], bool], deadline: float) -> bool:
         """Like :meth:`progress_until`, but only step work that can start
         at or before virtual ``deadline``; returns the final predicate
         value instead of raising on a stall (timeout machinery)."""
         remote = self._remote
-        try:
-            while not predicate():
-                if remote is not None and remote.maybe_service():
+        while not predicate():
+            if remote is not None and remote.maybe_service():
+                continue
+            pool, worker, hint = self._next_locality()
+            if pool is None or hint > deadline:
+                # A non-blocking transport poll (timed waits must not
+                # park on the socket) may still unblock the predicate.
+                if pool is None and remote is not None and remote.poll():
                     continue
-                pool, worker, hint = self._next_locality()
-                if pool is None or hint > deadline:
-                    # A non-blocking transport poll (timed waits must not
-                    # park on the pipe) may still unblock the predicate.
-                    if pool is None and remote is not None and remote.poll():
-                        continue
-                    return predicate()
-                pool.dispatch(worker, hint)
-            return True
-        finally:
-            if remote is not None:
-                remote.flush()
+                return predicate()
+            pool.dispatch(worker, hint)
+        return True
 
     def progress_all(self) -> float:
         """Drain every pool; returns the job makespan.

@@ -39,7 +39,6 @@ def test_virtual_backend_is_inert():
     assert backend.on_stall() is False
     assert backend.counters() == {}
     assert backend.worker_stats() == {}
-    backend.flush()  # no-op, must not raise
 
 
 def test_base_backend_cannot_forward():

@@ -8,15 +8,25 @@ semantics, not throughput.
 from __future__ import annotations
 
 import os
+import signal
+import socket
+import subprocess
+import sys
+import textwrap
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.config import Config
 from repro.runtime import instrument
 from repro.runtime.agas.component import Component
 from repro.runtime.agas.gid import Gid
 from repro.runtime.agas.service import AgasService
+from repro.runtime.backend import ExecutionBackend
+from repro.runtime.backend.multiprocess import MultiprocessBackend, _Channel, _wait
 from repro.runtime.futures import when_all
 from repro.runtime.perfcounters import discover, query
 from repro.runtime.runtime import Runtime
@@ -158,6 +168,135 @@ def test_backend_perfcounters_query_and_discover():
         assert "/backend{total}/count/remote-tasks" in paths
     # Worker statistics land with the "stopped" handshake at shutdown.
     assert query(rt, "/backend{total}/count/remote-tasks") > 0.0
+
+
+def test_a_parcel_is_on_the_wire_when_the_send_returns():
+    """No outbox: routing a cross-process parcel writes its message."""
+    assert not hasattr(ExecutionBackend, "flush")
+    assert not hasattr(MultiprocessBackend, "flush")
+    with _mp_runtime() as rt:
+        gid = rt.new_component(_Counter(), locality_id=1)
+        before = query(rt, "/backend{total}/count/messages")
+        rt.invoke_apply(gid, "add", 1)
+        assert query(rt, "/backend{total}/count/messages") == before + 1
+        assert rt.invoke_async(gid, "read").get() == 1
+
+
+_ARRIVED: list = []
+
+
+def _big(n):
+    return np.arange(n, dtype=np.float64)
+
+
+def _arrive(array):
+    _ARRIVED.append(array)
+
+
+def _push_big(n):
+    from repro.runtime import context as ctx
+
+    ctx.current().runtime.apply_at(0, _arrive, _big(n))
+
+
+def test_final_large_reply_and_worker_stats_arrive():
+    """The last calls before ``stop`` leave 4 MB -- more than a socket
+    holds -- queued in the worker: a two-way reply, and a one-way push
+    that no reply token waits for.  Both land before shutdown ends, and
+    the worker's "stopped" statistics after them (a sync ack queues
+    behind the worker's earlier output, so no round ends on unread
+    output)."""
+    n = (4 << 20) // 8
+    _ARRIVED.clear()
+    with _mp_runtime() as rt:
+        result = rt.async_at(1, _big, n)
+        rt.apply_at(1, _push_big, n)
+    assert np.array_equal(result.get(), _big(n))
+    assert len(_ARRIVED) == 1 and np.array_equal(_ARRIVED[0], _big(n))
+    assert sorted(rt.backend.worker_stats()) == [1]
+    assert rt.backend.worker_stats()[1]["tasks_executed"] > 0
+
+
+def test_channel_close_writes_what_is_still_queued():
+    """The drain itself: a frame the socket could not take is written
+    out by ``close`` before the socket goes, so the reader gets it whole
+    and only then sees the end of the stream."""
+    a, b = socket.socketpair()
+    sender, reader = _Channel(a), _Channel(b)
+    data = bytes(range(256)) * (16 << 10)  # 4 MB
+    sender.send(data)
+    assert sender.out  # the socket took only part of it
+    closing = threading.Thread(target=sender.close)
+    closing.start()
+    frames = []
+    with pytest.raises(EOFError):
+        while _wait([reader], 10.0):
+            frames.extend(reader.frames())
+    closing.join(timeout=10.0)
+    assert not closing.is_alive()
+    reader.close()
+    assert frames == [data]
+
+
+_FANOUT_SCRIPT = textwrap.dedent(
+    """
+    import numpy as np
+
+    from repro.config import Config
+    from repro.runtime import context as ctx
+    from repro.runtime.runtime import Runtime
+
+
+    def echo(x):
+        return x
+
+
+    def fan_back(n, nbytes):
+        rt = ctx.current().runtime
+        futures = [rt.async_at(0, echo, np.full(nbytes, i % 251, np.uint8))
+                   for i in range(n)]
+        return [int(f.get()[0]) for f in futures]
+
+
+    config = Config(runtime__backend="multiprocess")
+    with Runtime(n_localities=2, workers_per_locality=1, config=config) as rt:
+        for n, nbytes in ((500, 8192), (2000, 2048)):
+            want = [i % 251 for i in range(n)]
+            # Every call is issued before any get: each side writes far
+            # more than the socket holds while the other is writing too.
+            futures = [rt.async_at(1, echo, np.full(nbytes, i % 251, np.uint8))
+                       for i in range(n)]
+            back = rt.async_at(1, fan_back, n, nbytes)
+            assert [int(f.get()[0]) for f in futures] == want
+            assert back.get() == want
+    print("ok")
+    """
+)
+
+
+def test_two_way_fanout_larger_than_the_socket_completes():
+    """Both processes write more than a socket holds at once; neither
+    write may block.  Run in a child process so that a hang fails the
+    test instead of the suite; the child gets its own session so that a
+    hung run's worker process is killed with it."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    with subprocess.Popen(
+        [sys.executable, "-c", _FANOUT_SCRIPT],
+        env={**os.environ, "PYTHONPATH": path},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        start_new_session=True,
+    ) as child:
+        try:
+            out, err = child.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(child.pid, signal.SIGKILL)
+            child.communicate()
+            pytest.fail("two-way fan-out hung: a socket write blocked both processes")
+    assert child.returncode == 0, err
+    assert out.strip() == "ok"
 
 
 def test_backend_counters_read_zero_on_virtual():
