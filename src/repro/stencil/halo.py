@@ -262,7 +262,7 @@ class HaloPartition(Component):
 
     def restore_state(self, state: dict[str, Any]) -> None:
         """Roll back to a :meth:`checkpoint_state` snapshot, in place."""
-        self.u = np.array(state["u"], dtype=np.float64, copy=True)
+        self.u = np.array(state["u"], dtype=np.float64, copy=True, order="C")
         self.steps_done = int(state["steps_done"])
         self._edge_log = dict(state["edge_log"])
         for name in self.checkpoint_fields:

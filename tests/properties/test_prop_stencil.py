@@ -1,15 +1,18 @@
 """Property-based tests for the stencil solvers' mathematical invariants."""
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from repro.runtime import Runtime
 from repro.simd.isa import AVX2, NEON
 from repro.stencil import (
     Heat1DParams,
     Heat1DPartitioned,
     Jacobi2D,
+    Jacobi2DPartition,
     heat1d_reference,
     heat1d_steps,
     jacobi_reference_step,
@@ -76,6 +79,40 @@ def test_heat1d_steps_is_the_oracle_bit_for_bit(u0, steps):
     oracle's IEEE operations in the oracle's order, ends included."""
     got = heat1d_steps(u0, steps, PARAMS)
     assert got.tobytes() == heat1d_reference(u0, steps, PARAMS).tobytes()
+
+
+def _haloed_block(shape):
+    """A partition block and its two halos, each a row or ``None``."""
+    halo = st.one_of(st.none(), arrays(np.float64, shape[1], elements=any_sign))
+    return st.tuples(arrays(np.float64, shape, elements=any_sign), halo, halo)
+
+
+@pytest.fixture(scope="module")
+def rt():
+    with Runtime(n_localities=1, workers_per_locality=1) as runtime:
+        yield runtime
+
+
+@given(case=st.tuples(st.integers(3, 40), st.integers(3, 40)).flatmap(_haloed_block))
+@example(case=(np.arange(9.0).reshape(3, 3), None, None))
+@example(case=(np.arange(21.0).reshape(3, 7), np.full(7, -2.5), None))
+@example(case=(np.arange(21.0).reshape(7, 3), None, np.array([1e-310, 4.0, -1.0])))
+@settings(max_examples=80)
+def test_jacobi_partition_step_is_the_oracle_bit_for_bit(rt, case):
+    """The partition's flat-pass kernel gives the whole-grid oracle's
+    bytes for the haloed block, halo rows and side walls included, and
+    its residual is the oracle's."""
+    block, up, down = case
+    part = Jacobi2DPartition(block)
+    part.connect(rt, None, None)  # open ends: nothing is shipped
+    haloed = np.array(block)
+    haloed[0] = haloed[0] if up is None else up
+    haloed[-1] = haloed[-1] if down is None else down
+    part.advance(0, up, down)
+    want = jacobi_reference_step(haloed)
+    assert part.u.tobytes() == want.tobytes()
+    diff = jacobi_reference_step(want)[1:-1, 1:-1] - want[1:-1, 1:-1]
+    assert part.local_residual() == float(np.sum(diff * diff))
 
 
 @given(

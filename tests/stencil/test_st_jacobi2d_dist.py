@@ -8,6 +8,7 @@ from repro.runtime import Runtime
 from repro.stencil import (
     DistributedJacobi2D,
     Jacobi2D,
+    Jacobi2DPartition,
     jacobi_dense_solution,
     jacobi_reference_step,
     max_error,
@@ -76,6 +77,23 @@ def test_network_time_accrues():
     field = hot_top(18, 8)
     _, makespan = run_distributed(field, 10, 4)
     assert makespan > 0.0
+
+
+def test_fortran_ordered_field_gives_the_c_ordered_bytes():
+    """The kernel walks a block as one flat C-ordered range, so the
+    partition stores its block C-ordered whatever the input's layout."""
+    field = np.random.default_rng(7).random((18, 12))
+    c_out, _ = run_distributed(field, 9, 2)
+    f_out, _ = run_distributed(np.asfortranarray(field), 9, 2)
+    assert f_out.tobytes() == c_out.tobytes() == reference(field, 9).tobytes()
+
+
+def test_partition_and_restore_store_a_fortran_block_c_ordered():
+    block = np.asfortranarray(np.random.default_rng(2).random((5, 7)))
+    part = Jacobi2DPartition(block)
+    assert part.u.flags.c_contiguous and np.array_equal(part.u, block)
+    part.restore_state(dict(part.checkpoint_state(), u=block))
+    assert part.u.flags.c_contiguous and np.array_equal(part.u, block)
 
 
 def test_zero_steps_identity():
