@@ -326,6 +326,9 @@ class _PipeBackend(ExecutionBackend):
             return
         self.replies_received += 1
         value = decode_message(data)
+        if self._stopping:  # no pool runs any more: the reply lands now
+            (promise.set_value if ok else promise.set_exception)(value)
+            return
         self.runtime.localities[self.my_id].pool.post(
             promise.set_value if ok else promise.set_exception,
             value,
@@ -522,6 +525,16 @@ class MultiprocessBackend(_PipeBackend):
                 proc.join(timeout=1.0)
         for channel in self._channels.values():
             channel.sock.close()  # its worker is gone: nothing queued matters
+        # No reply can come now: a caller still waiting gets an error,
+        # not a future that is silently never ready.
+        for seq, promise in self._tokens.items():
+            promise.set_exception(
+                RuntimeStateError(
+                    f"multiprocess shutdown: the reply to remote call {seq} "
+                    "never arrived"
+                )
+            )
+        self._tokens.clear()
 
     # Transport -------------------------------------------------------------
     def _send(self, destination: int, message: tuple) -> None:
@@ -611,15 +624,30 @@ class _WorkerBackend(_PipeBackend):
         self._channel = channel
         self.my_id = worker_id
         self._sent_stopped = False
+        #: The sync round read but not answered yet (see :meth:`serve`).
+        self._sync_due: int | None = None
 
     def attach(self, runtime: "Runtime") -> None:
         super().attach(runtime)
         runtime.agas.broker = self._broker_resolve
 
     def serve(self) -> None:
-        """The worker main loop: drain local work, then block for more."""
+        """The worker main loop: drain local work, answer the sync round
+        read meanwhile, then block for more.
+
+        A round is answered only after a drain.  Answered as it was read,
+        it let a worker whose reads never found the socket empty -- the
+        driver sends the next round as soon as an ack lands -- ack "busy"
+        round after round without ever running the work it held, until
+        the driver gave up and a reply was lost.
+        """
         while not self._stopping:
             self._drain_local()
+            if self._sync_due is not None:
+                busy = self._busy()
+                self._activity = False
+                self._send(0, ("sync-ack", self._sync_due, self.my_id, busy))
+                self._sync_due = None
             self._service(block=True)
 
     def stop(self) -> None:
@@ -665,12 +693,8 @@ class _WorkerBackend(_PipeBackend):
         return True
 
     def _busy(self) -> bool:
-        return (
-            self._activity
-            or bool(self._tokens)
-            or bool(self._channel.out)
-            or any(loc.pool.pending() for loc in self.runtime.localities)
-        )
+        # Asked right after a drain, so no task is pending here.
+        return self._activity or bool(self._tokens) or bool(self._channel.out)
 
     def _broadcast_create(
         self, origin: int, gid: "Gid", home: int, data: bytes, exclude: int
@@ -682,9 +706,7 @@ class _WorkerBackend(_PipeBackend):
     def _dispatch_control(self, message: tuple) -> None:
         kind = message[0]
         if kind == "sync":
-            busy = self._busy()
-            self._activity = False
-            self._send(0, ("sync-ack", message[1], self.my_id, busy))
+            self._sync_due = message[1]
         elif kind == "stop":
             self._stopping = True
         elif kind == "abort":

@@ -25,10 +25,10 @@ Message kinds
 ``("resolve", req_id, gid, origin)`` / ``("resolved", req_id, gid, home)``
     Synchronous AGAS brokering for a GID unknown locally (``home`` is
     -1 when the driver does not know it either).
-``("sync", seq)`` / ("sync-ack", seq, worker, busy)``
-    Termination-detection round: the worker acks with ``busy`` True
-    while it has pending tasks, outstanding reply tokens, or sent
-    traffic since its last ack.
+``("sync", seq)`` / ``("sync-ack", seq, worker, busy)``
+    Termination-detection round: the worker acks once it has run
+    everything runnable, with ``busy`` True while it has outstanding
+    reply tokens, unwritten output, or sent traffic since its last ack.
 ``("stop",)`` / ``("stopped", worker, stats)``
     Clean shutdown; the worker answers with its runtime statistics
     (perfcounter aggregation back to locality 0) and exits.

@@ -14,10 +14,17 @@ deterministic NumPy and epoch boundaries depend only on the job
 parameters, an interrupted-and-resumed job produces a result
 bit-identical to an uninterrupted run, which the chaos suite asserts
 via :func:`job_digest`.
+
+An attempt lists the job's directory once, in that resume scan, and
+creates it at most once.  Each epoch then writes its file and prunes
+the attempt's in-memory copy of the trail, so an epoch costs its
+checkpoint write (and the removal of the file it retires) and no
+directory scan.
 """
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import os
 from typing import Any, Callable, Optional
@@ -94,25 +101,37 @@ class JobRunner:
                     continue
         return sorted(epochs)
 
-    def _checkpoint(self, job_id: str, field: np.ndarray, steps_done: int) -> None:
-        directory = self.job_dir(job_id)
-        os.makedirs(directory, exist_ok=True)
+    def _checkpoint(
+        self, job_id: str, field: np.ndarray, steps_done: int, trail: list[int]
+    ) -> None:
+        """Write epoch ``steps_done`` and prune to the newest
+        ``keep_epochs``; ``trail`` is the attempt's sorted list of the
+        epochs on disk, kept in step with the directory."""
         ckpt = save_checkpoint(field, steps_done, epoch=steps_done)
         ckpt.write(self._epoch_path(job_id, steps_done))
-        for old in self._saved_epochs(job_id)[: -self.keep_epochs]:
+        if steps_done not in trail:  # listed already if it replaced a corrupt file
+            bisect.insort(trail, steps_done)
+        for old in trail[: -self.keep_epochs]:
             try:
                 os.remove(self._epoch_path(job_id, old))
             except OSError:  # pragma: no cover - best-effort prune
                 pass
+        del trail[: -self.keep_epochs]
 
-    def restore_latest(self, job_id: str) -> Optional[tuple[np.ndarray, int]]:
+    def restore_latest(
+        self, job_id: str, trail: Optional[list[int]] = None
+    ) -> Optional[tuple[np.ndarray, int]]:
         """Newest intact ``(field, steps_done)``; None for a fresh job.
 
         A checkpoint left torn or bit-rotted by a crash is *skipped*
         (counted in ``corrupt_skipped``), never trusted: the attempt
         simply resumes from the next older epoch, or from scratch.
+        ``trail`` is the job's epochs on disk when the caller has just
+        listed them.
         """
-        for steps_done in reversed(self._saved_epochs(job_id)):
+        if trail is None:
+            trail = self._saved_epochs(job_id)
+        for steps_done in reversed(trail):
             path = self._epoch_path(job_id, steps_done)
             try:
                 ckpt = Checkpoint.read(path)
@@ -158,7 +177,8 @@ class JobRunner:
         if total_steps < 0:
             raise ValidationError("steps must be non-negative")
 
-        resumed = self.restore_latest(job.job_id)
+        trail = self._saved_epochs(job.job_id)  # the attempt's one listing
+        resumed = self.restore_latest(job.job_id, trail)
         if resumed is not None:
             field, steps_done = resumed
             if field.shape != (nx,):
@@ -168,6 +188,8 @@ class JobRunner:
         else:
             field, steps_done = analytic_heat_profile(nx, mode=mode), 0
 
+        if steps_done < total_steps:
+            os.makedirs(self.job_dir(job.job_id), exist_ok=True)
         epochs_run = 0
         while steps_done < total_steps:
             segment = min(self.epoch_steps, total_steps - steps_done)
@@ -176,7 +198,7 @@ class JobRunner:
             )
             steps_done += segment
             epochs_run += 1
-            self._checkpoint(job.job_id, field, steps_done)
+            self._checkpoint(job.job_id, field, steps_done, trail)
             if self.after_epoch is not None:
                 self.after_epoch(job.job_id, steps_done)
         return {

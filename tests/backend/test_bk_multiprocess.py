@@ -21,13 +21,21 @@ import pytest
 
 import repro
 from repro.config import Config
+from repro.errors import RuntimeStateError
 from repro.runtime import instrument
 from repro.runtime.agas.component import Component
 from repro.runtime.agas.gid import Gid
 from repro.runtime.agas.service import AgasService
 from repro.runtime.backend import ExecutionBackend
-from repro.runtime.backend.multiprocess import MultiprocessBackend, _Channel, _wait
-from repro.runtime.futures import when_all
+from repro.runtime.backend.multiprocess import (
+    MultiprocessBackend,
+    _Channel,
+    _wait,
+    _WorkerBackend,
+)
+from repro.runtime.backend.wire import decode_message, send_message
+from repro.runtime.futures import Promise, when_all
+from repro.runtime.parcel.serialization import serialize
 from repro.runtime.perfcounters import discover, query
 from repro.runtime.runtime import Runtime
 
@@ -215,6 +223,67 @@ def test_final_large_reply_and_worker_stats_arrive():
     assert len(_ARRIVED) == 1 and np.array_equal(_ARRIVED[0], _big(n))
     assert sorted(rt.backend.worker_stats()) == [1]
     assert rt.backend.worker_stats()[1]["tasks_executed"] > 0
+
+
+def test_a_worker_answers_a_sync_round_after_running_its_work():
+    """A worker acks a termination round only once it has run what it
+    holds, so the reply to a parcel read with the round goes out first.
+    Acked as it was read, a worker whose reads never found the socket
+    empty -- the driver sends the next round as soon as an ack lands --
+    acked "busy" 64 times without running anything; the driver then
+    stopped with the reply unsent."""
+    driver_sock, worker_sock = socket.socketpair()
+    driver, worker_channel = _Channel(driver_sock), _Channel(worker_sock)
+    backend = _WorkerBackend(worker_channel, 1)
+    config = Config.from_mapping(
+        {"runtime.backend": "multiprocess", "runtime.quiescence": "ignore"}
+    )
+    body = serialize((_double, ([1, 2],), {}))
+    send_message(driver, ("parcel", (0, 1, body, None, 1, (0, 1), False, None)))
+    send_message(driver, ("sync", 1))
+
+    def serve():
+        with Runtime(
+            n_localities=2, workers_per_locality=1, config=config, _backend=backend
+        ):
+            backend.serve()
+
+    worker = threading.Thread(target=serve)
+    worker.start()
+    kinds = []
+    try:
+        while "sync-ack" not in kinds and _wait([driver], 10.0):
+            kinds.extend(decode_message(frame)[0] for frame in driver.frames())
+    finally:
+        send_message(driver, ("stop",))
+        worker.join(timeout=10.0)
+        worker_channel.close()
+        driver.close()
+    assert not worker.is_alive()
+    assert kinds[:2] == ["reply", "sync-ack"]
+
+
+def test_a_reply_that_never_comes_fails_its_future():
+    """Shutdown leaves no reply token silently pending: when the worker
+    dies mid-call, the caller's future fails with a typed error instead
+    of never becoming ready."""
+    with pytest.raises(RuntimeStateError, match="exited unexpectedly"):
+        with _mp_runtime() as rt:
+            result = rt.async_at(1, os._exit, 3)
+    with pytest.raises(RuntimeStateError, match="never arrived"):
+        result.get()
+
+
+def test_a_reply_read_during_shutdown_lands_at_once():
+    """Once the driver is stopping no pool runs, so a reply read in the
+    stop handshake sets its future directly instead of queueing a task
+    that nothing would run."""
+    backend = MultiprocessBackend()
+    backend._stopping = True
+    promise = Promise()
+    backend._tokens[7] = promise
+    backend._route_reply(0, 7, True, serialize(42))
+    assert promise.get_future().get() == 42 and not backend._tokens
 
 
 def test_channel_close_writes_what_is_still_queued():

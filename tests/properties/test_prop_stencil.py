@@ -10,6 +10,7 @@ from repro.runtime import Runtime
 from repro.simd.isa import AVX2, NEON
 from repro.stencil import (
     Heat1DParams,
+    Heat1DPartition,
     Heat1DPartitioned,
     Jacobi2D,
     Jacobi2DPartition,
@@ -81,6 +82,37 @@ def test_heat1d_steps_is_the_oracle_bit_for_bit(u0, steps):
     assert got.tobytes() == heat1d_reference(u0, steps, PARAMS).tobytes()
 
 
+#: Field values of every size the kernel sees, up to near overflow.
+wide = st.one_of(any_sign, st.floats(min_value=-1e300, max_value=1e300))
+#: A halo as it arrives: a Python float off the wire, or a NumPy scalar.
+halo_value = st.one_of(wide, wide.map(np.float64))
+
+
+@given(
+    u=arrays(
+        np.float64,
+        st.one_of(st.sampled_from([1, 2, 3]), st.integers(1, 300)),
+        elements=wide,
+    ),
+    left=halo_value,
+    right=halo_value,
+)
+@example(u=np.array([5e15]), left=1e16, right=1.0)
+@example(u=np.array([5e15, -2.5]), left=np.float64(1e16), right=1e-310)
+@example(u=np.array([1.0, 5e15, 3.0]), left=-0.0, right=np.float64(1e16))
+@settings(max_examples=80)
+def test_heat1d_partition_step_is_the_oracle_bit_for_bit(rt, u, left, right):
+    """One partition step over explicit halos gives the oracle's bytes
+    for the haloed chunk, one point and two included: ``(left - 2u) +
+    right`` is not ``(left + right) - 2u`` once magnitudes differ."""
+    part = Heat1DPartition(u, PARAMS)
+    part.connect(rt, None, None)  # open ends: nothing is shipped
+    part.advance(0, left, right)
+    haloed = np.concatenate(([left], u, [right]))
+    assert part.u.tobytes() == heat1d_reference(haloed, 1, PARAMS)[1:-1].tobytes()
+
+
+
 def _haloed_block(shape):
     """A partition block and its two halos, each a row or ``None``."""
     halo = st.one_of(st.none(), arrays(np.float64, shape[1], elements=any_sign))
@@ -115,19 +147,26 @@ def test_jacobi_partition_step_is_the_oracle_bit_for_bit(rt, case):
     assert part.local_residual() == float(np.sum(diff * diff))
 
 
+def _field_and_divisor(n):
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    return st.tuples(arrays(np.float64, n, elements=wide), st.sampled_from(divisors))
+
+
 @given(
-    u0=arrays(np.float64, 48, elements=bounded),
-    nlp=st.sampled_from([1, 2, 3, 4, 6, 8]),
+    case=st.one_of(st.sampled_from([1, 2, 3, 48]), st.integers(1, 300)).flatmap(
+        _field_and_divisor
+    ),
     steps=st.integers(0, 25),
 )
-@settings(max_examples=30)
-def test_partitioned_solver_agnostic_to_partition_count(u0, nlp, steps):
-    """Any partitioning produces the identical field (bitwise-stable
-    arithmetic order within chunks differs, so allow roundoff)."""
-    solver = Heat1DPartitioned(48, nlp, PARAMS)
+@example(case=(np.array([5e15, 1e16, 1.0, -7.0]), 2), steps=3)
+@settings(max_examples=60)
+def test_partitioned_solver_agnostic_to_partition_count(case, steps):
+    """Any partitioning of Listing 1's solver gives the oracle's field
+    bit for bit: every chunk runs the oracle's operations in its order."""
+    u0, nlp = case
+    solver = Heat1DPartitioned(u0.shape[0], nlp, PARAMS)
     solver.initialize(u0)
-    out = solver.run(steps)
-    assert np.allclose(out, heat1d_reference(u0, steps, PARAMS), atol=1e-9)
+    assert solver.run(steps).tobytes() == heat1d_reference(u0, steps, PARAMS).tobytes()
 
 
 @given(

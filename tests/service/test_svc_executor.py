@@ -1,9 +1,12 @@
 """JobRunner: epoch checkpointing, crash-resume bit-identity, corrupt skip."""
 
+import os
+
 import numpy as np
 import pytest
 
 from repro.errors import ValidationError
+from repro.resilience.checkpoint import Checkpoint, restore_checkpoint
 from repro.service import JobRunner, job_digest
 from repro.service.jobs import Job
 from repro.stencil import Heat1DParams, analytic_heat_profile, heat1d_reference
@@ -64,6 +67,70 @@ class TestEpochTrail:
         runner.cleanup("job-x")
         assert runner._saved_epochs("job-x") == []
         assert runner.restore_latest("job-x") is None
+
+
+def _count_calls(monkeypatch, name):
+    """Record the path of every ``os.<name>`` call from now on."""
+    paths = []
+    real = getattr(os, name)
+
+    def counted(path, *args, **kwargs):
+        paths.append(os.fspath(path))
+        return real(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, name, counted)
+    return paths
+
+
+def _stop_at(steps):
+    def hook(job_id, steps_done):
+        if steps_done == steps:
+            raise _Interrupt
+
+    return hook
+
+
+class TestTrailScans:
+    """An attempt lists its job directory once and creates it at most
+    once; an epoch then costs its checkpoint write and its prune."""
+
+    @pytest.mark.parametrize("resumed", [False, True])
+    def test_one_listing_and_at_most_one_makedirs_per_attempt(
+        self, tmp_path, monkeypatch, resumed
+    ):
+        runner = JobRunner(tmp_path, epoch_steps=2, keep_epochs=2)
+        if resumed:
+            runner.after_epoch = _stop_at(4)
+            with pytest.raises(_Interrupt):
+                runner.run(_job(**STENCIL))
+            runner.after_epoch = None
+        listed = _count_calls(monkeypatch, "listdir")
+        made = _count_calls(monkeypatch, "makedirs")
+        result = runner.run(_job(attempts=2, **STENCIL))
+        assert result["epochs"] == (4 if resumed else 6)
+        assert listed == [runner.job_dir("job-x")]
+        assert len(made) <= 1
+        assert runner._saved_epochs("job-x") == [10, 12]
+
+    def test_resume_over_stale_and_corrupt_epochs_keeps_keep_epochs(self, tmp_path):
+        job = dict(STENCIL, steps=20)
+        older = JobRunner(tmp_path, epoch_steps=4, keep_epochs=3, after_epoch=_stop_at(12))
+        with pytest.raises(_Interrupt):
+            older.run(_job(**job))
+        runner = JobRunner(tmp_path, epoch_steps=4, keep_epochs=2)
+        assert runner._saved_epochs("job-x") == [4, 8, 12]
+        with open(runner._epoch_path("job-x", 12), "wb") as fh:
+            fh.write(b"torn")
+        result = runner.run(_job(attempts=2, **job))
+        assert result["resumed_at"] == 8 and runner.corrupt_skipped == 1
+        assert result["digest"] == _oracle_digest(nx=16, steps=20, mode=1)
+        assert sorted(os.listdir(runner.job_dir("job-x"))) == [
+            "epoch-000016.ckpt",
+            "epoch-000020.ckpt",
+        ]
+        for steps_done in (16, 20):
+            ckpt = Checkpoint.read(runner._epoch_path("job-x", steps_done))
+            assert restore_checkpoint(ckpt)[1] == steps_done
 
 
 class TestResume:
