@@ -53,7 +53,7 @@ from ..config import Config
 from ..errors import DeadlockError, RuntimeStateError, ValidationError
 from ..runtime import context as ctx
 from ..runtime import instrument
-from ..runtime.backend.base import refuse_off_virtual_clock
+from ..runtime.backend import refuse_off_virtual_clock
 from ..runtime.futures import pending_demand_states
 from ..runtime.instrument import Probe
 from ..runtime.parcel.serialization import serialize

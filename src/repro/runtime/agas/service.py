@@ -52,10 +52,6 @@ class AgasService:
         self._table: dict[Gid, _Entry] = {}
         #: Called with (gid, obj) when a refcount hits zero.
         self.on_destroy: Callable[[Gid, Any], None] | None = None
-        #: Cross-process resolution fallback (multiprocess backend): asked
-        #: for ``(home, obj)`` when a GID is unknown locally; None means
-        #: genuinely unregistered.  The answer is cached in the table.
-        self.broker: Callable[[Gid], tuple[int, Any] | None] | None = None
 
     # Registration ---------------------------------------------------------------
     def register(self, obj: Any, home: int) -> Gid:
@@ -215,13 +211,6 @@ class AgasService:
         try:
             return self._table[gid]
         except KeyError:
-            if self.broker is not None:
-                resolved = self.broker(gid)
-                if resolved is not None:
-                    home, obj = resolved
-                    entry = _Entry(obj, home)
-                    self._table[gid] = entry
-                    return entry
             raise UnknownGidError(f"{gid!r} is not (or no longer) registered") from None
 
     def _check_locality(self, locality: int) -> None:

@@ -26,10 +26,12 @@ interconnects -- is rejected up front with a
 :class:`~repro.errors.ConfigError` (see
 ``Runtime._check_distributed_config``).
 
-AGAS stays coherent by construction: every registration is mirrored to
+AGAS stays coherent by mirroring alone: every registration is sent to
 every process (the home process receives the pickled component, others a
-placeholder binding), with a synchronous resolve broker through the
-driver as the fallback for a GID a process has never heard of.
+placeholder binding).  Every message passes through the driver in
+order, so a registration reaches each process before any message that
+names its GID; registrations made before :meth:`MultiprocessBackend.start`
+are mirrored to the workers as soon as they exist.
 """
 # This file IS the OS-process transport: the one place in the tree where
 # real OS concurrency primitives are the point, not a bypass.
@@ -49,7 +51,6 @@ from ...errors import RuntimeStateError
 from ..futures import Promise
 from ..parcel.parcel import Parcel
 from ..parcel.serialization import serialize
-from .base import ExecutionBackend
 from .wire import decode_message, parcel_entry, send_message
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -184,17 +185,19 @@ def _wait(channels: list[_Channel], timeout: float) -> list[_Channel]:
             return readable
 
 
-class _PipeBackend(ExecutionBackend):
-    """Shared send/dispatch machinery for the driver and worker sides."""
+class _PipeBackend:
+    """Shared send/dispatch machinery for the driver and worker sides:
+    ``Runtime.backend`` of a multiprocess job."""
 
-    distributed = True
+    #: The owning runtime, set by ``Runtime.__init__``.
+    runtime: "Runtime"
+    #: Locality id this process executes (0 = the driver).
+    my_id: int
 
     def __init__(self) -> None:
         # seq -> reply Promise for tokened sends originated here.
         self._tokens: dict[int, Promise] = {}
         self._token_seq = 0
-        self._resolve_seq = 0
-        self._resolved: dict[int, int] = {}
         self._tick = 0
         #: Any wire sends since the last sync ack/round (termination
         #: detection reads and resets this).
@@ -209,19 +212,12 @@ class _PipeBackend(ExecutionBackend):
         self.messages_sent = 0
         self.wire_bytes_sent = 0
         self.agas_creates = 0
-        self.agas_resolves = 0
         self.sync_rounds = 0
-
-    # Transport primitives (side-specific) ---------------------------------
-    def _send(self, destination: int, message: tuple) -> None:
-        raise NotImplementedError
-
-    def _service(self, block: bool) -> bool:
-        """Receive and dispatch pending messages; True if any arrived."""
-        raise NotImplementedError
 
     # Send path -------------------------------------------------------------
     def forward_parcel(self, parcel: Parcel, destination: int) -> None:
+        """Write ``parcel`` towards the process that owns ``destination``.
+        Its ``by_ref_body`` stays behind: the receiver decodes the payload."""
         token = None
         promise = parcel.reply_promise
         if promise is not None and not parcel.fire_and_forget:
@@ -233,16 +229,12 @@ class _PipeBackend(ExecutionBackend):
         self._activity = True
 
     def maybe_service(self) -> bool:
+        """The progress loop's cheap poll: a non-blocking :meth:`service`
+        once every ``_SERVICE_MASK + 1`` calls."""
         self._tick += 1
         if self._tick & _SERVICE_MASK:
             return False
-        return self._service(block=False)
-
-    def poll(self) -> bool:
-        return self._service(block=False)
-
-    def on_stall(self) -> bool:
-        return self._service(block=True)
+        return self.service(block=False)
 
     # Inbound dispatch ------------------------------------------------------
     def _dispatch(self, message: tuple) -> None:
@@ -255,12 +247,6 @@ class _PipeBackend(ExecutionBackend):
         elif kind == "create":
             _, origin, gid, home, data = message
             self._apply_create(origin, gid, home, data)
-        elif kind == "resolve":
-            _, req_id, gid, origin = message
-            self._answer_resolve(req_id, gid, origin)
-        elif kind == "resolved":
-            _, req_id, _gid, home = message
-            self._resolved[req_id] = home
         else:
             self._dispatch_control(message)
 
@@ -352,37 +338,6 @@ class _PipeBackend(ExecutionBackend):
             self.agas_creates += 1
         self._broadcast_create(origin, gid, home, data, exclude=origin)
 
-    def _broadcast_create(
-        self, origin: int, gid: "Gid", home: int, data: bytes, exclude: int
-    ) -> None:
-        raise NotImplementedError
-
-    def _answer_resolve(self, req_id: int, gid: "Gid", origin: int) -> None:
-        agas = self.runtime.agas
-        home = agas.home_of(gid) if gid in agas else -1
-        self._send(origin, ("resolved", req_id, gid, home))
-
-    def _broker_resolve(self, gid: "Gid") -> tuple[int, Any] | None:
-        """AGAS fallback: ask the driver where an unknown GID lives.
-
-        Blocks (dispatching other traffic reentrantly) until the answer
-        arrives; returns ``(home, placeholder)`` or None when the driver
-        does not know the GID either.
-        """
-        if self._stopping:
-            return None
-        self._resolve_seq += 1
-        req_id = self._resolve_seq
-        self._send(0, ("resolve", req_id, gid, self.my_id))
-        while req_id not in self._resolved:
-            if not self._service(block=True):
-                return None
-        home = self._resolved.pop(req_id)
-        if home < 0:
-            return None
-        self.agas_resolves += 1
-        return home, None
-
     # Local draining --------------------------------------------------------
     def _drain_local(self) -> None:
         """Run every runnable task in this process."""
@@ -405,7 +360,6 @@ class _PipeBackend(ExecutionBackend):
             "messages_sent": float(self.messages_sent),
             "wire_bytes_sent": float(self.wire_bytes_sent),
             "agas_creates": float(self.agas_creates),
-            "agas_resolves": float(self.agas_resolves),
             "sync_rounds": float(self.sync_rounds),
         }
 
@@ -413,7 +367,6 @@ class _PipeBackend(ExecutionBackend):
 class MultiprocessBackend(_PipeBackend):
     """Driver side: owns the worker processes and relays their traffic."""
 
-    name = "multiprocess"
     my_id = 0
 
     def __init__(self) -> None:
@@ -454,6 +407,13 @@ class MultiprocessBackend(_PipeBackend):
             child.close()
             self._channels[worker_id] = _Channel(parent)
             self._procs[worker_id] = proc
+        # A registration made before the workers existed reached none of
+        # them: mirror it now, ahead of any message that names its GID.
+        agas = runtime.agas
+        for home in range(runtime.n_localities):
+            for gid in agas.gids_homed_at(home):
+                data = serialize(agas.resolve(gid)[1])
+                self._broadcast_create(0, gid, home, data, exclude=0)
 
     def quiesce(self) -> None:
         """Termination detection: repeat drain+sync rounds until a full
@@ -473,7 +433,7 @@ class MultiprocessBackend(_PipeBackend):
             while len(self._acks[seq]) < len(self._channels) - len(
                 self._stopped_workers
             ):
-                if not self._service(block=True):
+                if not self.service(block=True):
                     raise RuntimeStateError(
                         f"multiprocess shutdown: sync round {seq} timed out "
                         f"after {_STALL_TIMEOUT_S:g}s awaiting worker acks"
@@ -506,7 +466,7 @@ class MultiprocessBackend(_PipeBackend):
                 if worker_id not in self._stopped_workers:
                     self._send(worker_id, ("stop",))
             while len(self._stopped_workers) < len(self._channels):
-                if not self._service(block=True):
+                if not self.service(block=True):
                     break  # timed out; join/terminate below
         finally:
             self._reap(5.0)
@@ -544,7 +504,9 @@ class MultiprocessBackend(_PipeBackend):
         self.messages_sent += 1
         self.wire_bytes_sent += send_message(self._channels[destination], message)
 
-    def _service(self, block: bool) -> bool:
+    def service(self, block: bool) -> bool:
+        """Receive and dispatch pending messages (waiting up to the stall
+        timeout when ``block``); True if any arrived."""
         channels = [
             channel
             for worker_id, channel in self._channels.items()
@@ -617,8 +579,6 @@ class MultiprocessBackend(_PipeBackend):
 class _WorkerBackend(_PipeBackend):
     """Worker side: a single channel to the driver, which relays everything."""
 
-    name = "multiprocess"
-
     def __init__(self, channel: _Channel, worker_id: int) -> None:
         super().__init__()
         self._channel = channel
@@ -626,10 +586,6 @@ class _WorkerBackend(_PipeBackend):
         self._sent_stopped = False
         #: The sync round read but not answered yet (see :meth:`serve`).
         self._sync_due: int | None = None
-
-    def attach(self, runtime: "Runtime") -> None:
-        super().attach(runtime)
-        runtime.agas.broker = self._broker_resolve
 
     def serve(self) -> None:
         """The worker main loop: drain local work, answer the sync round
@@ -648,7 +604,17 @@ class _WorkerBackend(_PipeBackend):
                 self._activity = False
                 self._send(0, ("sync-ack", self._sync_due, self.my_id, busy))
                 self._sync_due = None
-            self._service(block=True)
+            self.service(block=True)
+
+    # The driver starts the job, detects its termination and aborts it.
+    def start(self) -> None:
+        pass
+
+    def quiesce(self) -> None:
+        pass
+
+    def abort(self) -> None:
+        pass
 
     def stop(self) -> None:
         if self._sent_stopped:
@@ -680,7 +646,7 @@ class _WorkerBackend(_PipeBackend):
         self.messages_sent += 1
         self.wire_bytes_sent += send_message(self._channel, message)
 
-    def _service(self, block: bool) -> bool:
+    def service(self, block: bool) -> bool:
         channel = self._channel
         if not _wait([channel], _STALL_TIMEOUT_S if block else 0):
             return False
@@ -693,8 +659,9 @@ class _WorkerBackend(_PipeBackend):
         return True
 
     def _busy(self) -> bool:
-        # Asked right after a drain, so no task is pending here.
-        return self._activity or bool(self._tokens) or bool(self._channel.out)
+        # Asked right after a drain, so no task is pending here.  Output
+        # still queued needs no term: the ack is written behind it.
+        return self._activity or bool(self._tokens)
 
     def _broadcast_create(
         self, origin: int, gid: "Gid", home: int, data: bytes, exclude: int

@@ -21,14 +21,16 @@ Message kinds
     ``ok``, the serialized exception otherwise.  Routed to ``origin``.
 ``("create", origin, gid, home, data)``
     AGAS mirror of a new registration; ``data`` is the serialized
-    component (decoded only by the home process).
-``("resolve", req_id, gid, origin)`` / ``("resolved", req_id, gid, home)``
-    Synchronous AGAS brokering for a GID unknown locally (``home`` is
-    -1 when the driver does not know it either).
+    component (decoded only by the home process).  Mirroring is AGAS's
+    one coherence mechanism: the driver relays every message in order,
+    so a ``create`` reaches each process before any message naming its
+    GID, and the driver mirrors registrations made before its workers
+    existed as soon as it has started them.
 ``("sync", seq)`` / ``("sync-ack", seq, worker, busy)``
     Termination-detection round: the worker acks once it has run
     everything runnable, with ``busy`` True while it has outstanding
-    reply tokens, unwritten output, or sent traffic since its last ack.
+    reply tokens or sent traffic since its last ack (output it has not
+    written yet is ahead of the ack on the same socket).
 ``("stop",)`` / ``("stopped", worker, stats)``
     Clean shutdown; the worker answers with its runtime statistics
     (perfcounter aggregation back to locality 0) and exits.

@@ -57,17 +57,16 @@ Supported counter types::
     /backend{total}/count/messages       wire messages sent to other processes
     /backend{total}/data/sent            wire bytes sent to other processes
     /backend{total}/count/agas-creates   AGAS registrations mirrored out
-    /backend{total}/count/agas-resolves  cross-process GID resolutions brokered
     /backend{total}/count/sync-rounds    termination-detection rounds run
     /backend{total}/count/processes      OS processes in the job (driver only)
     /backend{total}/count/remote-tasks   tasks executed in worker processes
     /backend{total}/count/remote-parcels parcels sent by worker parcelports
     /runtime/uptime                virtual makespan (s)
 
-All ``/backend`` counters read 0.0 on the virtual-clock backend, so
-consumers need no feature test; the ``remote-*`` aggregates are
-collected from the workers' ``("stopped", ...)`` statistics and are
-final only after :meth:`Runtime.stop`.
+All ``/backend`` counters read 0.0 on the virtual clock, where
+``Runtime.backend`` is None, so consumers need no feature test; the
+``remote-*`` aggregates are collected from the workers' ``("stopped",
+...)`` statistics and are final only after :meth:`Runtime.stop`.
 
 Instance syntax: ``{locality#N/total}`` selects one locality,
 ``{locality#N/worker#W}`` selects one worker of one locality (thread
@@ -151,9 +150,9 @@ def _controller(read: Callable[[Any], float]) -> _Reader:
 
 
 def _backend(key: str) -> _Reader:
-    """Reader of one ``ExecutionBackend.counters()`` key (the virtual
-    backend returns an empty dict, so every path reads 0.0 there)."""
-    return lambda rt: rt.backend.counters().get(key, 0.0)
+    """Reader of one ``Runtime.backend.counters()`` key: 0.0 on the
+    virtual clock, where there is no backend."""
+    return lambda rt: 0.0 if rt.backend is None else rt.backend.counters().get(key, 0.0)
 
 
 def _phi_suspicion(rt: "Runtime") -> float:
@@ -221,7 +220,6 @@ _CATALOGUE: dict[str, dict[str, _Reader]] = {
         "count/messages": _backend("messages_sent"),
         "data/sent": _backend("wire_bytes_sent"),
         "count/agas-creates": _backend("agas_creates"),
-        "count/agas-resolves": _backend("agas_resolves"),
         "count/sync-rounds": _backend("sync_rounds"),
         "count/processes": _backend("processes"),
         "count/remote-tasks": _backend("remote_tasks_executed"),

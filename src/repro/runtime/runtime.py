@@ -35,8 +35,7 @@ from .context import _stack as _context_stack
 from .futures import pending_demand_states
 from .actions import get_action
 from .agas.component import Component
-from .backend import ExecutionBackend, create_backend
-from .backend.base import refuse_off_virtual_clock
+from .backend import refuse_off_virtual_clock
 from .agas.gid import Gid
 from .agas.service import AgasService
 from .futures import Future, Promise
@@ -53,6 +52,7 @@ from .threads.pool import ThreadPool
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..resilience.faults import FaultInjector
+    from .backend.multiprocess import _PipeBackend
     from .agas.service import _Entry
 
 __all__ = ["Runtime"]
@@ -77,7 +77,7 @@ class Runtime:
         workers_per_locality: int | None = None,
         config: Config | None = None,
         fault_injector: "FaultInjector | None" = None,
-        _backend: "ExecutionBackend | None" = None,
+        _backend: "_PipeBackend | None" = None,
     ) -> None:
         if n_localities < 1:
             raise RuntimeStateError("need at least one locality")
@@ -110,21 +110,17 @@ class Runtime:
         self.workers_per_locality = workers_per_locality
         self.agas = AgasService(n_localities)
 
-        # Execution backend: where the localities live.  The default
-        # virtual-clock backend is inert (every hook a no-op) so the
-        # simulation paths below are bit-identical to the pre-backend
-        # runtime.  Worker processes pass their pre-connected endpoint
-        # via the private ``_backend`` parameter.
-        self.backend: ExecutionBackend = (
-            _backend if _backend is not None else create_backend(self.config)
-        )
-        self.backend.attach(self)
-        #: Non-None exactly when other localities live in other OS
-        #: processes; hot paths branch on this single reference.
-        self._remote: ExecutionBackend | None = (
-            self.backend if self.backend.distributed else None
-        )
-        if self._remote is not None:
+        # Where the other localities live: None on the virtual clock,
+        # else this process's end of the multiprocess backend (a worker
+        # process passes its connected end as the private ``_backend``).
+        # Every path branches on this one reference.
+        if _backend is None and self.config.get_str("runtime.backend") == "multiprocess":
+            from .backend.multiprocess import MultiprocessBackend
+
+            _backend = MultiprocessBackend()
+        self.backend: "_PipeBackend | None" = _backend
+        if _backend is not None:
+            _backend.runtime = self
             self._check_distributed_config(fault_injector)
 
         scheduler = self.config.get_str("threads.scheduler")
@@ -224,10 +220,11 @@ class Runtime:
         # headroom.
         if sys.getrecursionlimit() < 20000:
             sys.setrecursionlimit(20000)
-        # Bring up the transport (multiprocess: fork/spawn the workers)
-        # before any execution context exists, so child processes never
-        # inherit a live frame stack.
-        self.backend.start()
+        # Bring up the transport (fork/spawn the workers) before any
+        # execution context exists, so child processes never inherit a
+        # live frame stack.
+        if self.backend is not None:
+            self.backend.start()
         ctx.push(
             ctx.ExecutionContext(
                 runtime=self,
@@ -255,14 +252,15 @@ class Runtime:
         if not self._started:
             raise RuntimeStateError("runtime is not started")
         try:
-            if self._remote is not None:
+            if self.backend is not None:
                 # Cross-process traffic still in flight must land (and
                 # execute) before the local drain can mean anything.
-                self._remote.quiesce()
+                self.backend.quiesce()
             self.progress_all()
         finally:
             try:
-                self.backend.stop()
+                if self.backend is not None:
+                    self.backend.stop()
             finally:
                 ctx.pop()
                 self._started = False
@@ -275,7 +273,8 @@ class Runtime:
             if exc_type is None:
                 self.stop()
             else:  # do not mask the user's exception with drain errors
-                self.backend.abort()
+                if self.backend is not None:
+                    self.backend.abort()
                 ctx.pop()
                 self._started = False
 
@@ -307,7 +306,7 @@ class Runtime:
         parcels (invoke) instead of touching component objects directly
         -- direct references are stale copies in distributed mode.
         """
-        return self._remote is not None
+        return self.backend is not None
 
     # Progress engine -------------------------------------------------------------
     def _next_locality(self) -> tuple[ThreadPool | None, Any, float]:
@@ -375,7 +374,7 @@ class Runtime:
         :class:`~repro.errors.ParcelDeadLetterError`; a plain stall is a
         :class:`~repro.errors.DeadlockError`.
         """
-        remote = self._remote
+        remote = self.backend
         while not predicate():
             # Distributed mode: poll the transport opportunistically (the
             # backend rate-limits internally) so relays and replies land
@@ -387,7 +386,7 @@ class Runtime:
                 # Nothing runnable here, but the awaited value may be on
                 # its way from another process: block on the transport
                 # before diagnosing a stall.
-                if remote is not None and remote.on_stall():
+                if remote is not None and remote.service(block=True):
                     continue
                 self._raise_stalled()
             pool.dispatch(worker, hint)
@@ -396,7 +395,7 @@ class Runtime:
         """Like :meth:`progress_until`, but only step work that can start
         at or before virtual ``deadline``; returns the final predicate
         value instead of raising on a stall (timeout machinery)."""
-        remote = self._remote
+        remote = self.backend
         while not predicate():
             if remote is not None and remote.maybe_service():
                 continue
@@ -404,7 +403,7 @@ class Runtime:
             if pool is None or hint > deadline:
                 # A non-blocking transport poll (timed waits must not
                 # park on the socket) may still unblock the predicate.
-                if pool is None and remote is not None and remote.poll():
+                if pool is None and remote is not None and remote.service(block=False):
                     continue
                 return predicate()
             pool.dispatch(worker, hint)
@@ -497,10 +496,10 @@ class Runtime:
             raise RuntimeStateError("new_component needs a Component instance")
         gid = self.agas.register(component, home=locality_id)
         component.bind(gid, locality_id)
-        if self._remote is not None:
+        if self.backend is not None:
             # Mirror the registration to every other process (the home
             # process receives the pickled component itself).
-            self._remote.component_registered(component, gid, locality_id)
+            self.backend.component_registered(component, gid, locality_id)
         return gid
 
     def invoke_async(self, gid: Gid, method: str, *args: Any, **kwargs: Any) -> Future:
@@ -663,7 +662,7 @@ class Runtime:
     def _route_parcel(self, parcel: Parcel, arrival_time: float) -> None:
         """Decode a parcel and spawn its handler on the destination pool."""
         destination = self._destination_of(parcel)
-        remote = self._remote
+        remote = self.backend
         if remote is not None and destination != remote.my_id:
             # Distributed mode: the destination locality lives in another
             # OS process.  The payload is already real wire bytes;

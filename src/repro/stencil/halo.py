@@ -31,7 +31,7 @@ import numpy as np
 from ..errors import ValidationError
 from ..runtime import context as ctx
 from ..runtime.agas.component import Component
-from ..runtime.backend.base import refuse_off_virtual_clock
+from ..runtime.backend import refuse_off_virtual_clock
 from ..runtime.futures import Future, Promise, make_ready_future, when_all
 from ..runtime.lco.dataflow import dataflow
 from ..runtime.runtime import Runtime

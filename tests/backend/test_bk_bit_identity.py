@@ -25,13 +25,14 @@ _PARTS = 4
 
 
 def _run(config, processes, job):
-    """``job(rt)`` on one locality per process; backend counters are read
-    after shutdown, when the workers' statistics reach the driver."""
+    """``job(rt)`` on one locality per process; a multiprocess runtime's
+    backend counters are read after shutdown, when the workers'
+    statistics reach the driver (the virtual clock has no backend)."""
     with Runtime(
         n_localities=processes, workers_per_locality=1, config=config
     ) as rt:
         result = job(rt)
-    return result, rt.backend.counters()
+    return result, rt.backend.counters() if rt.distributed else None
 
 
 def _heat1d(rt):

@@ -103,7 +103,7 @@ def test_every_listed_feature_is_refused_in_the_documented_words():
     each feature's name and reason verbatim."""
     import pathlib
 
-    from repro.runtime.backend.base import VIRTUAL_CLOCK_ONLY, refuse_off_virtual_clock
+    from repro.runtime.backend import VIRTUAL_CLOCK_ONLY, refuse_off_virtual_clock
 
     docs = pathlib.Path(__file__).parents[2] / "docs" / "architecture.md"
     text = " ".join(docs.read_text().split())

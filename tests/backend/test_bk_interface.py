@@ -1,4 +1,4 @@
-"""ExecutionBackend seam: factory, defaults, config validation."""
+"""The backend reference: None on the virtual clock; config validation."""
 
 from __future__ import annotations
 
@@ -6,50 +6,19 @@ import pytest
 
 from repro.config import Config
 from repro.errors import ConfigError
-from repro.runtime.backend import (
-    ExecutionBackend,
-    VirtualClockBackend,
-    create_backend,
-)
 from repro.runtime.backend.multiprocess import MultiprocessBackend
 from repro.runtime.runtime import Runtime
 
 
-def test_default_backend_is_virtual():
-    backend = create_backend(Config())
-    assert isinstance(backend, VirtualClockBackend)
-    assert backend.name == "virtual"
-    assert backend.distributed is False
-    assert backend.my_id == 0
-
-
-def test_factory_builds_multiprocess_backend():
-    backend = create_backend(Config(runtime__backend="multiprocess"))
-    assert isinstance(backend, MultiprocessBackend)
-    assert backend.name == "multiprocess"
-    assert backend.distributed is True
-    assert backend.my_id == 0
-
-
-def test_virtual_backend_is_inert():
-    """The virtual backend must never inject work into the hot loop."""
-    backend = VirtualClockBackend()
-    assert backend.maybe_service() is False
-    assert backend.poll() is False
-    assert backend.on_stall() is False
-    assert backend.counters() == {}
-    assert backend.worker_stats() == {}
-
-
-def test_base_backend_cannot_forward():
-    with pytest.raises(NotImplementedError):
-        ExecutionBackend().forward_parcel(None, 1)
-
-
 def test_runtime_exposes_backend_and_distributed_flag():
     with Runtime(n_localities=1) as rt:
-        assert isinstance(rt.backend, VirtualClockBackend)
+        assert rt.backend is None
         assert rt.distributed is False
+    # Built, not started: no worker process exists yet.
+    rt = Runtime(n_localities=2, config=Config(runtime__backend="multiprocess"))
+    assert isinstance(rt.backend, MultiprocessBackend)
+    assert rt.backend.my_id == 0 and rt.backend.runtime is rt
+    assert rt.distributed is True
 
 
 def test_config_rejects_unknown_backend():

@@ -26,7 +26,6 @@ from repro.runtime import instrument
 from repro.runtime.agas.component import Component
 from repro.runtime.agas.gid import Gid
 from repro.runtime.agas.service import AgasService
-from repro.runtime.backend import ExecutionBackend
 from repro.runtime.backend.multiprocess import (
     MultiprocessBackend,
     _Channel,
@@ -107,6 +106,20 @@ def test_component_state_lives_in_home_process():
     assert rt.backend.counters()["agas_creates"] >= 1
 
 
+@pytest.mark.parametrize("home", [0, 1])
+def test_a_component_registered_before_start_is_mirrored(home):
+    """A registration made before the workers exist is mirrored to them
+    when they start, so its GID resolves from locality 1 and from the
+    driver, and its state lives in one place: its home."""
+    rt = _mp_runtime()
+    gid = rt.new_component(_Counter(), locality_id=home)
+    with rt:
+        assert rt.async_at(1, _invoke_remote_add, gid, 5).get() == 5
+        assert rt.invoke_async(gid, "add", 7).get() == 12
+        assert rt.async_at(1, _invoke_remote_read, gid).get() == 12
+        assert rt.invoke_async(gid, "read").get() == 12
+
+
 def test_worker_to_worker_invoke_relays_through_driver():
     with _mp_runtime(n=3) as rt:
         gid = rt.new_component(_Counter(), locality_id=2)
@@ -180,7 +193,6 @@ def test_backend_perfcounters_query_and_discover():
 
 def test_a_parcel_is_on_the_wire_when_the_send_returns():
     """No outbox: routing a cross-process parcel writes its message."""
-    assert not hasattr(ExecutionBackend, "flush")
     assert not hasattr(MultiprocessBackend, "flush")
     with _mp_runtime() as rt:
         gid = rt.new_component(_Counter(), locality_id=1)
@@ -386,23 +398,6 @@ def test_worker_stats_aggregate_to_driver():
         assert entry["pid"] != os.getpid()
 
 
-def test_agas_broker_fallback_resolves_and_caches():
-    """Unit-level: an unknown GID consults the broker once, then caches."""
-    agas = AgasService(2)
-    sentinel = object()
-    calls = []
-
-    def broker(gid):
-        calls.append(gid)
-        return (1, sentinel)
-
-    agas.broker = broker
-    gid = Gid(msb_locality=1, lsb=7)
-    assert agas.resolve(gid) == (1, sentinel)
-    assert agas.resolve(gid) == (1, sentinel)
-    assert len(calls) == 1  # second hit answered from the cache
-
-
 def test_agas_register_at_mirrors_fixed_gids():
     agas = AgasService(2)
     obj = object()
@@ -419,6 +414,12 @@ def _invoke_remote_add(gid, amount):
     from repro.runtime import context as ctx
 
     return ctx.current().runtime.invoke_async(gid, "add", amount).get()
+
+
+def _invoke_remote_read(gid):
+    from repro.runtime import context as ctx
+
+    return ctx.current().runtime.invoke_async(gid, "read").get()
 
 
 def _seam_state():
