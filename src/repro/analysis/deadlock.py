@@ -23,15 +23,16 @@ events and maintains a :class:`WaitGraph` with three node kinds:
 On ``stalled`` the detector raises :class:`~repro.errors.DeadlockError`
 with the rendered cycle (``thread -> LCO -> thread -> ...``) when one
 exists, or the rendered blocked-wait chains otherwise.  On ``quiesced``
-it raises if any linked continuation target never became ready -- the
-silent-hang case.  :func:`repro.analysis.wait_graph` exposes the live
-graph for the CLI.
+it raises if the job's table of demanded futures (``Runtime.demanded``)
+still holds any -- the silent-hang case -- and draws each lost
+continuation's edges from its own links.
+:func:`repro.analysis.wait_graph` exposes the live graph for the CLI.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Container, Dict, List, Sequence, Tuple
 
 from ..errors import DeadlockError
 from ..runtime import context as ctx
@@ -222,13 +223,6 @@ class DeadlockDetector(Probe):
     def lco_labelled(self, state: Any, label: str) -> None:
         self._labels[self._pin(state)] = label
 
-    def forgiven(self, context: Any = None) -> None:
-        """A checkpoint rollback abandoned every pending continuation by
-        design: count their targets as settled so the exit verdict only
-        reports chains lost *after* the recovery point."""
-        for link in self._links:
-            self._fulfilled.add(link.target)
-
     def wait_enter(self, state: Any, detail: str = "") -> None:
         self._waits.append((ctx.current_task(), self._pin(state), detail))
 
@@ -240,7 +234,9 @@ class DeadlockDetector(Probe):
                 return
 
     # Graph construction ----------------------------------------------------
-    def wait_graph(self) -> WaitGraph:
+    def wait_graph(self, targets: Container[int] | None = None) -> WaitGraph:
+        """The current graph; with ``targets``, only the links into those
+        state keys are drawn."""
         graph = WaitGraph()
 
         def thread_key(task: Any) -> int:
@@ -286,7 +282,9 @@ class DeadlockDetector(Probe):
             add_edge(tkey, key)
 
         for link in self._links:
-            if link.target in self._fulfilled:
+            if link.target in self._fulfilled or (
+                targets is not None and link.target not in targets
+            ):
                 continue
             pending = [k for k in link.sources if k not in self._fulfilled]
             if link.mode == "any" and len(pending) < len(link.sources):
@@ -345,10 +343,13 @@ class DeadlockDetector(Probe):
         )
 
     def quiesced(self, context: Any = None) -> None:
-        lost = self.pending_links()
+        """Raise if the job (``context``, a Runtime) quiesced with
+        demanded futures that never fired, or with blocked waits."""
+        lost = context.demanded if context is not None else {}
         if not lost and not self._waits:
             return
-        graph = self.wait_graph()
+        lost_keys = {id(state): label for state, label in lost.items()}
+        graph = self.wait_graph(lost_keys)
         self.last_graph = graph
         self._emit(graph, "quiesced-with-pending")
         cycle = graph.find_cycle()
@@ -357,12 +358,14 @@ class DeadlockDetector(Probe):
                 "silent hang: the job quiesced but a continuation cycle "
                 "never fired\n  " + graph.render_cycle(cycle)
             )
-        detail = "\n".join(
-            f"  {graph.name(link.target)} still waiting on "
-            + ", ".join(graph.name(k) for k in link.sources
-                        if k not in self._fulfilled)
-            for link in lost
-        )
+        lines = []
+        for key, label in lost_keys.items():
+            line = f"  {graph.names.get(key, label)}"
+            sources = graph.edges.get(key)
+            if sources:
+                line += " still waiting on " + ", ".join(map(graph.name, sources))
+            lines.append(line)
+        detail = "\n".join(lines)
         raise DeadlockError(
             "silent hang: the job quiesced with continuations that can "
             "never fire\n" + (detail or graph.render_chains())

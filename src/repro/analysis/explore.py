@@ -11,8 +11,8 @@ against the reference schedule:
 * bit-identical results (``serialize(result)`` byte equality);
 * identical ``/threads{total}`` counters;
 * the overload conservation ledger (completed + shed + dead-lettered);
-* quiescence -- no demanded future left unfulfilled;
-* no deadlock (scheduler stall *or* silent hang);
+* no deadlock: neither a scheduler stall nor a silent hang (a demanded
+  future left in the job's table when it drained);
 * happens-before race freedom.
 
 Strategies:
@@ -54,7 +54,6 @@ from ..errors import DeadlockError, RuntimeStateError, ValidationError
 from ..runtime import context as ctx
 from ..runtime import instrument
 from ..runtime.backend import refuse_off_virtual_clock
-from ..runtime.futures import pending_demand_states
 from ..runtime.instrument import Probe
 from ..runtime.parcel.serialization import serialize
 from ..runtime.perfcounters import query
@@ -343,7 +342,6 @@ class ScheduleOutcome:
     result_blob: bytes | None = None
     counters: dict[str, float] = field(default_factory=dict)
     races: list[str] = field(default_factory=list)
-    pending_demands: list[str] = field(default_factory=list)
     invariant_error: str | None = None
 
     def result_sha256(self) -> str | None:
@@ -360,7 +358,6 @@ def _run_schedule(app: ExploreApp, strategy: Any) -> ScheduleOutcome:
     deadlock = DeadlockDetector()
     overrides = dict(app.config)
     overrides.setdefault("threads.scheduler", app.scheduler)
-    overrides.setdefault("runtime.quiescence", "ignore")
     config = Config().replace(**{k.replace(".", "__"): v for k, v in overrides.items()})
     if config.get_str("runtime.backend") != "virtual":
         refuse_off_virtual_clock("schedule exploration")
@@ -369,7 +366,6 @@ def _run_schedule(app: ExploreApp, strategy: Any) -> ScheduleOutcome:
     result: Any = None
     result_blob: bytes | None = None
     counters: dict[str, float] = {}
-    pending: list[str] = []
     invariant_error: str | None = None
     rt: Runtime | None = None
     ran = False
@@ -410,12 +406,6 @@ def _run_schedule(app: ExploreApp, strategy: Any) -> ScheduleOutcome:
                     + overload.parcels_shed
                     + rt.parcelport.parcels_dead_lettered
                 )
-            skip = getattr(rt, "_preexisting_demands", ())
-            pending = sorted(
-                label
-                for state, label in pending_demand_states()
-                if state not in skip
-            )
             if app.invariant is not None:
                 invariant_error = app.invariant(rt, result)
     finally:
@@ -432,7 +422,6 @@ def _run_schedule(app: ExploreApp, strategy: Any) -> ScheduleOutcome:
         result_blob=result_blob,
         counters=counters,
         races=[str(found) for found in race.findings()],
-        pending_demands=pending,
         invariant_error=invariant_error,
     )
 
@@ -446,7 +435,7 @@ def _run_schedule(app: ExploreApp, strategy: Any) -> ScheduleOutcome:
 class Violation:
     """A schedule on which an invariant does not hold."""
 
-    kind: str  # deadlock | hang | race | invariant | quiescence |
+    kind: str  # deadlock | hang | race | invariant |
     #            result-divergence | counter-divergence | step-limit | error
     detail: str
     choices: list[int] = field(default_factory=list)
@@ -478,13 +467,6 @@ def _violation_of(
         return Violation(
             kind="invariant",
             detail=outcome.invariant_error,
-            choices=list(outcome.choices),
-        )
-    if outcome.pending_demands:
-        return Violation(
-            kind="quiescence",
-            detail="demanded futures never fulfilled: "
-            + ", ".join(outcome.pending_demands[:8]),
             choices=list(outcome.choices),
         )
     if outcome.result_blob != reference.result_blob:

@@ -257,13 +257,15 @@ class CheckpointStore:
     def restore_latest_valid(self, objects: Sequence[Any]) -> Checkpoint:
         """Restore ``objects`` from the newest epoch that verifies.
 
-        Epochs failing checksum verification are skipped (counted as
-        fallbacks); raises :class:`CheckpointCorruptionError` only when
+        Epochs failing checksum verification are skipped (each counted as
+        corrupt-skipped; a restore that lands past one counts as one
+        fallback); raises :class:`CheckpointCorruptionError` only when
         every retained epoch is corrupt, :class:`CheckpointError` when
         the store is empty.
         """
         if not self._epochs:
             raise CheckpointError("cannot restore: the store holds no checkpoints")
+        skipped = False
         for epoch in sorted(self._epochs, reverse=True):
             ckpt = self._epochs[epoch]
             try:
@@ -273,10 +275,12 @@ class CheckpointStore:
                 # silent non-event: count it, warn, and surface it as a
                 # trace event so dashboards and the tracer both see it.
                 self._report_corrupt_skip(epoch, ckpt, exc)
+                skipped = True
                 continue
             cost = self._charge(ckpt.size_bytes)
             if self.runtime is not None:
                 self.runtime.checkpoints_restored += 1
+                self.runtime.checkpoint_fallbacks += skipped
                 self.runtime.checkpoint_restore_time_s += cost
             return ckpt
         raise CheckpointCorruptionError(
@@ -295,7 +299,6 @@ class CheckpointStore:
         )
         if self.runtime is None:
             return
-        self.runtime.checkpoint_fallbacks += 1
         self.runtime.checkpoint_corrupt_skipped += 1
         if instrument.enabled and (probe := instrument.probe) is not None:
             probe.event(

@@ -17,17 +17,21 @@ Virtual time: a promise records the virtual time at which it was
 fulfilled; a task that reads the future inherits that as a dependency,
 so makespans respect data flow.
 
+Lost continuations: every *demanded* state (a combinator or
+continuation target, or an unmatched channel read, that some code is
+counting on) is recorded by :func:`demand` in the table of the job it was
+made in, ``Runtime.demanded``, and fulfilment removes it.  What is left
+when the job drains is the silent-hang case -- a continuation that can
+never fire -- and the runtime's quiescence check, the deadlock detector
+and the schedule explorer all read that one table.  A demand made outside
+any runtime records nothing: no job will ever quiesce on it.
+
 Sanitizer integration: fulfilment, reads, combinator links and blocking
-waits are reported through :mod:`repro.runtime.instrument`, and every
-*demanded* state (a combinator or continuation target that some code is
-counting on) is registered in a weak set so the runtime can detect the
-silent-hang case -- quiescing while a demanded future can never become
-ready (see :func:`pending_demands`).
+waits are reported through :mod:`repro.runtime.instrument`.
 """
 
 from __future__ import annotations
 
-import weakref
 from typing import Any, Callable, Dict, Iterable, List, Sequence
 
 from ..errors import (
@@ -52,7 +56,6 @@ __all__ = [
     "when_each",
     "unwrap",
     "demand",
-    "pending_demands",
 ]
 
 
@@ -67,7 +70,6 @@ class _SharedState:
         "callbacks",
         "broken",
         "demanded",
-        "__weakref__",
     )
 
     def __init__(self) -> None:
@@ -77,39 +79,32 @@ class _SharedState:
         self.broken = False
         self.ready_time = 0.0
         self.callbacks: List[Callable[[Future], None]] = []
-        #: True once registered in the demanded-states registry; lets the
-        #: (hot) fulfilment path skip the WeakKeyDictionary removal for
-        #: the overwhelmingly common never-demanded state.
-        self.demanded = False
+        #: The job table this state is recorded in while demanded (see
+        #: :func:`demand`), else None: the (hot) fulfilment path skips the
+        #: removal for the overwhelmingly common never-demanded state.
+        self.demanded: Dict[_SharedState, str] | None = None
 
 
-#: States some continuation is counting on, with a human-readable label.
-#: Weakly keyed: a demanded state that becomes garbage was never going to
-#: resolve anyone's wait, so it drops out of the silent-hang check.
-_demanded: "weakref.WeakKeyDictionary[_SharedState, str]" = weakref.WeakKeyDictionary()
+def demand(
+    state: _SharedState,
+    label: str,
+    sources: Sequence[Future] = (),
+    mode: str = "all",
+) -> None:
+    """Record ``state`` as *demanded*: code downstream expects it to
+    become ready from ``sources``.
 
-
-def demand(state: _SharedState, label: str) -> None:
-    """Register ``state`` as *demanded*: code downstream expects it to
-    become ready.  Fulfilment clears the registration automatically."""
-    state.demanded = True
-    _demanded[state] = label
-
-
-def pending_demands() -> List[str]:
-    """Labels of demanded states that are still unfulfilled.
-
-    A non-empty result at quiescence means some continuation chain can
-    never fire -- the silent-hang failure mode the quiescence check (see
-    ``runtime.quiescence`` config) warns about or raises on.
+    The record goes into the current job's table (``Runtime.demanded``);
+    fulfilment removes it.  With a probe installed this is also the one
+    ``state_linked`` report of the link (``mode`` as there).
     """
-    return sorted(label for state, label in _demanded.items() if not state.ready)
-
-
-def pending_demand_states() -> List[tuple[_SharedState, str]]:
-    """Unfulfilled demanded states with labels (runtime-internal: lets
-    the quiescence check ignore demands that pre-date this run)."""
-    return [(s, label) for s, label in _demanded.items() if not s.ready]
+    frame = _context_stack[-1] if _context_stack else None
+    if frame is not None and (runtime := frame.runtime) is not None:
+        table = runtime.demanded
+        table[state] = label
+        state.demanded = table
+    if instrument.enabled and (probe := instrument.probe) is not None:
+        probe.state_linked([f._state for f in sources], state, label, mode)
 
 
 class Future:
@@ -269,10 +264,7 @@ class Future:
         """
         promise = Promise()
         name = getattr(fn, "__name__", "continuation")
-        demand(promise._state, f"then({name})")
-        probe = instrument.probe
-        if probe is not None:
-            probe.state_linked([self._state], promise._state, f"then({name})")
+        demand(promise._state, f"then({name})", (self,))
 
         def run_continuation(_: Future) -> None:
             frame = ctx.current_or_none()
@@ -330,9 +322,10 @@ class Promise:
             state.ready_time = (
                 task.current_virtual_time() if task is not None else frame.pool.makespan
             )
-        if state.demanded:
-            state.demanded = False
-            _demanded.pop(state, None)
+        table = state.demanded
+        if table is not None:
+            state.demanded = None
+            table.pop(state, None)
         if instrument.enabled and (probe := instrument.probe) is not None:
             probe.state_fulfilled(state)
         callbacks = state.callbacks
@@ -404,12 +397,7 @@ def when_all(futures: Iterable[Future], timeout: float | None = None) -> Future:
     if remaining == 0:
         promise.set_value([])
         return promise.get_future()
-    demand(promise._state, f"when_all({len(futs)})")
-    probe = instrument.probe
-    if probe is not None:
-        probe.state_linked(
-            [f._state for f in futs], promise._state, f"when_all({len(futs)})"
-        )
+    demand(promise._state, f"when_all({len(futs)})", futs)
     done = False
 
     def one_ready(fut: Future) -> None:
@@ -482,12 +470,7 @@ def when_each(
         promise.set_value(None)
         return promise.get_future()
     remaining: Dict[str, int] = {"n": len(futs)}
-    demand(promise._state, f"when_each({len(futs)})")
-    probe = instrument.probe
-    if probe is not None:
-        probe.state_linked(
-            [f._state for f in futs], promise._state, f"when_each({len(futs)})"
-        )
+    demand(promise._state, f"when_each({len(futs)})", futs)
 
     def make_handler(index: int) -> Callable[[Future], None]:
         def handler(future: Future) -> None:
@@ -516,10 +499,7 @@ def unwrap(future: Future) -> Future:
     out.  Exceptions at either level propagate to the result.
     """
     promise = Promise()
-    demand(promise._state, "unwrap")
-    probe = instrument.probe
-    if probe is not None:
-        probe.state_linked([future._state], promise._state, "unwrap")
+    demand(promise._state, "unwrap", (future,))
 
     def outer_ready(outer: Future) -> None:
         try:
@@ -553,13 +533,7 @@ def when_any(futures: Iterable[Future]) -> Future:
         raise ValueError("when_any needs at least one future")
     promise = Promise()
     done: Dict[str, bool] = {"fired": False}
-    demand(promise._state, f"when_any({len(futs)})")
-    probe = instrument.probe
-    if probe is not None:
-        probe.state_linked(
-            [f._state for f in futs], promise._state,
-            f"when_any({len(futs)})", mode="any",
-        )
+    demand(promise._state, f"when_any({len(futs)})", futs, mode="any")
 
     def make_callback(index: int) -> Callable[[Future], None]:
         def fired(fut: Future) -> None:

@@ -31,8 +31,9 @@ event                  fired when
 ``task_finished``      an HPX-thread terminated (value or exception delivered)
 ``state_fulfilled``    a promise/future shared state received its value
 ``state_read``         a task consumed a ready future's value (join edge)
-``state_linked``       a combinator derived one future from others
-                       (``when_all``/``then``/``dataflow``/...)
+``state_linked``       a combinator or channel read demanded one future
+                       from others (``when_all``/``then``/``dataflow``/
+                       ``channel.get``/...; sent by ``futures.demand``)
 ``state_contribute``   a partial contribution joined an LCO's release clock
                        (latch count-down, barrier arrival, and-gate slot)
 ``token_put``          a clocked token entered a buffer (channel value,
@@ -43,9 +44,8 @@ event                  fired when
 ``lco_labelled``       an LCO described itself for wait-graph rendering
 ``access``             an instrumented read/write of shared component state
 ``stalled``            the progress engine ran out of runnable work
-``quiesced``           the job drained with no awaited condition pending
-``forgiven``           the runtime abandoned all pending continuations by
-                       design (checkpoint rollback)
+``quiesced``           the job drained; its table of demanded futures
+                       (``Runtime.demanded``) holds the lost continuations
 ``event``              a discrete event of one of the kinds below happened
 =====================  ========================================================
 
@@ -126,7 +126,8 @@ class Probe:
     def state_linked(
         self, sources: Sequence[Any], target: Any, label: str, mode: str = "all"
     ) -> None:
-        """``target`` state will be produced from ``sources``.
+        """``target`` state is demanded and will be produced from
+        ``sources`` (none for a channel read).
 
         ``mode`` is ``"all"`` (every source needed: ``when_all``,
         ``dataflow``, ``then``) or ``"any"`` (one suffices:
@@ -167,13 +168,9 @@ class Probe:
         default :class:`~repro.errors.DeadlockError`."""
 
     def quiesced(self, context: Any = None) -> None:
-        """The job drained normally; a probe may raise if it tracked
-        work that can no longer complete."""
-
-    def forgiven(self, context: Any = None) -> None:
-        """The runtime deliberately abandoned every currently-pending
-        continuation (checkpoint rollback discards in-flight chains);
-        probes tracking lost continuations should stop expecting them."""
+        """The job ``context`` (the Runtime) drained; a probe may raise if
+        work can no longer complete (``context.demanded`` lists the
+        demanded futures that never fired)."""
 
     # Discrete events -------------------------------------------------------
     def event(

@@ -73,15 +73,18 @@ class Channel:
                 ChannelClosedError(f"channel {self.name!r} is closed and drained")
             )
         else:
-            # An unmatched get is a demanded future: if the job quiesces
-            # before a value (or close) arrives, the read was lost.
-            demand(promise._state, f"channel.get({self.name!r})")
-            probe = instrument.probe
-            if probe is not None:
-                probe.lco_labelled(promise._state, f"channel.get({self.name!r})")
-            self._waiters.append(promise)
+            # Arm (or refuse) the timer first: a refused timeout must
+            # leave no waiter behind to swallow the next value.
             if timeout is not None:
                 self._arm_timeout(promise, timeout)
+            # An unmatched get is a demanded future: if the job quiesces
+            # before a value (or close) arrives, the read was lost.
+            label = f"channel.get({self.name!r})"
+            demand(promise._state, label)
+            probe = instrument.probe
+            if probe is not None:
+                probe.lco_labelled(promise._state, label)
+            self._waiters.append(promise)
         return promise.get_future()
 
     def _arm_timeout(self, promise: Promise, timeout: float) -> None:

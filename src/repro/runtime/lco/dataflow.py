@@ -32,12 +32,8 @@ def dataflow(fn: Callable[..., Any], *args: Any, **kwargs: Any) -> Future:
         deps += [v for v in kwargs.values() if isinstance(v, Future)]
     promise = Promise()
     name = getattr(fn, "__name__", "fn")
-    demand(promise._state, f"dataflow({name})")
+    demand(promise._state, f"dataflow({name})", deps)
     link = _Link(fn, args, kwargs, promise, name, len(deps))
-    if instrument.enabled and (probe := instrument.probe) is not None:
-        probe.state_linked(
-            [d._state for d in deps], promise._state, f"dataflow({name})"
-        )
     if not deps:
         link.launch()
     else:

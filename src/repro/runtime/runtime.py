@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import sys
 import warnings
-import weakref
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from ..config import Config, default_config
@@ -32,7 +31,6 @@ from ..hardware.registry import MachineModel, machine as machine_lookup
 from . import context as ctx
 from . import instrument
 from .context import _stack as _context_stack
-from .futures import pending_demand_states
 from .actions import get_action
 from .agas.component import Component
 from .backend import refuse_off_virtual_clock
@@ -88,6 +86,10 @@ class Runtime:
         #: queued work has been discarded and parcels routed to them are
         #: reported lost; AGAS re-homing moves their components away.
         self.decommissioned: set[int] = set()
+        #: This job's demanded futures that have not fired yet, state ->
+        #: label (filled by ``futures.demand``, emptied by fulfilment).
+        #: What is left at quiescence are its lost continuations.
+        self.demanded: dict[Any, str] = {}
         # Checkpoint/restore statistics (perfcounter sources, updated by
         # repro.resilience.checkpoint.CheckpointStore).
         self.checkpoints_saved = 0
@@ -231,13 +233,6 @@ class Runtime:
                 locality=self.localities[0],
                 pool=self.localities[0].pool,
             )
-        )
-        # Demands created before this run (e.g. by an earlier runtime in
-        # the same process) are not this job's lost continuations.  Held
-        # weakly, like the registry itself: the id of a state collected
-        # mid-run can be handed to one of this job's own states.
-        self._preexisting_demands = weakref.WeakSet(
-            state for state, _ in pending_demand_states()
         )
         self._started = True
         return self
@@ -459,11 +454,7 @@ class Runtime:
         mode = self.config.get_str("runtime.quiescence")
         if mode == "ignore":
             return
-        skip = getattr(self, "_preexisting_demands", ())
-        pending = sorted(
-            label for state, label in pending_demand_states()
-            if state not in skip
-        )
+        pending = self.lost_continuations()
         if not pending:
             return
         shown = ", ".join(pending[:8])
@@ -832,9 +823,14 @@ class Runtime:
         self.decommissioned.add(locality_id)
         return dropped
 
+    def lost_continuations(self) -> list[str]:
+        """Labels of this job's demanded futures that have not fired,
+        sorted.  Non-empty at quiescence: a continuation chain was lost."""
+        return sorted(self.demanded.values())
+
     def forgive_lost_continuations(self) -> int:
-        """Exclude every currently-pending demanded future from this
-        run's quiescence check; returns how many were forgiven.
+        """Drop every currently-pending demanded future from this job's
+        table; returns how many were forgiven.
 
         A checkpoint rollback abandons in-flight continuation chains by
         design -- the recomputation happens on fresh chains.  The
@@ -842,13 +838,9 @@ class Runtime:
         silent-hang check would otherwise report at shutdown.  Call this
         *after* discarding the old chains and *before* rebuilding.
         """
-        if not hasattr(self, "_preexisting_demands"):
-            return 0
-        states = pending_demand_states()
-        self._preexisting_demands.update(state for state, _ in states)
-        if instrument.probe is not None:
-            instrument.probe.forgiven(self)
-        return len(states)
+        forgiven = len(self.demanded)
+        self.demanded.clear()
+        return forgiven
 
     def _reship(self, parcel: Parcel) -> None:
         parcel.send_time = self._send_time()

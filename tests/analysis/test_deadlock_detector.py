@@ -100,6 +100,18 @@ def test_silent_hang_lost_dataflow_raises_at_quiescence():
                 rt.run(main)
 
 
+def test_silent_hang_abandoned_channel_read_raises_at_quiescence():
+    """The verdict comes from the job's table of demanded futures, so a
+    lost channel read counts as well as a lost combinator link."""
+    with pytest.raises(DeadlockError, match=r"silent hang[\s\S]*channel\.get\('halo'\)"):
+        with analysis.attach(races=False):
+            with Runtime(n_localities=1, workers_per_locality=2) as rt:
+                def main():
+                    Channel("halo").get()
+
+                rt.run(main)
+
+
 def test_wait_graph_is_empty_without_blocks():
     with analysis.attach(races=False):
         with Runtime(n_localities=1, workers_per_locality=2) as rt:

@@ -41,7 +41,6 @@ def test_default_schedule_hides_the_bug(name):
     outcome = _run_schedule(app, PrefixStrategy([]))
     assert outcome.status == "ok"
     assert outcome.races == []
-    assert outcome.pending_demands == []
     assert outcome.invariant_error is None
     assert _violation_of(outcome, outcome) is None
 

@@ -24,10 +24,7 @@ def _wire_future_cycle():
     """Two dataflows forming a dependency cycle through a promise:
     f1 needs p1, f2 needs f1, and only f2's continuation would set p1.
 
-    Returns p1 for the caller to hold until shutdown: a reachable lost
-    chain.  (A cycle nobody references is garbage, not a hang -- the
-    demand registry is weak on purpose -- so whether it is still there at
-    the drain would depend on when the collector last ran.)"""
+    Returns p1, so the caller can check that it never fired."""
     p1 = Promise()
     f1 = dataflow(lambda x: x, p1.get_future())
     f2 = dataflow(lambda x: x, f1)
@@ -53,9 +50,9 @@ def test_two_future_cycle_warns_by_default():
 
 
 def test_states_collected_mid_run_do_not_mask_this_jobs_lost_chains():
-    """A demand that pre-dates the run is forgiven, but only while it is
-    alive: once collected, its address is free for one of this job's own
-    states, which must still be reported."""
+    """A demand that pre-dates the run is not the job's loss, and its
+    state being collected mid-run leaves the job's own lost chains --
+    three demanded futures per cycle -- all reported."""
     stale = Promise()
     dataflow(lambda x: x, stale.get_future())
     config = Config(runtime__quiescence="raise")
@@ -65,6 +62,21 @@ def test_states_collected_mid_run_do_not_mask_this_jobs_lost_chains():
             del stale
             gc.collect()
             held.extend(rt.run(_wire_future_cycle) for _ in range(20))
+
+
+def test_unheld_lost_dataflow_is_reported_whether_or_not_gc_ran():
+    """The job's table holds its demanded states: the verdict cannot
+    depend on whether a cyclic-GC pass freed an unreferenced chain."""
+    config = Config(runtime__quiescence="raise")
+    for collect in (False, True):
+        with pytest.raises(DeadlockError, match=r"with 1 demanded future.*dataflow"):
+            with Runtime(n_localities=1, workers_per_locality=2, config=config) as rt:
+                def main():
+                    dataflow(lambda x: x, Promise().get_future())
+
+                rt.run(main)
+                if collect:
+                    gc.collect()
 
 
 def test_quiescence_ignore_mode_is_silent():
@@ -78,6 +90,15 @@ def test_quiescence_ignore_mode_is_silent():
 
 
 def test_clean_job_quiesces_without_warning():
+    # Demands made outside the job -- outside any runtime, or by an
+    # earlier job -- are not this job's loss.
+    outside = Promise()
+    dataflow(lambda x: x, outside.get_future())
+    with Runtime(
+        n_localities=1, workers_per_locality=2,
+        config=Config(runtime__quiescence="ignore"),
+    ) as earlier:
+        earlier.run(_wire_future_cycle)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with Runtime(n_localities=1, workers_per_locality=2) as rt:
@@ -94,18 +115,13 @@ def test_abandoned_channel_read_is_flagged():
     from repro.runtime.lco import Channel
 
     config = Config(runtime__quiescence="raise")
-    holder = {}
     with pytest.raises(DeadlockError, match="channel.get"):
         with Runtime(
             n_localities=1, workers_per_locality=2, config=config
         ) as rt:
             def main():
-                chan = Channel("halo")
-                # Held but never fulfilled: a reachable lost read.  (A
-                # get whose future is dropped entirely is garbage, not a
-                # hang -- the demand registry is weak on purpose.)
-                holder["pending"] = chan.get()
-                holder["chan"] = chan
+                # Never fulfilled, and nobody keeps the future: still lost.
+                Channel("halo").get()
 
             rt.run(main)
 

@@ -10,9 +10,10 @@ every Python call and C call is counted; the kernel is three NumPy
 calls per partition step, so the count is almost purely scheduler,
 future, LCO, parcel and AGAS plumbing.
 
-Budget: **74 calls per HPX-thread**, about 10 % above the 67.5 this tree
-makes (67 753 calls / 1 004 threads on CPython 3.11; 67.2 before the
-heat1d step went halo-padded, two more calls per partition step; 68.1
+Budget: **74 calls per HPX-thread**, about 10 % above the 66.8 this tree
+makes (67 109 calls / 1 004 threads on CPython 3.11; 67.5 before a
+demanded future went into its job's plain table instead of a process-wide
+weak registry; 67.2 before the heat1d step went halo-padded, two more calls per partition step; 68.1
 before the parcel body lost its GID and the ``dataflow`` link became one
 object, 97.0 before the entry-handle / detached-thread / single-scan
 change).  The

@@ -153,6 +153,30 @@ def test_store_corrupt_skip_warns_counts_and_emits_event(seam_events):
         assert query(rt, "/checkpoints{total}/count/corrupt-skipped") == 1.0
 
 
+def test_fallbacks_count_restores_not_skipped_epochs():
+    """Two corrupt epochs skipped by one restore: two corrupt-skipped,
+    one fallback."""
+    from repro.runtime.perfcounters import query
+
+    with Runtime(n_localities=1, workers_per_locality=1) as rt:
+        store = CheckpointStore(runtime=rt, keep=3)
+        box = Box(0)
+
+        def job():
+            for epoch in (0, 5, 10):
+                box.value = epoch
+                store.save(epoch, [box])
+            for epoch in (5, 10):
+                ckpt = store.checkpoint(epoch)
+                store._epochs[epoch] = dataclasses.replace(ckpt, payload=b"garbage")
+            with pytest.warns(CheckpointCorruptionWarning):
+                assert store.restore_latest_valid([box]).epoch == 0
+
+        rt.run(job)
+        assert query(rt, "/checkpoints{total}/count/corrupt-skipped") == 2.0
+        assert query(rt, "/checkpoints{total}/count/fallbacks") == 1.0
+
+
 def test_tracer_records_corrupt_skip_event():
     from repro.observability.tracer import Tracer
 

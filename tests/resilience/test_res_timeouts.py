@@ -170,6 +170,22 @@ def test_channel_negative_timeout_rejected(rt):
     assert rt.run(main)
 
 
+def test_refused_channel_get_does_not_swallow_the_next_value(rt):
+    def main():
+        channel = Channel("c")
+        with pytest.raises(RuntimeStateError):
+            channel.get(timeout=-1.0)
+        channel.set(7)
+        reply = channel.get()
+        assert reply.is_ready()
+        return reply.get()
+
+    assert rt.run(main) == 7
+
+
 def test_channel_timeout_needs_a_pool():
+    channel = Channel("c")
     with pytest.raises(RuntimeStateError):
-        Channel("c").get(timeout=1.0)
+        channel.get(timeout=1.0)
+    channel.set(7)
+    assert channel.get().get_nowait() == 7
