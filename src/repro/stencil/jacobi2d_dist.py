@@ -15,9 +15,19 @@ arrived -- no global barrier, latency hides under compute exactly as in
 
 **A level's interior is immutable once stepped.**  Every step writes a
 fresh array (:func:`_sweep`); afterwards only its halo rows 0 and -1 are
-written, when the next step's halos land.  So the gather hands out a
-read-only view of the owned rows, and the driver's ``vstack`` is the one
-copy.  Reusing a step buffer would break this.
+written, when the next step's halos land or the residual reads them.
+So the gather hands out a read-only view of the owned rows, and the
+driver's ``vstack`` is the one copy.  Reusing a step buffer would break
+this.
+
+**The sweep streams its block once.**  :func:`_sweep` runs its four
+flat passes chunk by chunk over L2-sized runs of rows, accumulating into
+the chunk's slice of the new level, so beyond L2 a site update costs
+about three 8-byte transfers (read ``u``; write the new level, with its
+write-allocate), the paper's roofline, not about eleven as four
+whole-block passes did.  The chunk size is :data:`_CHUNK_BYTES`, a
+constant backed by a measured sweep (docs/performance.md); there is no
+second buffer.
 """
 
 from __future__ import annotations
@@ -32,26 +42,40 @@ from .halo import HaloDriver, HaloPartition
 __all__ = ["Jacobi2DPartition", "DistributedJacobi2D"]
 
 
+#: Bytes of the new level one chunk of :func:`_sweep` covers: a quarter
+#: of a 2 MiB L2, so the chunk and the rows of ``u`` it reads stay in L2
+#: across the four passes.  Measured at nx = 2048: 8-64 rows alike, 128
+#: rows (a whole L2) loses most of the gain (docs/performance.md).
+_CHUNK_BYTES = 1 << 19
+
+
 def _sweep(u: np.ndarray) -> np.ndarray:
     """One Jacobi sweep of the C-ordered block ``u``, into a new array.
 
-    The interior runs as four contiguous ``out=`` passes over the flat
-    range ``u[1, 1]`` .. ``u[-2, -2]``: NumPy streams a flat slice much
-    faster than a 2D view with a short inner extent.  Operands and order
-    are the reference's (down + up, + right, + left, x 0.25), so the
-    result is bit-identical to
-    :func:`~repro.stencil.jacobi2d.jacobi_reference_step`.  The flat range
-    also writes the side walls between rows; they are put back from ``u``.
+    The interior runs as four contiguous ``out=`` passes over flat ranges
+    ``u[r, 1]`` .. ``u[r + rows - 1, -2]``: NumPy streams a flat slice much
+    faster than a 2D view with a short inner extent.  The passes go chunk
+    by chunk, ``rows`` rows of about :data:`_CHUNK_BYTES` each, so the
+    chunk of the new level they accumulate into stays in L2 across all
+    four and the block streams from memory once per step, not four
+    times.  Operands and order are the reference's (down + up, + right,
+    + left, x 0.25), so the result is bit-identical to
+    :func:`~repro.stencil.jacobi2d.jacobi_reference_step`.  A flat range
+    also writes the side walls between its rows, and a chunk boundary
+    skips the two between its rows; all are put back from ``u``.
     """
     ny, nx = u.shape
     new = np.empty((ny, nx))
     new[0], new[-1] = u[0], u[-1]
-    f, lo, hi = u.reshape(-1), nx + 1, (ny - 1) * nx - 1
-    acc = new.reshape(-1)[lo:hi]
-    np.add(f[lo + nx : hi + nx], f[lo - nx : hi - nx], out=acc)
-    np.add(acc, f[lo + 1 : hi + 1], out=acc)
-    np.add(acc, f[lo - 1 : hi - 1], out=acc)
-    np.multiply(acc, 0.25, out=acc)
+    f, g = u.reshape(-1), new.reshape(-1)
+    rows = max(1, _CHUNK_BYTES // (8 * nx))
+    for r in range(1, ny - 1, rows):
+        lo, hi = r * nx + 1, min(r + rows, ny - 1) * nx - 1
+        acc = g[lo:hi]
+        np.add(f[lo + nx : hi + nx], f[lo - nx : hi - nx], out=acc)
+        np.add(acc, f[lo + 1 : hi + 1], out=acc)
+        np.add(acc, f[lo - 1 : hi - 1], out=acc)
+        np.multiply(acc, 0.25, out=acc)
     new[1:-1, 0], new[1:-1, -1] = u[1:-1, 0], u[1:-1, -1]
     return new
 
@@ -106,8 +130,19 @@ class Jacobi2DPartition(HaloPartition):
         return rows
 
     def local_residual(self) -> float:
-        """Sum of squared Jacobi residuals over owned interior cells."""
-        self.mark_read("u")
+        """Sum of squared Jacobi residuals over owned interior cells.
+
+        Rows 0 and -1 still hold the halos the last step consumed; the
+        neighbours' current edges are the next step's halos, which their
+        last step shipped.  Waiting for them is cooperative, as in
+        :meth:`chain_result`, and leaves them for the next ``advance``.
+        """
+        self.mark_write("u")
+        if self.steps_done:
+            for row, side in ((0, "up"), (-1, "down")):
+                edge = self.halo_future(self.steps_done, side).get()  # repro-lint: disable=PX301
+                if edge is not None:
+                    self.u[row] = edge
         diff = _sweep(self.u)[1:-1, 1:-1] - self.u[1:-1, 1:-1]
         return float(np.sum(diff * diff))
 

@@ -1,5 +1,7 @@
 """Property-based tests for the stencil solvers' mathematical invariants."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -16,6 +18,7 @@ from repro.stencil import (
     Jacobi2DPartition,
     heat1d_reference,
     heat1d_steps,
+    jacobi2d_dist,
     jacobi_reference_step,
     max_error,
 )
@@ -134,7 +137,10 @@ def test_jacobi_partition_step_is_the_oracle_bit_for_bit(rt, case):
     """The partition's flat-pass kernel gives the whole-grid oracle's
     bytes for the haloed block, halo rows and side walls included, and
     its residual is the oracle's."""
-    block, up, down = case
+    _assert_partition_step_is_the_oracle(rt, *case)
+
+
+def _assert_partition_step_is_the_oracle(rt, block, up, down):
     part = Jacobi2DPartition(block)
     part.connect(rt, None, None)  # open ends: nothing is shipped
     haloed = np.array(block)
@@ -145,6 +151,29 @@ def test_jacobi_partition_step_is_the_oracle_bit_for_bit(rt, case):
     assert part.u.tobytes() == want.tobytes()
     diff = jacobi_reference_step(want)[1:-1, 1:-1] - want[1:-1, 1:-1]
     assert part.local_residual() == float(np.sum(diff * diff))
+
+
+def _chunked_block(chunk_rows):
+    """A haloed block whose interior is one or more full chunks of
+    ``chunk_rows`` rows and a partial last one, with ``chunk_rows``."""
+    full, partial = st.integers(1, 6), st.integers(1, chunk_rows - 1)
+    ny = st.builds(lambda f, p: chunk_rows * f + p + 2, full, partial)
+    shape = st.tuples(ny, st.integers(3, 40))
+    return st.tuples(shape.flatmap(_haloed_block), st.just(chunk_rows))
+
+
+@given(case=st.integers(2, 5).flatmap(_chunked_block))
+@example(case=((np.arange(15.0).reshape(5, 3), None, None), 2))
+@example(case=((np.arange(56.0).reshape(7, 8), np.full(8, 1e-310), np.full(8, -3.0)), 4))
+@settings(max_examples=80)
+def test_jacobi_chunked_sweep_is_the_oracle_bit_for_bit(rt, case):
+    """With chunks of a few rows every block spans several chunks and
+    ends on a partial one: each chunk boundary (the two wall cells it
+    skips) and the walls inside each chunk come out as the oracle's."""
+    (block, up, down), chunk_rows = case
+    nx = block.shape[1]
+    with mock.patch.object(jacobi2d_dist, "_CHUNK_BYTES", chunk_rows * 8 * nx):
+        _assert_partition_step_is_the_oracle(rt, block, up, down)
 
 
 def _field_and_divisor(n):

@@ -11,6 +11,7 @@ from repro.stencil import (
     Jacobi2DPartition,
     jacobi_dense_solution,
     jacobi_reference_step,
+    jacobi2d_dist,
     max_error,
 )
 
@@ -135,3 +136,45 @@ def test_validation():
         solver.initialize(np.zeros((14, 8)))
         with pytest.raises(ValidationError):
             solver.run(-1)
+
+
+def _gathered_residual(out):
+    """RMS change one more sweep would make, off the gathered field."""
+    diff = jacobi_reference_step(out)[1:-1, 1:-1] - out[1:-1, 1:-1]
+    return float(np.sqrt(np.mean(diff * diff)))
+
+
+@pytest.mark.parametrize(
+    "parts_per_loc, machine",
+    [(1, None), (2, None), (2, "xeon-e5-2660v3")],
+    ids=["1-part", "2-parts", "2-parts-network"],
+)
+def test_residual_reads_the_neighbours_current_edges(parts_per_loc, machine):
+    """A partition's halo rows hold the edges its last step consumed; the
+    residual of the stepped field needs the edges that step produced.
+    It is taken in the job that ran the steps, where a neighbour's last
+    edge can still be on its way (on a modelled network, in flight)."""
+    field = np.random.default_rng(3).random((34, 16))
+    with Runtime(machine=machine, n_localities=2, workers_per_locality=2) as rt:
+        solver = DistributedJacobi2D(rt, 34, 16, partitions_per_locality=parts_per_loc)
+        solver.initialize(field)
+        out, residual = rt.run(lambda: (solver.run(5), solver.residual()))
+        assert residual == pytest.approx(_gathered_residual(out), rel=1e-12)
+        assert rt.run(solver.residual) == residual  # reading consumed nothing
+        assert rt.run(lambda: solver.run(3)).tobytes() == reference(field, 8).tobytes()
+
+
+@pytest.mark.parametrize(
+    "shape, chunks",
+    [((35, 2048), 2), ((100, 2048), 4), ((5, 65536), 3)],
+    ids=["32+1-rows", "3x32+2-rows", "1-row-chunks"],
+)
+def test_a_multi_chunk_block_sweeps_the_oracles_bits(shape, chunks):
+    """Real block widths: the row-chunked kernel crosses ``chunks - 1``
+    chunk boundaries, into a partial last chunk or one row at a time,
+    bit for bit."""
+    ny, nx = shape
+    rows = max(1, jacobi2d_dist._CHUNK_BYTES // (8 * nx))
+    assert -(-(ny - 2) // rows) == chunks
+    u = np.random.default_rng(11).standard_normal(shape) * 1e3
+    assert jacobi2d_dist._sweep(u).tobytes() == jacobi_reference_step(u).tobytes()
