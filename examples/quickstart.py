@@ -2,12 +2,15 @@
 """Quickstart: a tour of the ParalleX runtime API.
 
 Covers the pieces a new user needs in order: futures and ``async_``,
-``dataflow`` continuation style, parallel algorithms with execution
-policies, LCOs (channel, latch, barrier), and a taste of the
-virtual-time model that makes the performance studies possible.
+``dataflow`` continuation style, the two parallel algorithms the
+stencils drive (``for_each`` per element, ``for_each_block`` per chunk)
+under an execution policy, LCOs (channel, latch, barrier), and a taste
+of the virtual-time model that makes the performance studies possible.
 
 Run:  python examples/quickstart.py
 """
+
+import numpy as np
 
 from repro.runtime import (
     Barrier,
@@ -16,12 +19,11 @@ from repro.runtime import (
     Runtime,
     async_,
     dataflow,
-    for_each,
     par,
-    reduce_,
     when_all,
 )
 from repro.runtime import context as ctx
+from repro.runtime.algorithms import for_each, for_each_block
 
 
 def fib(n: int) -> int:
@@ -41,11 +43,19 @@ def dataflow_pipeline() -> int:
     return total.get()
 
 
-def parallel_algorithms() -> tuple[list[int], int]:
+def parallel_algorithms() -> tuple[list[int], float]:
     doubled: list[int] = []
     for_each(par, range(20), lambda i: doubled.append(2 * i))
-    total = reduce_(par, range(1, 101), 0, lambda a, b: a + b)
-    return sorted(doubled), total
+
+    # One call per chunk instead of per element: the body updates its
+    # contiguous block with one NumPy operation, as the stencils do.
+    squares = np.zeros(100)
+
+    def square_block(chunk: range) -> None:
+        squares[chunk.start : chunk.stop] = np.arange(chunk.start, chunk.stop) ** 2
+
+    for_each_block(par, 0, 100, square_block)
+    return sorted(doubled), float(squares.sum())
 
 
 def lco_tour() -> str:
@@ -90,9 +100,9 @@ def main() -> None:
     with Runtime(n_localities=1, workers_per_locality=4) as rt:
         print("fib(12)             =", rt.run(fib, 12))
         print("dataflow pipeline   =", rt.run(dataflow_pipeline))
-        doubled, total = rt.run(parallel_algorithms)
+        doubled, squares = rt.run(parallel_algorithms)
         print("for_each doubled    =", doubled[:5], "...")
-        print("reduce_ 1..100      =", total)
+        print("for_each_block sum  =", squares, "(squares of 0..99)")
         print("LCO tour            =", rt.run(lco_tour))
         print(rt.run(virtual_time_demo), f"(measured: {rt.makespan:.1f}s)")
 

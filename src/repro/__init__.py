@@ -9,7 +9,7 @@ Subpackage map::
 
     repro.runtime     the ParalleX/HPX core (futures, LCOs, AGAS, parcels)
     repro.hardware    calibrated machine models + cache simulator
-    repro.simd        NSIMD-like packs and the Virtual Node Scheme
+    repro.simd        ISA lane widths and the Virtual Node Scheme layout
     repro.stencil     the paper's 1D/2D stencil applications
     repro.containers  distributed data structures (partitioned_vector)
     repro.resilience  fault injection + HPX-style replay/replicate

@@ -25,9 +25,9 @@ import numpy as np
 
 from ..errors import ValidationError
 from ..runtime.agas.component import Component
+from ..runtime.algorithms.partitioner import static_chunks
 from ..runtime.futures import Future, when_all
 from ..runtime.runtime import Runtime
-from ..runtime.threads.executor import static_chunks
 
 __all__ = ["PartitionedVector", "VectorSegment"]
 

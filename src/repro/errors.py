@@ -41,7 +41,6 @@ __all__ = [
     "TopologyError",
     "PinningError",
     "SimdError",
-    "LaneMismatchError",
     "LayoutError",
     "ConfigError",
     "ValidationError",
@@ -244,10 +243,6 @@ class PinningError(TopologyError):
 
 class SimdError(ReproError):
     """Base class for SIMD layer errors."""
-
-
-class LaneMismatchError(SimdError):
-    """Binary pack operation with differing lane counts."""
 
 
 class LayoutError(SimdError):

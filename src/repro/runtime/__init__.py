@@ -7,7 +7,7 @@ space.  This package implements each subsystem of Fig 1 of the paper:
 
 * **Threading** (:mod:`~repro.runtime.threads`): HPX-threads scheduled
   cooperatively on a pool of virtual cores; FIFO / static / work-stealing
-  schedulers; NUMA-aware block executors.
+  schedulers.
 * **LCOs** (:mod:`~repro.runtime.lco` and
   :mod:`~repro.runtime.futures`): futures, promises, latches, barriers,
   channels, semaphores, and-gates and ``dataflow``.
@@ -16,9 +16,8 @@ space.  This package implements each subsystem of Fig 1 of the paper:
 * **Parcel transport** (:mod:`~repro.runtime.parcel`): active messages
   between localities with serialization and a modelled network.
 * **Parallel algorithms** (:mod:`~repro.runtime.algorithms`):
-  ``for_each``/``for_loop``/``transform``/``reduce``/``scan`` with
-  ``seq``/``par``/``simd`` execution policies, mirroring the HPX calls in
-  Listings 1 and 2.
+  ``for_each``/``for_each_block`` with ``seq``/``par`` execution
+  policies, mirroring the HPX calls in Listings 1 and 2.
 
 Execution is *functionally real* (Python callables run and produce real
 values) while *time is virtual*: worker cores advance a simulated clock,
@@ -39,7 +38,6 @@ from .futures import (
 )
 from .lco import Latch, Barrier, Channel, CountingSemaphore, AndGate, dataflow
 from .threads.pool import ThreadPool
-from .threads.executor import PoolExecutor, BlockExecutor
 from .actions import (
     action,
     async_,
@@ -53,18 +51,7 @@ from .actions import (
 from .locality import Locality
 from .runtime import Runtime
 from . import perfcounters
-from . import collectives
-from .algorithms import (
-    seq,
-    par,
-    simd,
-    par_simd,
-    for_each,
-    for_loop,
-    transform,
-    reduce_,
-    inclusive_scan,
-)
+from .algorithms import seq, par, for_each
 
 __all__ = [
     "Future",
@@ -81,8 +68,6 @@ __all__ = [
     "AndGate",
     "dataflow",
     "ThreadPool",
-    "PoolExecutor",
-    "BlockExecutor",
     "action",
     "async_",
     "apply",
@@ -92,16 +77,9 @@ __all__ = [
     "async_replay",
     "async_replicate",
     "perfcounters",
-    "collectives",
     "Locality",
     "Runtime",
     "seq",
     "par",
-    "simd",
-    "par_simd",
     "for_each",
-    "for_loop",
-    "transform",
-    "reduce_",
-    "inclusive_scan",
 ]

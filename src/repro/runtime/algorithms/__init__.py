@@ -4,45 +4,24 @@ Listing 1 and Listing 2 both drive their stencils through
 ``hpx::parallel::for_each(policy, begin, end, lambda)``; this package
 provides that call surface:
 
-* policies: :data:`seq`, :data:`par`, :data:`simd`, :data:`par_simd`,
-  refined with ``.on(executor)`` and ``.with_chunk_size(n)``;
-* algorithms: :func:`for_each`, :func:`for_loop`, :func:`transform`,
-  :func:`reduce_`, :func:`inclusive_scan` -- plus the fused block
-  variants :func:`for_each_block` / :func:`transform_block` (one
-  HPX-thread per chunk running a vectorized body over the whole chunk).
+* policies: :data:`seq`, :data:`par`, refined with
+  ``.with_chunk_size(n)``;
+* algorithms: :func:`for_each` -- plus the fused block variant
+  :func:`for_each_block` (one HPX-thread per chunk running a vectorized
+  body over the whole chunk).
 """
 
-from .execution_policy import (
-    ExecutionPolicy,
-    seq,
-    par,
-    simd,
-    par_simd,
-)
-from .partitioner import auto_chunk_size, partition
-from .algorithms import (
-    for_each,
-    for_each_block,
-    for_loop,
-    transform,
-    transform_block,
-    reduce_,
-    inclusive_scan,
-)
+from .execution_policy import ExecutionPolicy, seq, par
+from .partitioner import auto_chunk_size, partition, static_chunks
+from .algorithms import for_each, for_each_block
 
 __all__ = [
     "ExecutionPolicy",
     "seq",
     "par",
-    "simd",
-    "par_simd",
     "auto_chunk_size",
     "partition",
+    "static_chunks",
     "for_each",
     "for_each_block",
-    "for_loop",
-    "transform",
-    "transform_block",
-    "reduce_",
-    "inclusive_scan",
 ]

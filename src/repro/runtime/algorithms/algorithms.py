@@ -1,15 +1,13 @@
-"""The parallel algorithms: for_each, for_loop, transform, reduce, scan.
+"""The parallel algorithms the stencils drive: for_each, for_each_block.
 
-All of them share one skeleton: partition the index space, run each
-chunk as an HPX-thread via the policy's executor (or the current pool),
-and combine.  ``seq``/``simd`` policies run inline on the calling
-thread.  Results are deterministic regardless of scheduling: reductions
-combine in chunk order.
+Both share one skeleton: partition the index space, run each chunk as
+an HPX-thread on the current pool, and wait for all of them.  The
+``seq`` policy runs the same chunks inline on the calling thread.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Sequence, TypeVar
+from typing import Any, Callable, Sequence, TypeVar
 
 from ...errors import RuntimeStateError
 from .. import context as ctx
@@ -17,18 +15,9 @@ from ..futures import Future, when_all
 from .execution_policy import ExecutionPolicy
 from .partitioner import auto_chunk_size, partition
 
-__all__ = [
-    "for_each",
-    "for_each_block",
-    "for_loop",
-    "transform",
-    "transform_block",
-    "reduce_",
-    "inclusive_scan",
-]
+__all__ = ["for_each", "for_each_block"]
 
 T = TypeVar("T")
-R = TypeVar("R")
 
 
 def _submit_chunks(
@@ -40,11 +29,8 @@ def _submit_chunks(
     """Run ``chunk_body`` over a partition of [start, stop); returns
     per-chunk results in chunk order."""
     n_items = stop - start
-    if policy.executor is not None:
-        pool = policy.executor.pool
-    else:
-        frame = ctx.current_or_none()
-        pool = frame.pool if frame is not None else None
+    frame = ctx.current_or_none()
+    pool = frame.pool if frame is not None else None
 
     # One chunking rule for both paths: the explicit ``chunk_size`` when
     # given, the auto partitioner otherwise (sized for one worker outside
@@ -59,23 +45,8 @@ def _submit_chunks(
 
     chunks = partition(start, stop, chunk)
     futures: list[Future] = []
-    if policy.executor is not None and hasattr(policy.executor, "chunk_for"):
-        # Block executor: bind chunk i to worker i for stable NUMA placement.
-        from ..threads.executor import static_chunks
-
-        blocks = static_chunks(n_items, pool.n_workers)
-        for worker_id, block in enumerate(blocks):
-            if not block:
-                continue
-            rng = range(start + block.start, start + block.stop)
-            futures.append(
-                pool.submit(
-                    chunk_body, rng, worker=worker_id, description=f"chunk@{worker_id}"
-                )
-            )
-    else:
-        for rng in chunks:
-            futures.append(pool.submit(chunk_body, rng, description="chunk"))
+    for rng in chunks:
+        futures.append(pool.submit(chunk_body, rng, description="chunk"))
     return [f.get() for f in when_all(futures).get()]
 
 
@@ -122,110 +93,3 @@ def for_each_block(
     first, last = _index_space(first, last)
     _submit_chunks(policy, first, last, body)
 
-
-def for_loop(
-    policy: ExecutionPolicy, first: int, last: int, fn: Callable[[int], Any]
-) -> None:
-    """Apply ``fn`` to every index in ``[first, last)`` (HPX ``for_loop``)."""
-    first, last = _index_space(first, last)
-
-    def chunk_body(rng: range) -> None:
-        for i in rng:
-            fn(i)
-
-    _submit_chunks(policy, first, last, chunk_body)
-
-
-def transform(
-    policy: ExecutionPolicy, sequence: Sequence[T], fn: Callable[[T], R]
-) -> list[R]:
-    """Map ``fn`` over the sequence; results in input order."""
-    items = list(sequence)
-
-    def chunk_body(rng: range) -> list[R]:
-        return [fn(items[i]) for i in rng]
-
-    parts = _submit_chunks(policy, 0, len(items), chunk_body)
-    return [value for part in parts for value in part]
-
-
-def transform_block(
-    policy: ExecutionPolicy,
-    first: int,
-    last: int,
-    body: Callable[[range], Sequence[R]],
-) -> list[R]:
-    """Fused :func:`transform`: ``body(chunk_range)`` returns the chunk's
-    results as a sequence; chunks concatenate in index order.  Same
-    partitioning and task structure as :func:`transform`, minus the
-    per-element Python call -- ``body`` may produce its slice of the
-    output with vectorized operations.
-    """
-    first, last = _index_space(first, last)
-    parts = _submit_chunks(policy, first, last, body)
-    return [value for part in parts for value in part]
-
-
-def reduce_(
-    policy: ExecutionPolicy,
-    sequence: Iterable[T],
-    init: R,
-    op: Callable[[R, T], R],
-) -> R:
-    """Fold the sequence with ``op`` (chunk-parallel, combined in order).
-
-    ``op`` must be associative for the parallel result to equal the
-    sequential one (the property tests check exactly this contract).
-    """
-    items = list(sequence)
-
-    def chunk_body(rng: range) -> list[T]:
-        # Reduce the chunk without the global init to stay associative.
-        if not rng:
-            return []
-        acc = items[rng.start]
-        for i in rng[1:]:
-            acc = op(acc, items[i])
-        return [acc]
-
-    parts = _submit_chunks(policy, 0, len(items), chunk_body)
-    result = init
-    for part in parts:
-        for value in part:
-            result = op(result, value)
-    return result
-
-
-def inclusive_scan(
-    policy: ExecutionPolicy,
-    sequence: Sequence[T],
-    op: Callable[[T, T], T],
-) -> list[T]:
-    """Inclusive prefix ``op`` (two-pass chunk-parallel scan).
-
-    Pass 1 scans each chunk independently; pass 2 folds the chunk totals
-    left-to-right and offsets each chunk -- the textbook parallel scan.
-    """
-    items = list(sequence)
-    if not items:
-        return []
-
-    def chunk_body(rng: range) -> list[T]:
-        out: list[T] = []
-        acc: T | None = None
-        for i in rng:
-            acc = items[i] if acc is None else op(acc, items[i])
-            out.append(acc)
-        return out
-
-    parts = _submit_chunks(policy, 0, len(items), chunk_body)
-    result: list[T] = []
-    carry: T | None = None
-    for part in parts:
-        if carry is None:
-            result.extend(part)
-        else:
-            result.extend(op(carry, value) for value in part)
-        if result:
-            carry = result[-1]
-    return result

@@ -3,25 +3,20 @@
 A policy is an immutable value describing *how* an algorithm may run:
 
 * ``seq``       -- sequential, calling thread;
-* ``par``       -- parallel HPX-threads;
-* ``simd``      -- sequential but the body may be vectorized;
-* ``par_simd``  -- both (HPX ``par_simd`` / ``datapar``).
+* ``par``       -- parallel HPX-threads.
 
-Policies are refined functionally: ``par.on(executor)`` chooses
-placement, ``par.with_chunk_size(n)`` overrides the auto-partitioner.
+Policies are refined functionally: ``par.with_chunk_size(n)`` overrides
+the auto-partitioner.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from ...errors import RuntimeStateError
 
-if TYPE_CHECKING:  # pragma: no cover
-    from ..threads.executor import Executor
-
-__all__ = ["ExecutionPolicy", "seq", "par", "simd", "par_simd"]
+__all__ = ["ExecutionPolicy", "seq", "par"]
 
 
 @dataclass(frozen=True)
@@ -30,15 +25,7 @@ class ExecutionPolicy:
 
     name: str
     parallel: bool
-    vectorize: bool
-    executor: "Optional[Executor]" = None
     chunk_size: Optional[int] = None
-
-    def on(self, executor: "Executor") -> "ExecutionPolicy":
-        """Bind an executor (placement).  Only parallel policies accept one."""
-        if not self.parallel:
-            raise RuntimeStateError(f"policy {self.name!r} cannot take an executor")
-        return replace(self, executor=executor)
 
     def with_chunk_size(self, n: int) -> "ExecutionPolicy":
         """Fix the chunk size used by the partitioner."""
@@ -48,18 +35,12 @@ class ExecutionPolicy:
 
     def __repr__(self) -> str:  # pragma: no cover
         bits = [self.name]
-        if self.executor is not None:
-            bits.append(f"on={type(self.executor).__name__}")
         if self.chunk_size is not None:
             bits.append(f"chunk={self.chunk_size}")
         return f"ExecutionPolicy({', '.join(bits)})"
 
 
 #: Sequential execution on the calling HPX-thread.
-seq = ExecutionPolicy("seq", parallel=False, vectorize=False)
+seq = ExecutionPolicy("seq", parallel=False)
 #: Parallel execution on HPX-threads.
-par = ExecutionPolicy("par", parallel=True, vectorize=False)
-#: Sequential, vectorization permitted (the body sees pack-sized chunks).
-simd = ExecutionPolicy("simd", parallel=False, vectorize=True)
-#: Parallel and vectorized (HPX ``par_simd``).
-par_simd = ExecutionPolicy("par_simd", parallel=True, vectorize=True)
+par = ExecutionPolicy("par", parallel=True)

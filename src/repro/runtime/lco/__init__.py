@@ -13,7 +13,6 @@ from .channel import Channel
 from .semaphore import CountingSemaphore
 from .and_gate import AndGate
 from .dataflow import dataflow
-from .remote_channel import RemoteChannel, ChannelComponent
 
 __all__ = [
     "Latch",
@@ -22,6 +21,4 @@ __all__ = [
     "CountingSemaphore",
     "AndGate",
     "dataflow",
-    "RemoteChannel",
-    "ChannelComponent",
 ]

@@ -159,7 +159,7 @@ class ThreadPool:
     ) -> Future:
         """Queue ``fn(*args)`` as a new HPX-thread; returns its future.
 
-        ``worker`` pins the task (block executors); ``ready_time``
+        ``worker`` pins the task to that worker's queue; ``ready_time``
         overrides the virtual time at which it may start (parcel
         arrivals); ``priority`` jumps scheduler queues
         (:class:`~repro.runtime.threads.hpx_thread.ThreadPriority`).  By

@@ -8,19 +8,16 @@ reproduces that programming model in Python:
   agnostic*: the lane count is fixed at :class:`~repro.simd.isa.SveIsa`
   construction, mirroring GCC's ``-msve-vector-bits`` compile-time choice
   the paper had to make.
-* :mod:`~repro.simd.pack` -- the ``pack`` value type with arithmetic,
-  loads/stores and lane shuffles.
 * :mod:`~repro.simd.layout` -- the Virtual Node Scheme data layout
   ([Boyle et al., Grid]) used by Listing 2, including the halo shuffle.
-* :mod:`~repro.simd.typetraits` -- the ``get_type`` meta-class analogue
-  used at Listing 2 line 17 to tell scalar containers from pack
-  containers.
+
+Listing 2's pack containers are the lanes axis of a ``VnsLayout``
+array: ``Jacobi2D(mode="simd")`` updates every lane of a row with one
+NumPy operation, so there is no separate pack value type.
 """
 
 from .isa import Isa, FixedIsa, SveIsa, ScalarIsa, AVX2, NEON, isa_for, sve
-from .pack import Pack
 from .layout import VnsLayout
-from .typetraits import is_pack_container, element_kind
 
 __all__ = [
     "Isa",
@@ -31,8 +28,5 @@ __all__ = [
     "NEON",
     "isa_for",
     "sve",
-    "Pack",
     "VnsLayout",
-    "is_pack_container",
-    "element_kind",
 ]

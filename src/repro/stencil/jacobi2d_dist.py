@@ -203,7 +203,8 @@ class DistributedJacobi2D(HaloDriver):
         """Global Jacobi residual: RMS change one more sweep would make.
 
         Computed as a distributed reduction over the partitions'
-        component actions -- the collectives pattern at work.
+        component actions: one ``invoke_async`` per partition, joined
+        with ``when_all`` and summed in partition order.
         """
         futures = [
             self.runtime.invoke_async(gid, "local_residual") for gid in self._gids

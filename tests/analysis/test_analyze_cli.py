@@ -1,10 +1,13 @@
 """The ``repro analyze`` CLI surface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
+
+ROOT = Path(__file__).resolve().parents[2]
 
 
 def run_cli(capsys, *argv):
@@ -31,8 +34,10 @@ def test_analyze_scheduler_flag(capsys):
 
 
 def test_analyze_lint_clean_tree(capsys):
-    code, out = run_cli(capsys, "analyze", "--lint", "src")
-    assert code == 0
+    """The repro-specific lint over everything that is Python in the tree."""
+    paths = [str(ROOT / name) for name in ("src", "tests", "examples")]
+    code, out = run_cli(capsys, "analyze", "--lint", *paths)
+    assert code == 0, out
 
 
 def test_analyze_lint_findings_exit_nonzero(tmp_path, capsys):

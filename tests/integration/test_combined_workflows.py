@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from repro.containers import PartitionedVector
-from repro.runtime import Runtime, collectives, perfcounters, when_all
+from repro.runtime import Runtime, perfcounters
 from repro.runtime.actions import action
-from repro.runtime.lco import RemoteChannel
 from repro.observability.tracer import Tracer
 from repro.stencil import (
     DistributedHeat1D,
@@ -55,56 +54,3 @@ def test_solver_plus_counters_plus_trace():
     assert executed == len(tracer.records)
     assert uptime == pytest.approx(tracer.makespan)
     assert uptime >= 10 * 0.5  # at least the sequential chain cost
-
-
-def test_remote_channel_feeding_a_reduction():
-    """Producer localities stream into a hosted channel; a consumer
-    folds -- the pipeline pattern across three features."""
-    with Runtime(machine="thunderx2", n_localities=3, workers_per_locality=2) as rt:
-        channel = RemoteChannel.create(rt, locality_id=0, name="results")
-
-        @action(name="combo.produce")
-        def produce(gid_packed, base):
-            from repro.runtime import context as ctx
-            from repro.runtime.agas.gid import Gid
-
-            runtime = ctx.current().runtime
-            gid = Gid.unpack(gid_packed)
-            for k in range(3):
-                runtime.invoke(gid, "ch_set", base * 10 + k)
-            return base
-
-        def main():
-            producers = [
-                rt.async_at(loc, "combo.produce", channel.gid.pack(), loc)
-                for loc in range(3)
-            ]
-            when_all(producers).get()
-            values = sorted(channel.get_sync() for _ in range(9))
-            return values
-
-        values = rt.run(main)
-    assert values == [0, 1, 2, 10, 11, 12, 20, 21, 22]
-
-
-def test_collectives_over_solver_state():
-    """A distributed max-reduction over per-locality solver chunks."""
-    with Runtime(n_localities=4, workers_per_locality=1) as rt:
-        solver = DistributedHeat1D(rt, 64, Heat1DParams())
-        solver.initialize(analytic_heat_profile(64))
-        rt.run(lambda: solver.run(5))
-
-        def local_max():
-            from repro.runtime import context as ctx
-
-            loc = ctx.here().locality_id
-            return float(np.max(np.abs(solver._parts[loc].local_solution())))
-
-        # The solver objects are in-process; a registered action reads the
-        # locality's own chunk.
-        action(name="combo.local_max")(local_max)
-        global_max = rt.run(
-            lambda: collectives.all_reduce(rt, "combo.local_max", max)
-        )
-        direct = float(np.max(np.abs(solver.solution())))
-    assert global_max == pytest.approx(direct)

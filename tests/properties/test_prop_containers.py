@@ -1,4 +1,4 @@
-"""Property-based tests for the partitioned vector and collectives."""
+"""Property-based tests for the partitioned vector."""
 
 import operator
 

@@ -1,16 +1,12 @@
 """Property-based tests for the runtime: schedulers, pools, algorithms,
 futures composition."""
 
-import operator
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.runtime import Promise, Runtime, par, when_all
+from repro.runtime import Promise, Runtime, when_all
 from repro.runtime import context as ctx
-from repro.runtime.algorithms import inclusive_scan, reduce_, transform
-from repro.runtime.algorithms.partitioner import auto_chunk_size, partition
-from repro.runtime.threads.executor import static_chunks
+from repro.runtime.algorithms.partitioner import auto_chunk_size, partition, static_chunks
 from repro.runtime.threads.hpx_thread import HpxThread
 from repro.runtime.threads.pool import ThreadPool
 from repro.runtime.threads.scheduler import Scheduler
@@ -105,34 +101,6 @@ def test_makespan_work_conservation_bounds(costs, n_workers):
     longest = max(costs, default=0.0)
     assert makespan >= total / n_workers - 1e-9
     assert makespan <= total / n_workers + longest + 1e-9
-
-
-@given(values=st.lists(st.integers(min_value=-1000, max_value=1000), max_size=60))
-@settings(max_examples=40, deadline=None)
-def test_parallel_reduce_equals_sequential(values):
-    with Runtime(workers_per_locality=3) as rt:
-        result = rt.run(lambda: reduce_(par, values, 0, operator.add))
-    assert result == sum(values)
-
-
-@given(values=st.lists(st.integers(min_value=-50, max_value=50), max_size=40))
-@settings(max_examples=30, deadline=None)
-def test_parallel_scan_equals_accumulate(values):
-    import itertools
-
-    with Runtime(workers_per_locality=3) as rt:
-        result = rt.run(
-            lambda: inclusive_scan(par.with_chunk_size(3), values, operator.add)
-        )
-    assert result == list(itertools.accumulate(values))
-
-
-@given(values=st.lists(st.text(max_size=5), max_size=30))
-@settings(max_examples=30, deadline=None)
-def test_parallel_transform_preserves_order(values):
-    with Runtime(workers_per_locality=4) as rt:
-        result = rt.run(lambda: transform(par, values, str.upper))
-    assert result == [v.upper() for v in values]
 
 
 @given(n=st.integers(min_value=0, max_value=30))

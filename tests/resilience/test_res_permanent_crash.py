@@ -5,8 +5,8 @@ distributed stencil with a mid-run *permanent* locality crash completes
 via decommission + evacuation + checkpoint restore, and the result is
 bit-identical to a fault-free run.  Plus unit coverage for the recovery
 primitives: ``FaultInjector`` permanence, ``AgasService.evacuate``,
-``Runtime.decommission_locality``, collectives timeouts, and a
-race-detector-clean pass over the whole recovery path.
+``Runtime.decommission_locality``, bounded cross-locality fan-outs, and
+a race-detector-clean pass over the whole recovery path.
 """
 
 import numpy as np
@@ -21,7 +21,7 @@ from repro.errors import (
     RuntimeStateError,
 )
 from repro.resilience import FaultInjector
-from repro.runtime import collectives, perfcounters
+from repro.runtime import perfcounters, when_all
 from repro.runtime.actions import sleep_for
 from repro.runtime.agas.service import AgasService
 from repro.runtime.runtime import Runtime
@@ -251,7 +251,7 @@ def test_parcel_to_decommissioned_locality_is_dead_lettered():
         assert 1 in rt.parcelport.suspected_dead
 
 
-# Collectives timeout --------------------------------------------------------
+# Bounded fan-out -----------------------------------------------------------
 
 
 def _identity() -> int:
@@ -262,24 +262,26 @@ def _stuck() -> None:
     sleep_for(50.0)
 
 
-def test_collective_over_slow_locality_times_out():
+def test_fan_out_over_slow_locality_times_out():
     """A participant that does not answer in time bounds the wait via
-    ``timeout=`` -- FutureTimeoutError, part of the TimeoutError subtree."""
+    ``wait_for`` -- FutureTimeoutError, part of the TimeoutError subtree."""
     from repro import errors
 
     assert issubclass(FutureTimeoutError, errors.TimeoutError)
     with Runtime(n_localities=2, workers_per_locality=1) as rt:
 
         def job():
+            joined = when_all([rt.async_at(i, _stuck) for i in range(rt.n_localities)])
             with pytest.raises(FutureTimeoutError):
-                collectives.gather(rt, _stuck, timeout=0.5)
+                joined.wait_for(0.5)
 
         rt.run(job)
 
 
-def test_collective_over_dead_locality_fails_fast_via_dead_letter():
+def test_fan_out_over_dead_locality_fails_fast_via_dead_letter():
     """A permanently dead destination surfaces the retry layer's
-    dead-letter error well before a realistic deadline."""
+    dead-letter error well before a realistic deadline.  The joined
+    future is ready (its parts failed); reading the parts raises."""
     from repro.errors import ParcelDeadLetterError
 
     injector = FaultInjector(seed=0)
@@ -289,21 +291,10 @@ def test_collective_over_dead_locality_fails_fast_via_dead_letter():
     ) as rt:
 
         def job():
+            joined = when_all([rt.async_at(i, _identity) for i in range(rt.n_localities)])
+            joined.wait_for(10.0)
             with pytest.raises(ParcelDeadLetterError):
-                collectives.broadcast(rt, _identity, timeout=10.0)
-
-        rt.run(job)
-
-
-def test_collectives_complete_within_timeout():
-    with Runtime(n_localities=2, workers_per_locality=1) as rt:
-
-        def job():
-            assert collectives.broadcast(rt, _identity, timeout=10.0) == [1, 1]
-            assert collectives.all_reduce(
-                rt, _identity, lambda a, b: a + b, timeout=10.0
-            ) == 2
-            collectives.global_barrier(rt, timeout=10.0)
+                [f.get() for f in joined.get()]
 
         rt.run(job)
 

@@ -1,50 +1,22 @@
 """Unit tests for parallel algorithms and execution policies."""
 
-import operator
-
 import pytest
 
 from repro.errors import RuntimeStateError
-from repro.runtime import (
-    BlockExecutor,
-    PoolExecutor,
-    for_each,
-    for_loop,
-    inclusive_scan,
-    par,
-    par_simd,
-    reduce_,
-    seq,
-    simd,
-    transform,
-)
-from repro.runtime.algorithms import auto_chunk_size, partition
+from repro.runtime import for_each, par, seq
+from repro.runtime.algorithms import auto_chunk_size, partition, static_chunks
 
 
 # Policies ----------------------------------------------------------------------
 
 def test_policy_flags():
-    assert not seq.parallel and not seq.vectorize
-    assert par.parallel and not par.vectorize
-    assert not simd.parallel and simd.vectorize
-    assert par_simd.parallel and par_simd.vectorize
-
-
-def test_policy_on_executor(rt):
-    executor = PoolExecutor(rt.localities[0].pool)
-    bound = par.on(executor)
-    assert bound.executor is executor
-    assert par.executor is None  # original is untouched
-
-
-def test_seq_cannot_take_executor(rt):
-    executor = PoolExecutor(rt.localities[0].pool)
-    with pytest.raises(RuntimeStateError):
-        seq.on(executor)
+    assert not seq.parallel
+    assert par.parallel
 
 
 def test_with_chunk_size():
     assert par.with_chunk_size(16).chunk_size == 16
+    assert par.chunk_size is None  # original is untouched
     with pytest.raises(RuntimeStateError):
         par.with_chunk_size(0)
 
@@ -88,7 +60,36 @@ def test_partition_validation():
         partition(10, 0, 1)
 
 
-# for_each / for_loop ----------------------------------------------------------------
+def test_static_chunks_even():
+    assert static_chunks(8, 4) == [range(0, 2), range(2, 4), range(4, 6), range(6, 8)]
+
+
+def test_static_chunks_remainder_spread_front():
+    chunks = static_chunks(10, 4)
+    assert [len(c) for c in chunks] == [3, 3, 2, 2]
+    assert chunks[0] == range(0, 3)
+    assert chunks[-1] == range(8, 10)
+
+
+def test_static_chunks_more_workers_than_items():
+    chunks = static_chunks(2, 4)
+    assert [len(c) for c in chunks] == [1, 1, 0, 0]
+
+
+def test_static_chunks_cover_everything_exactly_once():
+    chunks = static_chunks(17, 5)
+    flat = [i for c in chunks for i in c]
+    assert flat == list(range(17))
+
+
+def test_static_chunks_validation():
+    with pytest.raises(RuntimeStateError):
+        static_chunks(-1, 2)
+    with pytest.raises(RuntimeStateError):
+        static_chunks(2, 0)
+
+
+# for_each ----------------------------------------------------------------
 
 def test_for_each_seq_outside_runtime():
     out = []
@@ -114,87 +115,6 @@ def test_for_each_par_in_runtime(rt):
 
 def test_for_each_empty(rt):
     rt.run(lambda: for_each(par, [], lambda x: 1 / 0))
-
-
-def test_for_loop_indices(rt):
-    out = []
-
-    def main():
-        for_loop(par, 5, 15, out.append)
-
-    rt.run(main)
-    assert sorted(out) == list(range(5, 15))
-
-
-def test_for_loop_invalid_range():
-    with pytest.raises(RuntimeStateError):
-        for_loop(seq, 10, 5, lambda i: None)
-
-
-def test_for_each_with_block_executor(rt):
-    executor = BlockExecutor(rt.localities[0].pool)
-    out = []
-
-    def main():
-        for_each(par.on(executor), range(20), out.append)
-
-    rt.run(main)
-    assert sorted(out) == list(range(20))
-
-
-# transform / reduce / scan -------------------------------------------------------------
-
-def test_transform_preserves_order(rt):
-    def main():
-        return transform(par, range(50), lambda x: x * x)
-
-    assert rt.run(main) == [x * x for x in range(50)]
-
-
-def test_transform_seq():
-    assert transform(seq, [1, 2, 3], str) == ["1", "2", "3"]
-
-
-def test_reduce_matches_sequential(rt):
-    data = list(range(1, 101))
-
-    def main():
-        return reduce_(par, data, 0, operator.add)
-
-    assert rt.run(main) == sum(data)
-
-
-def test_reduce_empty():
-    assert reduce_(seq, [], 42, operator.add) == 42
-
-
-def test_reduce_non_commutative_but_associative(rt):
-    """String concatenation: associative, order must be preserved."""
-    words = [c for c in "parallex"]
-
-    def main():
-        return reduce_(par.with_chunk_size(3), words, "", operator.add)
-
-    assert rt.run(main) == "parallex"
-
-
-def test_inclusive_scan_matches_itertools(rt):
-    import itertools
-
-    data = list(range(1, 30))
-
-    def main():
-        return inclusive_scan(par.with_chunk_size(4), data, operator.add)
-
-    assert rt.run(main) == list(itertools.accumulate(data))
-
-
-def test_inclusive_scan_empty():
-    assert inclusive_scan(seq, [], operator.add) == []
-
-
-def test_inclusive_scan_single_chunk():
-    assert inclusive_scan(seq, [5, 1, 2], operator.add) == [5, 6, 8]
 
 
 def test_chunked_for_each_respects_chunk_size(rt):
@@ -272,19 +192,8 @@ def test_for_each_block_matches_for_each(rt):
     assert out_block == out_elem == [i * i for i in range(60)]
 
 
-def test_transform_block_concatenates_in_index_order(rt):
-    from repro.runtime.algorithms import transform_block
-
-    def main():
-        return transform_block(par, 0, 50, lambda rng: [i * 3 for i in rng])
-
-    assert rt.run(main) == [i * 3 for i in range(50)]
-
-
 def test_block_algorithms_validate_index_space():
-    from repro.runtime.algorithms import for_each_block, transform_block
+    from repro.runtime.algorithms import for_each_block
 
     with pytest.raises(RuntimeStateError):
         for_each_block(seq, 10, 5, lambda rng: None)
-    with pytest.raises(RuntimeStateError):
-        transform_block(seq, 10, 5, lambda rng: [])

@@ -69,7 +69,6 @@ class TestErrorHierarchy:
         assert issubclass(errors.MigrationError, errors.AgasError)
         assert issubclass(errors.SerializationError, errors.ParcelError)
         assert issubclass(errors.PinningError, errors.TopologyError)
-        assert issubclass(errors.LaneMismatchError, errors.SimdError)
         assert issubclass(errors.LayoutError, errors.SimdError)
 
     def test_catching_the_base_catches_everything(self):

@@ -437,6 +437,39 @@ RULES = {
             ),
         ),
     ),
+    "application-surface": Rule(
+        "Only the surface an application reaches (no collectives, RemoteChannel, executors, "
+        "unused algorithms or Pack layer; a policy is a name, parallel and a chunk size)",
+        "an application, exhibit, bench workload, explorer demo or CLI command must reach "
+        "a runtime API; for_each/for_each_block, Channel and VnsLayout are the kept surface "
+        "(docs/api.md)",
+        (
+            Grep(
+                r"\bcollectives\b|RemoteChannel|ChannelComponent|PoolExecutor|BlockExecutor"
+                r"|\b(reduce_|inclusive_scan|transform_block|for_loop|par_simd)\b"
+                r"|LaneMismatchError",
+                ("src/", "examples/"),
+                (
+                    "examples/quickstart.py",
+                    "total = reduce_(par, range(1, 101), 0, operator.add)\n",
+                ),
+            ),
+            Grep(
+                r"simd\.(pack|ops|typetraits)\b|from \.(pack|ops|typetraits) import"
+                r"|threads\.executor\b",
+                ("src/", "examples/"),
+                ("src/repro/simd/__init__.py", "from .pack import Pack\n"),
+            ),
+            Grep(
+                r"\bvectorize\b|\bexecutor\b|def on\(",
+                ("src/repro/runtime/algorithms/execution_policy.py",),
+                (
+                    "src/repro/runtime/algorithms/execution_policy.py",
+                    "    executor: Optional[object] = None\n",
+                ),
+            ),
+        ),
+    ),
 }
 
 
