@@ -13,21 +13,23 @@ arrived -- no global barrier, latency hides under compute exactly as in
 :mod:`repro.stencil.heat1d`: both instantiate the one protocol of
 :mod:`repro.stencil.halo`.
 
-**A level's interior is immutable once stepped.**  Every step writes a
-fresh array (:func:`_sweep`); afterwards only its halo rows 0 and -1 are
-written, when the next step's halos land or the residual reads them.
-So the gather hands out a read-only view of the owned rows, and the
-driver's ``vstack`` is the one copy.  Reusing a step buffer would break
-this.
+**A block is swept in place.**  A step overwrites its partition's block
+(:func:`_sweep`); the halo rows 0 and -1 are written when the next
+step's halos land or the residual reads them.  So the gather hands out
+a read-only view of the owned rows that is valid until its partition's
+next step, and both consumers copy it at once: the driver's ``vstack``,
+and across processes the reply, pickled when the action returns.
 
-**The sweep streams its block once.**  :func:`_sweep` runs its four
-flat passes chunk by chunk over L2-sized runs of rows, accumulating into
-the chunk's slice of the new level, so beyond L2 a site update costs
-about three 8-byte transfers (read ``u``; write the new level, with its
-write-allocate), the paper's roofline, not about eleven as four
-whole-block passes did.  The chunk size is :data:`_CHUNK_BYTES`, a
-constant backed by a measured sweep (docs/performance.md); there is no
-second buffer.
+**The sweep streams its block once, in place.**  :func:`_sweep` runs its
+four flat passes chunk by chunk over L2-sized runs of rows, accumulating
+into one chunk-sized scratch buffer, and the last pass writes the chunk
+straight back into the block it was read from.  Beyond L2 a site update
+costs about two 8-byte transfers, not the three of the paper's
+roofline: a read of ``u``, and a write back to lines the first pass
+just brought into L2, so with no write-allocate.  A step allocates no
+level.  The chunk
+size is :data:`_CHUNK_BYTES`, a constant backed by a measured sweep
+(docs/performance.md).
 """
 
 from __future__ import annotations
@@ -42,42 +44,65 @@ from .halo import HaloDriver, HaloPartition
 __all__ = ["Jacobi2DPartition", "DistributedJacobi2D"]
 
 
-#: Bytes of the new level one chunk of :func:`_sweep` covers: a quarter
+#: Bytes of the block one chunk of :func:`_sweep` covers: a quarter
 #: of a 2 MiB L2, so the chunk and the rows of ``u`` it reads stay in L2
 #: across the four passes.  Measured at nx = 2048: 8-64 rows alike, 128
 #: rows (a whole L2) loses most of the gain (docs/performance.md).
 _CHUNK_BYTES = 1 << 19
 
 
-def _sweep(u: np.ndarray) -> np.ndarray:
-    """One Jacobi sweep of the C-ordered block ``u``, into a new array.
+def _chunk_rows(nx: int) -> int:
+    """Rows of width ``nx`` in one chunk of :func:`_sweep`."""
+    return max(1, _CHUNK_BYTES // (8 * nx))
+
+
+def _scratch(shape: tuple[int, int]) -> np.ndarray:
+    """:func:`_sweep`'s accumulator for a block of ``shape``: one chunk,
+    plus the one row it holds back between chunks."""
+    ny, nx = shape
+    return np.empty((min(_chunk_rows(nx), ny - 2) + 1) * nx)
+
+
+def _sweep(u: np.ndarray, scratch: np.ndarray) -> None:
+    """One Jacobi sweep of the C-ordered block ``u``, in place.
 
     The interior runs as four contiguous ``out=`` passes over flat ranges
     ``u[r, 1]`` .. ``u[r + rows - 1, -2]``: NumPy streams a flat slice much
     faster than a 2D view with a short inner extent.  The passes go chunk
-    by chunk, ``rows`` rows of about :data:`_CHUNK_BYTES` each, so the
-    chunk of the new level they accumulate into stays in L2 across all
-    four and the block streams from memory once per step, not four
-    times.  Operands and order are the reference's (down + up, + right,
-    + left, x 0.25), so the result is bit-identical to
-    :func:`~repro.stencil.jacobi2d.jacobi_reference_step`.  A flat range
-    also writes the side walls between its rows, and a chunk boundary
-    skips the two between its rows; all are put back from ``u``.
+    by chunk, ``rows`` rows of about :data:`_CHUNK_BYTES` each,
+    accumulating into ``scratch`` (:func:`_scratch`), so the chunk stays
+    in L2 across all four and the block streams from memory once per
+    step, not four times.  Operands and order are the reference's (down
+    + up, + right, + left, x 0.25), so the result is bit-identical to
+    :func:`~repro.stencil.jacobi2d.jacobi_reference_step`.
+
+    The last pass writes the chunk back into ``u``, except the chunk's
+    last row: the next chunk's first pass reads its old values as "up".
+    That row goes to the held row at the end of ``scratch`` and is
+    written back right after that pass.  A flat range also writes the
+    side walls between its rows, so the walls are saved first and put
+    back last.  Halo rows 0 and -1 are only read.
     """
     ny, nx = u.shape
-    new = np.empty((ny, nx))
-    new[0], new[-1] = u[0], u[-1]
-    f, g = u.reshape(-1), new.reshape(-1)
-    rows = max(1, _CHUNK_BYTES // (8 * nx))
+    walls = u[1:-1, :: nx - 1].copy()
+    f = u.reshape(-1)
+    rows, end = _chunk_rows(nx), (ny - 1) * nx - 1
+    held, held_at = scratch[-nx:-2], 0
     for r in range(1, ny - 1, rows):
         lo, hi = r * nx + 1, min(r + rows, ny - 1) * nx - 1
-        acc = g[lo:hi]
+        acc = scratch[: hi - lo]
         np.add(f[lo + nx : hi + nx], f[lo - nx : hi - nx], out=acc)
+        if held_at:
+            f[held_at : held_at + nx - 2] = held
         np.add(acc, f[lo + 1 : hi + 1], out=acc)
         np.add(acc, f[lo - 1 : hi - 1], out=acc)
-        np.multiply(acc, 0.25, out=acc)
-    new[1:-1, 0], new[1:-1, -1] = u[1:-1, 0], u[1:-1, -1]
-    return new
+        if hi == end:
+            np.multiply(acc, 0.25, out=f[lo:hi])
+        else:
+            held_at = hi - (nx - 2)
+            np.multiply(acc[: held_at - lo], 0.25, out=f[lo:held_at])
+            np.multiply(acc[held_at - lo :], 0.25, out=held)
+    u[1:-1, :: nx - 1] = walls
 
 
 class Jacobi2DPartition(HaloPartition):
@@ -103,6 +128,10 @@ class Jacobi2DPartition(HaloPartition):
         if data.ndim != 2 or data.shape[0] < 3 or data.shape[1] < 3:
             raise ValidationError(f"partition needs >= 3x3 incl. halos, got {data.shape}")
         super().__init__(np.array(data, copy=True, order="C"), cost_per_step)
+        #: :func:`_sweep`'s scratch, made on the first sweep: derived
+        #: state, never checkpointed, and registration pickles the
+        #: partition before it exists.
+        self._acc: np.ndarray | None = None
 
     def send_edges(self, step: int) -> None:
         """Ship current edge rows to the neighbours that exist."""
@@ -118,12 +147,19 @@ class Jacobi2DPartition(HaloPartition):
             self.u[0, :] = up_row
         if down_row is not None:
             self.u[-1, :] = down_row
-        self.u = _sweep(self.u)
+        _sweep(self.u, self._accumulator())
         return self._end_step()
+
+    def _accumulator(self) -> np.ndarray:
+        if self._acc is None:
+            self._acc = _scratch(self.u.shape)
+        return self._acc
 
     def interior(self) -> np.ndarray:
         """This partition's owned rows (without halo rows): a read-only
-        view, since a stepped level's interior is never written again."""
+        view, valid until this partition's next step sweeps the block in
+        place.  The driver's ``vstack`` copies it at once; across
+        processes the reply is pickled when this action returns."""
         self.mark_read("u")
         rows = self.u[1:-1]
         rows.flags.writeable = False
@@ -143,7 +179,9 @@ class Jacobi2DPartition(HaloPartition):
                 edge = self.halo_future(self.steps_done, side).get()  # repro-lint: disable=PX301
                 if edge is not None:
                     self.u[row] = edge
-        diff = _sweep(self.u)[1:-1, 1:-1] - self.u[1:-1, 1:-1]
+        new = np.array(self.u, copy=True)
+        _sweep(new, self._accumulator())  # a copy: the residual steps nothing
+        diff = new[1:-1, 1:-1] - self.u[1:-1, 1:-1]
         return float(np.sum(diff * diff))
 
 

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.config import Config
 from repro.errors import ValidationError
+from repro.resilience import FaultInjector
 from repro.runtime import Runtime
 from repro.stencil import (
     DistributedJacobi2D,
@@ -14,6 +16,9 @@ from repro.stencil import (
     jacobi2d_dist,
     max_error,
 )
+
+
+_MP = Config.from_mapping({"runtime.backend": "multiprocess"})
 
 
 def hot_top(ny, nx):
@@ -145,17 +150,20 @@ def _gathered_residual(out):
 
 
 @pytest.mark.parametrize(
-    "parts_per_loc, machine",
-    [(1, None), (2, None), (2, "xeon-e5-2660v3")],
-    ids=["1-part", "2-parts", "2-parts-network"],
+    "parts_per_loc, machine, config",
+    [(1, None, None), (2, None, None), (2, "xeon-e5-2660v3", None), (1, None, _MP)],
+    ids=["1-part", "2-parts", "2-parts-network", "2-processes"],
 )
-def test_residual_reads_the_neighbours_current_edges(parts_per_loc, machine):
+def test_residual_reads_the_neighbours_current_edges(parts_per_loc, machine, config):
     """A partition's halo rows hold the edges its last step consumed; the
     residual of the stepped field needs the edges that step produced.
     It is taken in the job that ran the steps, where a neighbour's last
-    edge can still be on its way (on a modelled network, in flight)."""
+    edge can still be on its way (on a modelled network, in flight, or
+    in another process).  It sweeps a copy: the field does not step."""
     field = np.random.default_rng(3).random((34, 16))
-    with Runtime(machine=machine, n_localities=2, workers_per_locality=2) as rt:
+    with Runtime(
+        machine=machine, n_localities=2, workers_per_locality=2, config=config
+    ) as rt:
         solver = DistributedJacobi2D(rt, 34, 16, partitions_per_locality=parts_per_loc)
         solver.initialize(field)
         out, residual = rt.run(lambda: (solver.run(5), solver.residual()))
@@ -166,15 +174,60 @@ def test_residual_reads_the_neighbours_current_edges(parts_per_loc, machine):
 
 @pytest.mark.parametrize(
     "shape, chunks",
-    [((35, 2048), 2), ((100, 2048), 4), ((5, 65536), 3)],
-    ids=["32+1-rows", "3x32+2-rows", "1-row-chunks"],
+    [((35, 2048), 2), ((100, 2048), 4), ((5, 65536), 3), ((3, 2048), 1)],
+    ids=["32+1-rows", "3x32+2-rows", "1-row-chunks", "1-interior-row"],
 )
 def test_a_multi_chunk_block_sweeps_the_oracles_bits(shape, chunks):
     """Real block widths: the row-chunked kernel crosses ``chunks - 1``
     chunk boundaries, into a partial last chunk or one row at a time,
-    bit for bit."""
+    bit for bit.  The sweep is in place, so the reference is taken
+    first; three sweeps in a row, because a held row written back too
+    early or a wall cell left stale only shows one step later."""
     ny, nx = shape
     rows = max(1, jacobi2d_dist._CHUNK_BYTES // (8 * nx))
     assert -(-(ny - 2) // rows) == chunks
     u = np.random.default_rng(11).standard_normal(shape) * 1e3
-    assert jacobi2d_dist._sweep(u).tobytes() == jacobi_reference_step(u).tobytes()
+    scratch = jacobi2d_dist._scratch(shape)
+    for _ in range(3):
+        want = jacobi_reference_step(u)
+        jacobi2d_dist._sweep(u, scratch)
+        assert u.tobytes() == want.tobytes()
+
+
+#: Two partitions of 34 rows at nx = 2048: each sweeps a chunk of 32 rows
+#: and one of 2, so every step hands a held row across a chunk boundary.
+MULTI_CHUNK = (70, 2048)
+MULTI_CHUNK_STEPS = 12
+
+
+def _crash_locality_1() -> FaultInjector:
+    injector = FaultInjector(seed=7)
+    injector.fail_locality(1, at=0.006, permanent=True)
+    return injector
+
+
+@pytest.mark.parametrize(
+    "config, injector",
+    [(None, None), (_MP, None), (None, _crash_locality_1)],
+    ids=["virtual", "2-processes", "crash-rollback"],
+)
+def test_multi_chunk_partitions_give_the_oracles_bits(config, injector):
+    """The chunk hand-off across processes and through a checkpoint
+    rollback, whose ``restore_state`` replaces ``u`` mid-run."""
+    ny, nx = MULTI_CHUNK
+    assert (ny - 2) // 2 > jacobi2d_dist._chunk_rows(nx)
+    field = np.random.default_rng(13).random(MULTI_CHUNK)
+    with Runtime(
+        n_localities=2,
+        workers_per_locality=1,
+        config=config,
+        fault_injector=injector and injector(),
+    ) as rt:
+        solver = DistributedJacobi2D(rt, ny, nx, cost_per_step=1e-3)
+        solver.initialize(field)
+        if injector is None:
+            out = solver.run(MULTI_CHUNK_STEPS)
+        else:
+            out = solver.run_resilient(MULTI_CHUNK_STEPS, checkpoint_every=4)
+            assert rt.checkpoints_restored == 1 and sorted(rt.decommissioned) == [1]
+    assert out.tobytes() == reference(field, MULTI_CHUNK_STEPS).tobytes()
