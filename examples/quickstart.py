@@ -4,7 +4,7 @@
 Covers the pieces a new user needs in order: futures and ``async_``,
 ``dataflow`` continuation style, the two parallel algorithms the
 stencils drive (``for_each`` per element, ``for_each_block`` per chunk)
-under an execution policy, LCOs (channel, latch, barrier), and a taste
+under an execution policy, LCOs (channel, ``when_all`` joins), and a taste
 of the virtual-time model that makes the performance studies possible.
 
 Run:  python examples/quickstart.py
@@ -12,16 +12,7 @@ Run:  python examples/quickstart.py
 
 import numpy as np
 
-from repro.runtime import (
-    Barrier,
-    Channel,
-    Latch,
-    Runtime,
-    async_,
-    dataflow,
-    par,
-    when_all,
-)
+from repro.runtime import Channel, Runtime, async_, dataflow, par, when_all
 from repro.runtime import context as ctx
 from repro.runtime.algorithms import for_each, for_each_block
 
@@ -64,24 +55,19 @@ def lco_tour() -> str:
     async_(lambda: [channel.set(i) for i in range(3)])
     received = [channel.get_sync() for _ in range(3)]
 
-    # Latch: N workers signal one waiter.
-    latch = Latch(4)
-    for _ in range(4):
-        async_(latch.count_down)
-    latch.wait()
+    # when_all: one waiter joins N workers.
+    joined = when_all([async_(lambda i=i: i * i) for i in range(4)]).get()
+    total = sum(f.get() for f in joined)
 
-    # Barrier: lockstep phases.
-    barrier = Barrier(3)
+    # Lockstep phases: each phase is one join over its workers.
     phases = []
-
-    def worker(i):
-        phases.append(("phase-1", i))
-        barrier.arrive_and_wait()
-        phases.append(("phase-2", i))
-
-    when_all([async_(worker, i) for i in range(3)]).get()
+    for phase in ("phase-1", "phase-2"):
+        when_all([async_(phases.append, (phase, i)) for i in range(3)]).get()
     first_half = {p for p, _ in phases[:3]}
-    return f"received={received}, barrier phases separated: {first_half == {'phase-1'}}"
+    return (
+        f"received={received}, joined sum={total}, "
+        f"phases separated: {first_half == {'phase-1'}}"
+    )
 
 
 def virtual_time_demo() -> str:

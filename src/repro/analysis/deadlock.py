@@ -16,9 +16,9 @@ events and maintains a :class:`WaitGraph` with three node kinds:
 * **shared states** -- promise/future states, edged to whatever must
   happen for them to become ready: their producing thread
   (thread-result promises) or their source states
-  (``when_all``/``when_any``/``dataflow``/``then`` links);
-* **buffers** -- channels and semaphores, as pseudo-sources of the
-  promises their ``get``/``acquire`` handed out.
+  (``when_all``/``dataflow``/``then`` links);
+* **buffers** -- channels, as pseudo-sources of the promises their
+  ``get`` handed out.
 
 On ``stalled`` the detector raises :class:`~repro.errors.DeadlockError`
 with the rendered cycle (``thread -> LCO -> thread -> ...``) when one
@@ -48,12 +48,11 @@ __all__ = ["DeadlockDetector", "WaitGraph"]
 
 @dataclass(frozen=True)
 class _Link:
-    """``target`` becomes ready from ``sources`` (combinator edge)."""
+    """``target`` becomes ready from all of ``sources`` (combinator edge)."""
 
     target: int
     sources: Tuple[int, ...]
     label: str
-    mode: str  # "all" | "any"
 
 
 @dataclass
@@ -214,14 +213,14 @@ class DeadlockDetector(Probe):
     def state_fulfilled(self, state: Any) -> None:
         self._fulfilled.add(self._pin(state))
 
-    def state_linked(
-        self, sources: Sequence[Any], target: Any, label: str, mode: str = "all"
-    ) -> None:
+    def state_linked(self, sources: Sequence[Any], target: Any, label: str) -> None:
         keys = tuple(self._pin(s) for s in sources)
-        self._links.append(_Link(self._pin(target), keys, label, mode))
-
-    def lco_labelled(self, state: Any, label: str) -> None:
-        self._labels[self._pin(state)] = label
+        key = self._pin(target)
+        if not keys:
+            # Nothing to draw from (a channel read): the label names the
+            # state itself.
+            self._labels[key] = label
+        self._links.append(_Link(key, keys, label))
 
     def wait_enter(self, state: Any, detail: str = "") -> None:
         self._waits.append((ctx.current_task(), self._pin(state), detail))
@@ -287,8 +286,6 @@ class DeadlockDetector(Probe):
             ):
                 continue
             pending = [k for k in link.sources if k not in self._fulfilled]
-            if link.mode == "any" and len(pending) < len(link.sources):
-                continue  # at least one source fired; target just unobserved
             add_state(link.target)
             if link.label and link.target not in self._labels:
                 graph.names[link.target] = f"{graph.names[link.target]} [{link.label}]"

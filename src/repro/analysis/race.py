@@ -16,12 +16,11 @@ synchronisation the runtime reports:
   because both sides are materialised as submitted tasks;
 * **future set -> get**: a promise's fulfilment stamps the setter's
   clock on the shared state; every read joins it;
-* **LCO releases**: each latch count-down / barrier arrival / and-gate
-  slot / ``when_all`` input *contributes* its clock to the release, so
-  the released side is ordered after **all** contributors, not just the
-  last one;
-* **buffered hand-offs**: channel values and semaphore permits carry
-  the clock of the task that deposited them.
+* **LCO releases**: each ``when_all`` / ``dataflow`` input
+  *contributes* its clock to the release, so the released side is
+  ordered after **all** contributors, not just the last one;
+* **buffered hand-offs**: channel values carry the clock of the task
+  that deposited them.
 
 Shared data is tracked at explicitly instrumented locations --
 :meth:`~repro.runtime.agas.component.Component.mark_read` /
@@ -145,7 +144,7 @@ class RaceDetector(Probe):
         self._state_clocks: Dict[int, VectorClock] = {}
         #: Accumulated contributions for not-yet-fulfilled states.
         self._contribs: Dict[int, VectorClock] = {}
-        #: FIFO clock queues for buffered hand-offs (channels, semaphores).
+        #: FIFO clock queues for buffered hand-offs (channel values).
         self._tokens: Dict[int, deque[VectorClock]] = {}
         #: Instrumented locations by (id(owner), field).
         self._locations: Dict[tuple[int, str], _Location] = {}

@@ -28,8 +28,6 @@ __all__ = [
     "ParcelDeadLetterError",
     "ParcelShedError",
     "ResilienceError",
-    "ReplayExhaustedError",
-    "ReplicateError",
     "CheckpointError",
     "CheckpointCorruptionError",
     "CheckpointCorruptionWarning",
@@ -154,15 +152,7 @@ class ParcelShedError(ParcelDeadLetterError):
 
 
 class ResilienceError(ReproError):
-    """Base class for task-resiliency (replay/replicate) failures."""
-
-
-class ReplayExhaustedError(ResilienceError):
-    """``async_replay`` ran out of attempts without a valid result."""
-
-
-class ReplicateError(ResilienceError):
-    """``async_replicate`` found no replica result passing validation."""
+    """Base class for checkpoint/restart failures."""
 
 
 class CheckpointError(ResilienceError):

@@ -13,9 +13,6 @@ APIs:
   ack-timeout retransmission with capped exponential backoff and a
   dead-letter queue (see
   :class:`~repro.runtime.parcel.parcelport.Parcelport`);
-* :func:`async_replay` / :func:`async_replicate` -- HPX resiliency task
-  APIs (``hpx::resiliency::experimental``), re-exported from
-  :mod:`repro.runtime.actions`;
 * :func:`save_checkpoint` / :func:`restore_checkpoint` /
   :class:`CheckpointStore` -- HPX-style checkpoint/restart
   (``hpx::util::checkpoint``): versioned, checksummed snapshots with a
@@ -32,7 +29,6 @@ deterministic and reproducible as a clean one: same seed, same faults,
 same retries, same makespan.
 """
 
-from ..runtime.actions import async_replay, async_replicate
 from ..runtime.parcel.parcelport import RetryPolicy
 from .checkpoint import (
     Checkpoint,
@@ -59,8 +55,6 @@ __all__ = [
     "ParcelFate",
     "PhiAccrualDetector",
     "RetryPolicy",
-    "async_replay",
-    "async_replicate",
     "restore_checkpoint",
     "save_checkpoint",
 ]

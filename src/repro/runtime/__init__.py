@@ -9,10 +9,10 @@ space.  This package implements each subsystem of Fig 1 of the paper:
   cooperatively on a pool of virtual cores; FIFO / static / work-stealing
   schedulers.
 * **LCOs** (:mod:`~repro.runtime.lco` and
-  :mod:`~repro.runtime.futures`): futures, promises, latches, barriers,
-  channels, semaphores, and-gates and ``dataflow``.
-* **AGAS** (:mod:`~repro.runtime.agas`): global IDs, resolution,
-  reference counting and object migration.
+  :mod:`~repro.runtime.futures`): futures, promises, ``when_all``,
+  channels and ``dataflow``.
+* **AGAS** (:mod:`~repro.runtime.agas`): global IDs, resolution and
+  object migration.
 * **Parcel transport** (:mod:`~repro.runtime.parcel`): active messages
   between localities with serialization and a modelled network.
 * **Parallel algorithms** (:mod:`~repro.runtime.algorithms`):
@@ -27,27 +27,10 @@ substitution that lets a laptop reproduce cluster-scale scheduling
 behaviour deterministically.
 """
 
-from .futures import (
-    Future,
-    Promise,
-    make_ready_future,
-    when_all,
-    when_any,
-    when_each,
-    unwrap,
-)
-from .lco import Latch, Barrier, Channel, CountingSemaphore, AndGate, dataflow
+from .futures import Future, Promise, make_ready_future, when_all
+from .lco import Channel, dataflow
 from .threads.pool import ThreadPool
-from .actions import (
-    action,
-    async_,
-    apply,
-    sync,
-    async_after,
-    sleep_for,
-    async_replay,
-    async_replicate,
-)
+from .actions import action, async_, apply, sync
 from .locality import Locality
 from .runtime import Runtime
 from . import perfcounters
@@ -58,24 +41,13 @@ __all__ = [
     "Promise",
     "make_ready_future",
     "when_all",
-    "when_any",
-    "when_each",
-    "unwrap",
-    "Latch",
-    "Barrier",
     "Channel",
-    "CountingSemaphore",
-    "AndGate",
     "dataflow",
     "ThreadPool",
     "action",
     "async_",
     "apply",
     "sync",
-    "async_after",
-    "sleep_for",
-    "async_replay",
-    "async_replicate",
     "perfcounters",
     "Locality",
     "Runtime",

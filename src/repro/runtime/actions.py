@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from ..errors import ReplayExhaustedError, ReplicateError, RuntimeStateError
+from ..errors import RuntimeStateError
 from . import context as ctx
-from .futures import Future, Promise, unwrap, when_all
+from .futures import Future
 
 __all__ = [
     "action",
@@ -23,10 +23,6 @@ __all__ = [
     "async_",
     "apply",
     "sync",
-    "async_after",
-    "sleep_for",
-    "async_replay",
-    "async_replicate",
 ]
 
 _REGISTRY: dict[str, Callable[..., Any]] = {}
@@ -82,142 +78,3 @@ def apply(fn: Callable[..., Any], *args: Any, **kwargs: Any) -> None:
 def sync(fn: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
     """Spawn and wait: ``async_(fn, ...).get()``."""
     return async_(fn, *args, **kwargs).get()
-
-
-def async_after(delay: float, fn: Callable[..., Any], *args: Any, **kwargs: Any) -> Future:
-    """Spawn ``fn`` no earlier than ``delay`` virtual seconds from now.
-
-    The cooperative analogue of HPX's timed execution
-    (``hpx::async(hpx::launch::async, deadline, f)``): the task's ready
-    time is pushed into the virtual future, so workers fill the gap with
-    other work.
-    """
-    if delay < 0:
-        raise RuntimeStateError(f"delay must be non-negative, got {delay!r}")
-    pool = _current_pool()
-    return pool.submit(
-        fn,
-        *args,
-        kwargs=kwargs or None,
-        ready_time=pool.now + delay,
-        description=f"timed:{getattr(fn, '__name__', 'fn')}",
-    )
-
-
-def async_replay(
-    n: int,
-    fn: Callable[..., Any],
-    *args: Any,
-    validate: Callable[[Any], bool] | None = None,
-    **kwargs: Any,
-) -> Future:
-    """Run ``fn`` asynchronously, re-executing on failure up to ``n`` times.
-
-    The HPX resiliency API (``hpx::resiliency::experimental::async_replay``):
-    attempt ``k+1`` launches only after attempt ``k`` failed, so at most
-    one replica is in flight.  A failure is a raised exception or -- when
-    ``validate`` is given -- a result it rejects.  After ``n`` failed
-    attempts the last exception is re-raised through the returned future
-    (:class:`~repro.errors.ReplayExhaustedError` when the failure was a
-    rejected result).
-
-    If an attempt returns a :class:`Future` (e.g. the body performs a
-    remote ``async_at``/``invoke_async``), it is unwrapped, so remote
-    failures count as attempt failures and are replayed too.
-    """
-    if n < 1:
-        raise RuntimeStateError(f"async_replay needs n >= 1, got {n!r}")
-    promise = Promise()
-
-    def attempt(k: int) -> None:
-        resolved = unwrap(async_(fn, *args, **kwargs))
-
-        def on_done(future: Future) -> None:
-            try:
-                value = future.get_nowait()
-            except BaseException as exc:  # noqa: BLE001 - replayed/forwarded
-                if k + 1 < n:
-                    attempt(k + 1)
-                else:
-                    promise.set_exception(exc)
-                return
-            if validate is not None and not validate(value):
-                if k + 1 < n:
-                    attempt(k + 1)
-                else:
-                    promise.set_exception(
-                        ReplayExhaustedError(
-                            f"async_replay: result failed validation on all "
-                            f"{n} attempt(s)"
-                        )
-                    )
-                return
-            promise.set_value(value)
-
-        resolved._on_ready(on_done)
-
-    attempt(0)
-    return promise.get_future()
-
-
-def async_replicate(
-    n: int,
-    fn: Callable[..., Any],
-    *args: Any,
-    validate: Callable[[Any], bool] | None = None,
-    **kwargs: Any,
-) -> Future:
-    """Run ``n`` concurrent replicas of ``fn``; first valid result wins.
-
-    The HPX resiliency API (``async_replicate``): all replicas launch
-    immediately, the returned future waits for all of them and yields the
-    lowest-indexed result that did not raise and -- when ``validate`` is
-    given -- passes validation.  If every replica raised, the last
-    exception is re-raised; if some succeeded but none validated,
-    :class:`~repro.errors.ReplicateError` is raised.  Future-returning
-    bodies are unwrapped as in :func:`async_replay`.
-    """
-    if n < 1:
-        raise RuntimeStateError(f"async_replicate needs n >= 1, got {n!r}")
-    promise = Promise()
-    replicas = [unwrap(async_(fn, *args, **kwargs)) for _ in range(n)]
-
-    def pick(all_ready: Future) -> None:
-        last_exc: BaseException | None = None
-        succeeded = 0
-        for replica in all_ready.get_nowait():
-            try:
-                value = replica.get_nowait()
-            except BaseException as exc:  # noqa: BLE001 - tallied/forwarded
-                last_exc = exc
-                continue
-            succeeded += 1
-            if validate is None or validate(value):
-                promise.set_value(value)
-                return
-        if succeeded == 0 and last_exc is not None:
-            promise.set_exception(last_exc)
-        else:
-            promise.set_exception(
-                ReplicateError(
-                    f"async_replicate: none of {succeeded} successful "
-                    f"replica(s) (of {n}) passed validation"
-                )
-            )
-
-    when_all(replicas)._on_ready(pick)
-    return promise.get_future()
-
-
-def sleep_for(seconds: float) -> None:
-    """Advance the calling task's virtual clock (``this_thread::sleep_for``).
-
-    In virtual time, sleeping and computing are both occupancy of the
-    worker; the distinction the paper's timing cares about is *when the
-    task finishes*, which both advance identically.
-    """
-    from . import context as ctx
-
-    if seconds < 0:
-        raise RuntimeStateError(f"sleep must be non-negative, got {seconds!r}")
-    ctx.add_cost(seconds)

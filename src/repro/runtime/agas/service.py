@@ -1,22 +1,20 @@
 """The AGAS resolution service.
 
 One logical service for the whole job (HPX hosts the authoritative
-partition on locality 0).  It maps GIDs to ``(home locality, object)``,
-maintains reference counts, and performs migration.  Resolution is the
-*only* way to find an object: callers must not cache the home locality,
-because migration invalidates it -- exactly the property the migration
-tests exercise.
+partition on locality 0).  It maps GIDs to ``(home locality, object)``
+and performs migration.  Resolution is the *only* way to find an
+object: callers must not cache the home locality, because migration
+invalidates it -- exactly the property the migration tests exercise.
 
 What resolution hands back is the table's own :class:`_Entry`, and that
 handle may be *carried* (a parcel does, from send to delivery) because
-nothing about it goes stale silently: migration rewrites ``home`` in
-place, and ``unregister`` / the last ``decref`` clear ``alive`` -- the
-one condition under which a holder must resolve the GID again.
+it cannot go stale: a row never leaves the table, and migration rewrites
+``home`` in place.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 from ...errors import AgasError, MigrationError, UnknownGidError
 from .gid import Gid
@@ -28,21 +26,16 @@ class _Entry:
     """One row of the AGAS table, and the handle :meth:`AgasService.entry`
     resolves a GID to."""
 
-    __slots__ = ("obj", "home", "refcount", "pinned", "alive")
+    __slots__ = ("obj", "home", "pinned")
 
     def __init__(self, obj: Any, home: int) -> None:
         self.obj = obj
         self.home = home
-        self.refcount = 1  # the creating reference
         self.pinned = 0  # active local accesses; migration must wait
-        #: False once the row left the table (unregister, refcount zero):
-        #: a carried handle is then stale and the GID must be looked up
-        #: again, which raises unless it was registered anew.
-        self.alive = True
 
 
 class AgasService:
-    """GID allocation, resolution, reference counting, migration."""
+    """GID allocation, resolution, migration."""
 
     def __init__(self, n_localities: int) -> None:
         if n_localities < 1:
@@ -50,8 +43,6 @@ class AgasService:
         self.n_localities = n_localities
         self._counters = [0] * n_localities
         self._table: dict[Gid, _Entry] = {}
-        #: Called with (gid, obj) when a refcount hits zero.
-        self.on_destroy: Callable[[Gid, Any], None] | None = None
 
     # Registration ---------------------------------------------------------------
     def register(self, obj: Any, home: int) -> Gid:
@@ -80,19 +71,13 @@ class AgasService:
         self._table[gid] = _Entry(obj, home)
         return gid
 
-    def unregister(self, gid: Gid) -> Any:
-        """Forcefully unbind (used by tests/teardown); returns the object."""
-        entry = self._lookup(gid)
-        del self._table[gid]
-        entry.alive = False
-        return entry.obj
-
     # Resolution ------------------------------------------------------------------
     def entry(self, gid: Gid) -> _Entry:
         """The live table row for ``gid``: home, object, pin count.
 
         The handle stays correct across migration (``home`` is updated
-        in place); only ``alive`` turning False invalidates it.
+        in place) and for the life of the service (rows are never
+        removed).
         """
         return self._lookup(gid)
 
@@ -112,36 +97,6 @@ class AgasService:
 
     def __len__(self) -> int:
         return len(self._table)
-
-    # Reference counting -----------------------------------------------------------
-    def incref(self, gid: Gid, credits: int = 1) -> int:
-        """Add ``credits`` references; returns the new count."""
-        if credits < 1:
-            raise AgasError(f"incref needs credits >= 1, got {credits}")
-        entry = self._lookup(gid)
-        entry.refcount += credits
-        return entry.refcount
-
-    def decref(self, gid: Gid, credits: int = 1) -> int:
-        """Drop ``credits`` references; destroys the object at zero."""
-        if credits < 1:
-            raise AgasError(f"decref needs credits >= 1, got {credits}")
-        entry = self._lookup(gid)
-        if credits > entry.refcount:
-            raise AgasError(
-                f"refcount underflow for {gid!r}: {entry.refcount} - {credits}"
-            )
-        entry.refcount -= credits
-        if entry.refcount == 0:
-            del self._table[gid]
-            entry.alive = False
-            if self.on_destroy is not None:
-                self.on_destroy(gid, entry.obj)
-            return 0
-        return entry.refcount
-
-    def refcount(self, gid: Gid) -> int:
-        return self._lookup(gid).refcount
 
     # Pinning / migration -------------------------------------------------------------
     def pin(self, gid: Gid) -> None:
@@ -185,11 +140,10 @@ class AgasService:
         The permanent-crash recovery primitive: every GID homed at the
         dead locality is migrated round-robin across the survivors (in
         deterministic GID order, so a seeded run re-homes identically
-        every time).  Reference counts and GIDs are preserved by
-        :meth:`migrate`; a pinned object raises
-        :class:`~repro.errors.MigrationError`, which at recovery time
-        means state was lost mid-action -- the caller must restore from
-        a checkpoint anyway.  Returns ``[(gid, new_home), ...]``.
+        every time).  GIDs are preserved by :meth:`migrate`; a pinned
+        object raises :class:`~repro.errors.MigrationError`, which at
+        recovery time means state was lost mid-action -- the caller must
+        restore from a checkpoint anyway.  Returns ``[(gid, new_home), ...]``.
         """
         if not survivors:
             raise AgasError("evacuation needs at least one surviving locality")
@@ -211,7 +165,7 @@ class AgasService:
         try:
             return self._table[gid]
         except KeyError:
-            raise UnknownGidError(f"{gid!r} is not (or no longer) registered") from None
+            raise UnknownGidError(f"{gid!r} is not registered") from None
 
     def _check_locality(self, locality: int) -> None:
         if not 0 <= locality < self.n_localities:

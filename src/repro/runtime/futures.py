@@ -11,7 +11,7 @@ Semantics follow HPX/C++ ``std::future``/``promise``:
   freely);
 * ``then`` attaches a continuation that runs as a new HPX-thread when
   the future becomes ready;
-* :func:`when_all` / :func:`when_any` compose futures.
+* :func:`when_all` composes futures.
 
 Virtual time: a promise records the virtual time at which it was
 fulfilled; a task that reads the future inherits that as a dependency,
@@ -50,11 +50,7 @@ __all__ = [
     "Future",
     "Promise",
     "make_ready_future",
-    "make_exceptional_future",
     "when_all",
-    "when_any",
-    "when_each",
-    "unwrap",
     "demand",
 ]
 
@@ -85,18 +81,13 @@ class _SharedState:
         self.demanded: Dict[_SharedState, str] | None = None
 
 
-def demand(
-    state: _SharedState,
-    label: str,
-    sources: Sequence[Future] = (),
-    mode: str = "all",
-) -> None:
+def demand(state: _SharedState, label: str, sources: Sequence[Future] = ()) -> None:
     """Record ``state`` as *demanded*: code downstream expects it to
     become ready from ``sources``.
 
     The record goes into the current job's table (``Runtime.demanded``);
     fulfilment removes it.  With a probe installed this is also the one
-    ``state_linked`` report of the link (``mode`` as there).
+    ``state_linked`` report of the link.
     """
     frame = _context_stack[-1] if _context_stack else None
     if frame is not None and (runtime := frame.runtime) is not None:
@@ -104,7 +95,7 @@ def demand(
         table[state] = label
         state.demanded = table
     if instrument.enabled and (probe := instrument.probe) is not None:
-        probe.state_linked([f._state for f in sources], state, label, mode)
+        probe.state_linked([f._state for f in sources], state, label)
 
 
 class Future:
@@ -372,13 +363,6 @@ def make_ready_future(value: Any = None) -> Future:
     return promise.get_future()
 
 
-def make_exceptional_future(exc: BaseException) -> Future:
-    """A ready future holding an exception."""
-    promise = Promise()
-    promise.set_exception(exc)
-    return promise.get_future()
-
-
 def when_all(futures: Iterable[Future], timeout: float | None = None) -> Future:
     """A future of the list of input futures, ready when all are.
 
@@ -428,11 +412,11 @@ def when_all(futures: Iterable[Future], timeout: float | None = None) -> Future:
                     )
                 )
 
-        _arm_timer(expire, timeout)
+        _arm_timer(expire, timeout, "when_all-timeout")
     return promise.get_future()
 
 
-def _arm_timer(fire: Callable[[], None], timeout: float) -> None:
+def _arm_timer(fire: Callable[[], None], timeout: float, description: str) -> None:
     """Schedule ``fire`` as a virtual-time timer task at ``now + timeout``
     (it must itself check whether the guarded wait already completed)."""
     if timeout < 0:
@@ -450,102 +434,6 @@ def _arm_timer(fire: Callable[[], None], timeout: float) -> None:
     pool.post(
         fire,
         ready_time=pool.now + timeout,
-        description="when_all-timeout",
+        description=description,
         priority=ThreadPriority.LOW,
     )
-
-
-def when_each(
-    futures: Iterable[Future], callback: Callable[[int, Future], None]
-) -> Future:
-    """Invoke ``callback(index, future)`` as each input becomes ready.
-
-    Mirrors HPX ``when_each``: results are processed in *completion*
-    order, not submission order.  The returned future becomes ready
-    (value ``None``) after the last callback ran.
-    """
-    futs = list(futures)
-    promise = Promise()
-    if not futs:
-        promise.set_value(None)
-        return promise.get_future()
-    remaining: Dict[str, int] = {"n": len(futs)}
-    demand(promise._state, f"when_each({len(futs)})", futs)
-
-    def make_handler(index: int) -> Callable[[Future], None]:
-        def handler(future: Future) -> None:
-            try:
-                callback(index, future)
-            finally:
-                probe = instrument.probe
-                if probe is not None:
-                    probe.state_read(future._state)
-                    probe.state_contribute(promise._state)
-                remaining["n"] -= 1
-                if remaining["n"] == 0:
-                    promise.set_value(None)
-
-        return handler
-
-    for i, fut in enumerate(futs):
-        fut._on_ready(make_handler(i))
-    return promise.get_future()
-
-
-def unwrap(future: Future) -> Future:
-    """Flatten a ``Future[Future[T]]`` into a ``Future[T]``.
-
-    HPX futures unwrap implicitly on ``.then``; Python needs it spelled
-    out.  Exceptions at either level propagate to the result.
-    """
-    promise = Promise()
-    demand(promise._state, "unwrap", (future,))
-
-    def outer_ready(outer: Future) -> None:
-        try:
-            inner = outer.get_nowait()
-        except BaseException as exc:  # noqa: BLE001 - forwarded
-            promise.set_exception(exc)
-            return
-        if not isinstance(inner, Future):
-            promise.set_value(inner)  # already flat: pass through
-            return
-        probe = instrument.probe
-        if probe is not None:
-            probe.state_linked([inner._state], promise._state, "unwrap(inner)")
-
-        def inner_ready(resolved: Future) -> None:
-            try:
-                promise.set_value(resolved.get_nowait())
-            except BaseException as exc:  # noqa: BLE001 - forwarded
-                promise.set_exception(exc)
-
-        inner._on_ready(inner_ready)
-
-    future._on_ready(outer_ready)
-    return promise.get_future()
-
-
-def when_any(futures: Iterable[Future]) -> Future:
-    """Ready when the first input is; value is ``(index, futures)``."""
-    futs = list(futures)
-    if not futs:
-        raise ValueError("when_any needs at least one future")
-    promise = Promise()
-    done: Dict[str, bool] = {"fired": False}
-    demand(promise._state, f"when_any({len(futs)})", futs, mode="any")
-
-    def make_callback(index: int) -> Callable[[Future], None]:
-        def fired(fut: Future) -> None:
-            if not done["fired"]:
-                done["fired"] = True
-                probe = instrument.probe
-                if probe is not None:
-                    probe.state_read(fut._state)
-                promise.set_value((index, futs))
-
-        return fired
-
-    for i, fut in enumerate(futs):
-        fut._on_ready(make_callback(i))
-    return promise.get_future()

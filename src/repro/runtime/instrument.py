@@ -35,13 +35,11 @@ event                  fired when
                        from others (``when_all``/``then``/``dataflow``/
                        ``channel.get``/...; sent by ``futures.demand``)
 ``state_contribute``   a partial contribution joined an LCO's release clock
-                       (latch count-down, barrier arrival, and-gate slot)
-``token_put``          a clocked token entered a buffer (channel value,
-                       semaphore permit)
+                       (a ``when_all`` or ``dataflow`` input)
+``token_put``          a clocked token entered a buffer (a channel value)
 ``token_get``          a clocked token left a buffer
 ``wait_enter``         a task cooperatively blocked on a shared state
 ``wait_exit``          the blocked task resumed (or unwound)
-``lco_labelled``       an LCO described itself for wait-graph rendering
 ``access``             an instrumented read/write of shared component state
 ``stalled``            the progress engine ran out of runnable work
 ``quiesced``           the job drained; its table of demanded futures
@@ -123,28 +121,22 @@ class Probe:
     def state_read(self, state: Any) -> None:
         """The current task consumed a ready shared state's value."""
 
-    def state_linked(
-        self, sources: Sequence[Any], target: Any, label: str, mode: str = "all"
-    ) -> None:
-        """``target`` state is demanded and will be produced from
-        ``sources`` (none for a channel read).
-
-        ``mode`` is ``"all"`` (every source needed: ``when_all``,
-        ``dataflow``, ``then``) or ``"any"`` (one suffices:
-        ``when_any``).
-        """
+    def state_linked(self, sources: Sequence[Any], target: Any, label: str) -> None:
+        """``target`` state is demanded and will be produced from every one
+        of ``sources`` (none for a channel read); ``label`` names the
+        demand (``when_all(2)``, ``channel.get('halo')``, ...)."""
 
     def state_contribute(self, state: Any) -> None:
         """The current task contributed to ``state``'s eventual release
-        without necessarily being its final fulfiller (barrier arrival,
-        latch count-down, and-gate slot, ``when_all`` input)."""
+        without necessarily being its final fulfiller (a ``when_all`` or
+        ``dataflow`` input)."""
 
     # Buffered hand-offs ----------------------------------------------------
     def token_put(self, obj: Any) -> None:
-        """The current task deposited a value/permit into ``obj``'s buffer."""
+        """The current task deposited a value into ``obj``'s buffer."""
 
     def token_get(self, obj: Any) -> None:
-        """The current task withdrew a buffered value/permit from ``obj``."""
+        """The current task withdrew a buffered value from ``obj``."""
 
     # Blocking waits --------------------------------------------------------
     def wait_enter(self, state: Any, detail: str = "") -> None:
@@ -152,10 +144,6 @@ class Probe:
 
     def wait_exit(self, state: Any) -> None:
         """The current task resumed from a block on ``state``."""
-
-    # Labels / shared-state metadata ---------------------------------------
-    def lco_labelled(self, state: Any, label: str) -> None:
-        """Human-readable description of the LCO behind ``state``."""
 
     # Shared-data accesses --------------------------------------------------
     def access(self, owner: Any, field: str, kind: str) -> None:

@@ -12,9 +12,8 @@ from collections import deque
 from typing import Any
 
 from ...errors import ChannelClosedError, ChannelTimeoutError, RuntimeStateError
-from .. import context as ctx
 from .. import instrument
-from ..futures import Future, Promise, demand
+from ..futures import Future, Promise, _arm_timer, demand
 
 __all__ = ["Channel"]
 
@@ -76,50 +75,26 @@ class Channel:
             # Arm (or refuse) the timer first: a refused timeout must
             # leave no waiter behind to swallow the next value.
             if timeout is not None:
-                self._arm_timeout(promise, timeout)
+                if timeout < 0:
+                    raise RuntimeStateError(f"timeout must be non-negative, got {timeout!r}")
+
+                def fire() -> None:
+                    if promise.is_ready():
+                        return
+                    self._waiters.remove(promise)
+                    promise.set_exception(
+                        ChannelTimeoutError(
+                            f"channel {self.name!r}: no value within "
+                            f"{timeout!r} virtual seconds"
+                        )
+                    )
+
+                _arm_timer(fire, timeout, f"channel-timeout:{self.name}")
             # An unmatched get is a demanded future: if the job quiesces
             # before a value (or close) arrives, the read was lost.
-            label = f"channel.get({self.name!r})"
-            demand(promise._state, label)
-            probe = instrument.probe
-            if probe is not None:
-                probe.lco_labelled(promise._state, label)
+            demand(promise._state, f"channel.get({self.name!r})")
             self._waiters.append(promise)
         return promise.get_future()
-
-    def _arm_timeout(self, promise: Promise, timeout: float) -> None:
-        if timeout < 0:
-            raise RuntimeStateError(f"timeout must be non-negative, got {timeout!r}")
-        frame = ctx.current_or_none()
-        if frame is None or frame.pool is None:
-            raise RuntimeStateError(
-                "channel get(timeout=...) needs an active thread pool to "
-                "host the virtual timer"
-            )
-        pool = frame.pool
-
-        def fire() -> None:
-            if promise.is_ready():
-                return
-            try:
-                self._waiters.remove(promise)
-            except ValueError:  # pragma: no cover - matched concurrently
-                pass
-            promise.set_exception(
-                ChannelTimeoutError(
-                    f"channel {self.name!r}: no value within {timeout!r} "
-                    "virtual seconds"
-                )
-            )
-
-        from ..threads.hpx_thread import ThreadPriority
-
-        pool.post(
-            fire,
-            ready_time=pool.now + timeout,
-            description=f"channel-timeout:{self.name}",
-            priority=ThreadPriority.LOW,
-        )
 
     def get_sync(self, timeout: float | None = None) -> Any:
         """Cooperatively blocking receive."""

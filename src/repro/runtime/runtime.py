@@ -616,17 +616,16 @@ class Runtime:
         if parcel.target_locality is not None:
             return parcel.target_locality
         entry = parcel.target_entry
-        if entry is None or not entry.alive:
+        if entry is None:
             entry = self._resolve_target(parcel)
         return entry.home
 
     def _resolve_target(self, parcel: Parcel) -> "_Entry":
-        """Look a component parcel's GID up again.
+        """Look a component parcel's GID up.
 
-        For a parcel that arrived as wire bytes (no handle) or whose
-        handle went stale because the row left the table since the send;
-        raises :class:`~repro.errors.UnknownGidError` for a destroyed
-        object.
+        For a parcel that arrived as wire bytes (no handle); raises
+        :class:`~repro.errors.UnknownGidError` for a GID that was never
+        registered here.
         """
         assert parcel.target_gid is not None
         entry = parcel.target_entry = self.agas.entry(parcel.target_gid)
@@ -707,8 +706,6 @@ class Runtime:
         try:
             if parcel.target_gid is not None:
                 entry = parcel.target_entry
-                if not entry.alive:  # destroyed (or re-registered) in flight
-                    entry = self._resolve_target(parcel)
                 if entry.home != destination:
                     # The object migrated between send and delivery:
                     # forward the parcel to its new home (AGAS routing).

@@ -313,8 +313,8 @@ class HaloDriver:
 
         Starts a new run: a second ``initialize()`` forgets the steps the
         first one drove.  The first one's partitions stay registered in
-        AGAS (two 4-partition initialisations leave 8 rows): dropping
-        them needs a cross-process unregister the backend does not have.
+        AGAS (two 4-partition initialisations leave 8 rows): AGAS never
+        removes a row.
         """
         runtime = self.runtime
         self._parts = []

@@ -9,7 +9,7 @@ within its default budget:
 * :mod:`.race_hidden` -- a write-write data race on component state,
   guarded by an unsynchronized flag that hides the second write on the
   default schedule;
-* :mod:`.andgate_deadlock` -- an AndGate/Channel protocol that
+* :mod:`.join_deadlock` -- a ``when_all``/Channel protocol that
   deadlocks only when two specific preemptions invert the cooperative
   help stack;
 * :mod:`.conservation` -- a lost-update on a plain (un-instrumented)
@@ -28,13 +28,13 @@ from __future__ import annotations
 
 from repro.analysis.explore import ExploreApp, register_app
 
-from . import andgate_deadlock, conservation, independent, race_fixed, race_hidden
+from . import conservation, independent, join_deadlock, race_fixed, race_hidden
 
 __all__ = [
     "CORPUS",
-    "andgate_deadlock",
     "conservation",
     "independent",
+    "join_deadlock",
     "race_fixed",
     "race_hidden",
 ]
@@ -42,7 +42,7 @@ __all__ = [
 #: app name -> (app, expected violation kind; None for the clean variant)
 CORPUS: dict[str, tuple[ExploreApp, str | None]] = {
     "corpus/race_hidden": (race_hidden.make_app(), "race"),
-    "corpus/andgate_deadlock": (andgate_deadlock.make_app(), "deadlock"),
+    "corpus/join_deadlock": (join_deadlock.make_app(), "deadlock"),
     "corpus/conservation": (conservation.make_app(), "invariant"),
     "corpus/race_fixed": (race_fixed.make_app(), None),
     "corpus/independent": (independent.make_app(), None),

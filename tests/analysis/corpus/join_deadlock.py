@@ -1,11 +1,12 @@
 """Help-stack inversion deadlock, reachable only with two preemptions.
 
-Four workers cooperate through an AndGate and a Channel:
+Four workers cooperate through a ``when_all`` join of two promises and
+a Channel:
 
-* ``contrib_a``   -- fills gate slot 0 immediately;
-* ``contrib_b``   -- blocks for the channel token, then fills slot 1;
+* ``contrib_a``   -- sets promise 0 immediately;
+* ``contrib_b``   -- blocks for the channel token, then sets promise 1;
 * ``producer``    -- puts the token into the channel;
-* ``consumer``    -- waits for the gate to fire.
+* ``consumer``    -- waits for the join of both promises.
 
 On the default FIFO schedule this always completes: ``contrib_b``
 blocks, the cooperative scheduler "helps" by running ``producer``,
@@ -13,10 +14,10 @@ the token arrives, and everything unwinds.  But helping is a LIFO
 stack: a task blocked *beneath* another blocked task cannot resume
 until the one above it finishes.  If the explorer first dispatches
 ``contrib_b`` (preemption one: it blocks on the channel) and then
-``consumer`` (preemption two: it blocks on the gate, on top of
+``consumer`` (preemption two: it blocks on the join, on top of
 ``contrib_b``), then even after ``contrib_a`` and ``producer`` run,
-``contrib_b`` is pinned under ``consumer`` and can never deliver slot 1
--- the gate never fires and the runtime stalls.  No single-schedule
+``contrib_b`` is pinned under ``consumer`` and can never set promise 1
+-- the join never fires and the runtime stalls.  No single-schedule
 sanitizer sees this; it needs exactly this two-preemption interleaving.
 """
 
@@ -25,26 +26,27 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from repro.analysis.explore import ExploreApp
-from repro.runtime.lco import AndGate, Channel
+from repro.runtime.futures import Promise, when_all
+from repro.runtime.lco import Channel
 from repro.runtime.runtime import Runtime
 
 
 def _build(rt: Runtime) -> Callable[[], Any]:
-    gate = AndGate(2)
+    p0, p1 = Promise(), Promise()
     ch = Channel("token")
 
     def contrib_a() -> None:
-        gate.set(0, 1)
+        p0.set_value(1)
 
     def contrib_b() -> None:
         value = ch.get_sync()
-        gate.set(1, value)
+        p1.set_value(value)
 
     def producer() -> None:
         ch.set(7)
 
     def consumer() -> Any:
-        return gate.get_future().get()
+        return when_all([p0.get_future(), p1.get_future()]).get()
 
     def job() -> Any:
         pool = rt.localities[0].pool
@@ -60,5 +62,5 @@ def _build(rt: Runtime) -> Callable[[], Any]:
 
 
 def make_app() -> ExploreApp:
-    return ExploreApp(name="corpus/andgate_deadlock", build=_build,
+    return ExploreApp(name="corpus/join_deadlock", build=_build,
                       n_localities=1, workers_per_locality=1)

@@ -97,7 +97,7 @@ def test_analyze_explore_deadlock_writes_dot(tmp_path, capsys):
         "analyze",
         "--explore",
         "--app",
-        "corpus/andgate_deadlock",
+        "corpus/join_deadlock",
         "--dot",
         str(dot),
     )

@@ -5,8 +5,8 @@ import pytest
 from repro import analysis
 from repro.errors import DeadlockError
 from repro.runtime import context as ctx
-from repro.runtime.futures import Promise
-from repro.runtime.lco import AndGate, Barrier, Channel
+from repro.runtime.futures import Promise, when_all
+from repro.runtime.lco import Channel
 from repro.runtime.lco.dataflow import dataflow
 from repro.runtime.runtime import Runtime
 from repro.runtime.threads.pool import ThreadPool
@@ -42,22 +42,43 @@ def test_two_thread_future_cycle_renders_wait_cycle():
     assert "->" in message  # the rendered thread -> LCO -> thread chain
 
 
-def test_barrier_underfilled_deadlocks_with_lco_label():
-    """2 of 3 parties arrive at a barrier: both block forever."""
+def test_underfilled_when_all_deadlocks_with_join_label():
+    """Joining two promises of which only one is ever set blocks forever."""
     with pytest.raises(DeadlockError) as excinfo:
         with analysis.attach(races=False):
             with Runtime(n_localities=1, workers_per_locality=2) as rt:
                 def main():
-                    bar = Barrier(3)
+                    p0, p1 = Promise(), Promise()
+                    p0.set_value("only half")
+                    return when_all([p0.get_future(), p1.get_future()]).get()
+
+                rt.run(main)
+    assert "when_all(2)" in str(excinfo.value)
+
+
+def test_parties_blocked_on_underfilled_join_deadlock():
+    """2 of 3 parties arrive at a shared join and wait on it: both block
+    forever, and the report names the join."""
+    with pytest.raises(DeadlockError) as excinfo:
+        with analysis.attach(races=False):
+            with Runtime(n_localities=1, workers_per_locality=2) as rt:
+                def main():
+                    arrivals = [Promise() for _ in range(3)]
+                    join = when_all([p.get_future() for p in arrivals])
+
+                    def arrive_and_wait(i):
+                        arrivals[i].set_value(i)
+                        return join.get()
+
                     ctx.current().pool.submit(
-                        bar.arrive_and_wait, description="second-party"
+                        lambda: arrive_and_wait(1), description="second-party"
                     )
-                    bar.arrive_and_wait()
+                    arrive_and_wait(0)
 
                 rt.run(main)
     message = str(excinfo.value)
     assert "blocked" in message or "cycle" in message
-    assert "2/3 arrived" in message
+    assert "when_all(3)" in message
 
 
 def test_channel_self_receive_deadlocks_with_channel_label():
@@ -71,20 +92,6 @@ def test_channel_self_receive_deadlocks_with_channel_label():
 
                 rt.run(main)
     assert "channel.get('loopback')" in str(excinfo.value)
-
-
-def test_and_gate_underfilled_deadlocks_with_slot_count():
-    """Waiting on an and-gate with an unset slot blocks forever."""
-    with pytest.raises(DeadlockError) as excinfo:
-        with analysis.attach(races=False):
-            with Runtime(n_localities=1, workers_per_locality=2) as rt:
-                def main():
-                    gate = AndGate(2)
-                    gate.set(0, "only half")
-                    return gate.get_future().get()
-
-                rt.run(main)
-    assert "1/2 slots set" in str(excinfo.value)
 
 
 def test_silent_hang_lost_dataflow_raises_at_quiescence():

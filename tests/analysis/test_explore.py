@@ -77,7 +77,7 @@ def test_random_walk_finds_hidden_race():
 
 
 def test_deadlock_violation_carries_wait_graph_dot():
-    app, _ = CORPUS["corpus/andgate_deadlock"]
+    app, _ = CORPUS["corpus/join_deadlock"]
     report = explore(app, strategy="pb", minimize=False)
     dot = report.violation.graph_dot
     assert dot is not None and dot.startswith("digraph")
@@ -85,12 +85,12 @@ def test_deadlock_violation_carries_wait_graph_dot():
 
 
 def test_minimization_shrinks_the_trace():
-    app, kind = CORPUS["corpus/andgate_deadlock"]
+    app, kind = CORPUS["corpus/join_deadlock"]
     full = explore(app, minimize=False)
     small = explore(app, minimize=True)
     assert small.violation.kind == kind
     assert len(small.violation.choices) <= len(full.violation.choices)
-    # The and-gate inversion needs exactly two non-default choices.
+    # The join inversion needs exactly two non-default choices.
     assert sum(1 for c in small.violation.choices if c) == 2
 
 
@@ -175,7 +175,7 @@ def test_replay_file_roundtrip_bit_identical(name, tmp_path):
 
 
 def test_replay_file_roundtrip_deadlock(tmp_path):
-    app, kind = CORPUS["corpus/andgate_deadlock"]
+    app, kind = CORPUS["corpus/join_deadlock"]
     path = tmp_path / "violation.json"
     explore(app, replay_path=str(path))
     outcome = replay_file(str(path))

@@ -1,10 +1,9 @@
-"""Property-based tests for hardware models and AGAS invariants."""
+"""Property-based tests for hardware models and parcel serialization."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hardware import DomainBandwidthModel, machine, machine_names
-from repro.runtime.agas import AgasService
 from repro.runtime.parcel import deserialize, serialize
 
 
@@ -49,22 +48,6 @@ def test_transfer_time_monotone_in_bytes(name, data):
     small = data.draw(st.integers(min_value=0, max_value=10**6))
     extra = data.draw(st.integers(min_value=0, max_value=10**6))
     assert net.transfer_time(small + extra) >= net.transfer_time(small)
-
-
-@given(ops=st.lists(st.integers(min_value=1, max_value=5), max_size=30))
-def test_agas_refcount_never_negative(ops):
-    """incref by k then decref k times one-by-one always lands back at the
-    prior count; the object dies exactly when the count hits zero."""
-    agas = AgasService(1)
-    gid = agas.register(object(), 0)
-    expected = 1
-    for k in ops:
-        assert agas.incref(gid, k) == expected + k
-        for _ in range(k):
-            agas.decref(gid)
-        assert agas.refcount(gid) == expected
-    assert agas.decref(gid) == 0
-    assert gid not in agas
 
 
 json_like = st.recursive(

@@ -2,7 +2,7 @@
 
 Covers the HPX-style ``save_checkpoint``/``restore_checkpoint`` surface,
 checksum verification (:class:`CheckpointCorruptionError` + fallback to
-an older epoch), every LCO family's two-method checkpoint protocol, and
+an older epoch), the channel's two-method checkpoint protocol, and
 the virtual-time cost charged per save/restore.
 """
 
@@ -24,7 +24,7 @@ from repro.resilience import (
     restore_checkpoint,
     save_checkpoint,
 )
-from repro.runtime.lco import AndGate, Barrier, Channel, CountingSemaphore, Latch
+from repro.runtime.lco import Channel
 from repro.runtime.runtime import Runtime
 
 
@@ -270,82 +270,3 @@ def test_channel_restore_with_pending_reader_raises():
     chan.get()  # parks a reader
     with pytest.raises(RuntimeStateError):
         restore_checkpoint(ckpt, chan)
-
-
-def test_barrier_checkpoint_round_trip_resets_generation_state():
-    barrier = Barrier(3)
-    for _ in range(3):
-        barrier.arrive()
-    ckpt = save_checkpoint(barrier)  # generation 1, nobody arrived
-    for _ in range(3):
-        barrier.arrive()  # generation 2 on the doomed timeline
-    restore_checkpoint(ckpt, barrier)
-    assert barrier.generation == 1
-    # A full round of arrivals completes the restored generation.
-    futures = [barrier.arrive() for _ in range(3)]
-    assert all(f.is_ready() for f in futures)
-    assert barrier.generation == 2
-
-
-def test_barrier_restore_with_waiting_parties_raises():
-    barrier = Barrier(2)
-    ckpt = save_checkpoint(barrier)
-    barrier.arrive()  # mid-generation
-    with pytest.raises(RuntimeStateError):
-        restore_checkpoint(ckpt, barrier)
-
-
-def test_latch_checkpoint_round_trip():
-    latch = Latch(2)
-    latch.count_down()
-    ckpt = save_checkpoint(latch)
-    latch.count_down()
-    assert latch.is_ready()
-    restore_checkpoint(ckpt, latch)
-    assert latch.count == 1
-    assert not latch.is_ready()
-    latch.count_down()
-    assert latch.wait_future().is_ready()
-
-
-def test_latch_restored_at_zero_is_ready():
-    latch = Latch(1)
-    latch.count_down()
-    ckpt = save_checkpoint(latch)
-    restore_checkpoint(ckpt, latch)
-    assert latch.is_ready()
-    assert latch.wait_future().is_ready()
-
-
-def test_semaphore_checkpoint_round_trip():
-    sem = CountingSemaphore(initial=2, max_count=4)
-    assert sem.try_acquire()
-    ckpt = save_checkpoint(sem)  # one permit banked
-    sem.release(3)
-    restore_checkpoint(ckpt, sem)
-    assert sem.count == 1
-    sem.release(3)
-    with pytest.raises(RuntimeStateError):
-        sem.release()  # cap restored too
-
-
-def test_and_gate_checkpoint_round_trip():
-    gate = AndGate(3)
-    gate.set(0, "a")
-    gate.set(2, "c")
-    ckpt = save_checkpoint(gate)
-    gate.set(1, "b")
-    assert gate.is_ready()
-    restore_checkpoint(ckpt, gate)
-    assert gate.remaining == 1
-    gate.set(1, "b")
-    assert gate.get_future().get() == ["a", "b", "c"]
-
-
-def test_and_gate_restored_complete_fires_future():
-    gate = AndGate(2)
-    gate.set(0, 1)
-    gate.set(1, 2)
-    ckpt = save_checkpoint(gate)
-    restore_checkpoint(ckpt, gate)
-    assert gate.get_future().get() == [1, 2]

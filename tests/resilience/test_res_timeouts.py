@@ -10,8 +10,16 @@ from repro.errors import (
     RuntimeStateError,
     TimeoutError,
 )
-from repro.runtime import Channel, async_, async_after, when_all
+from repro.runtime import Channel, async_, when_all
+from repro.runtime import context as ctx
 from repro.runtime.futures import Promise, make_ready_future
+
+
+def submit_after(delay, fn):
+    """Spawn ``fn`` on the current pool, runnable ``delay`` virtual
+    seconds from now: a producer that lands late."""
+    pool = ctx.current().pool
+    return pool.submit(fn, ready_time=pool.now + delay)
 
 
 def test_timeout_errors_sit_under_repro_error():
@@ -43,7 +51,7 @@ def test_zero_timeout_on_pending_times_out(rt):
 
 def test_wait_for_succeeds_when_value_lands_in_window(rt):
     def main():
-        future = async_after(1e-4, lambda: 42)
+        future = submit_after(1e-4, lambda: 42)
         future.wait_for(1e-3)
         return future.get()
 
@@ -52,7 +60,7 @@ def test_wait_for_succeeds_when_value_lands_in_window(rt):
 
 def test_fire_exactly_at_deadline_counts_as_ready(rt):
     def main():
-        future = async_after(1e-4, lambda: "on time")
+        future = submit_after(1e-4, lambda: "on time")
         future.wait_for(1e-4)  # ready_time == deadline
         return future.get()
 
@@ -61,7 +69,7 @@ def test_fire_exactly_at_deadline_counts_as_ready(rt):
 
 def test_wait_for_times_out_before_value(rt):
     def main():
-        future = async_after(1e-3, lambda: "late")
+        future = submit_after(1e-3, lambda: "late")
         with pytest.raises(FutureTimeoutError):
             future.wait_for(1e-4)
         # The value is NOT consumed by the timeout: a later full wait works.
@@ -72,9 +80,9 @@ def test_wait_for_times_out_before_value(rt):
 
 def test_get_with_timeout_mirrors_wait_for(rt):
     def main():
-        good = async_after(1e-5, lambda: 7).get(timeout=1e-3)
+        good = submit_after(1e-5, lambda: 7).get(timeout=1e-3)
         with pytest.raises(FutureTimeoutError):
-            async_after(1e-3, lambda: 8).get(timeout=1e-5)
+            submit_after(1e-3, lambda: 8).get(timeout=1e-5)
         return good
 
     assert rt.run(main) == 7
@@ -85,8 +93,6 @@ def test_timeout_advances_the_waiters_clock(rt):
     no earlier than the deadline."""
 
     def main():
-        from repro.runtime import context as ctx
-
         pending = Promise().get_future()
         with pytest.raises(FutureTimeoutError):
             pending.wait_for(5e-4)
@@ -155,7 +161,7 @@ def test_channel_times_out_when_empty(rt):
 def test_channel_value_arriving_in_window(rt):
     def main():
         channel = Channel("c")
-        async_after(1e-4, lambda: channel.set("made it"))
+        submit_after(1e-4, lambda: channel.set("made it"))
         return channel.get_sync(timeout=1e-2)
 
     assert rt.run(main) == "made it"

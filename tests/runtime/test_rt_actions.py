@@ -1,11 +1,9 @@
-"""Unit tests for the action registry, async/apply/sync and timed
-execution (async_after, sleep_for)."""
+"""Unit tests for the action registry and async/apply/sync."""
 
 import pytest
 
 from repro.errors import RuntimeStateError
-from repro.runtime import apply, async_, async_after, sleep_for, sync
-from repro.runtime import context as ctx
+from repro.runtime import apply, async_, sync
 from repro.runtime.actions import action, get_action
 
 
@@ -78,50 +76,3 @@ def test_sync_waits(rt):
         return sync(lambda: 99)
 
     assert rt.run(main) == 99
-
-
-# Timed execution ----------------------------------------------------------------
-
-def test_async_after_delays_in_virtual_time(rt):
-    def main():
-        future = async_after(10.0, lambda: "late")
-        return future.get()
-
-    assert rt.run(main) == "late"
-    assert rt.makespan >= 10.0
-
-
-def test_async_after_overlaps_with_other_work(rt):
-    """Workers run other tasks while the timed task waits."""
-    from repro.runtime import when_all
-
-    def main():
-        late = async_after(5.0, lambda: ctx.add_cost(1.0))
-        busy = [async_(lambda: ctx.add_cost(1.0)) for _ in range(3)]
-        when_all([late] + busy).get()
-
-    rt.run(main)
-    # Busy tasks fill t in [0,1]; the timed task runs [5,6]: makespan 6,
-    # not 5 + 1 + 3 sequentialised.
-    assert rt.makespan == pytest.approx(6.0)
-
-
-def test_async_after_negative_delay_rejected(rt):
-    def main():
-        async_after(-1.0, lambda: None)
-
-    with pytest.raises(RuntimeStateError):
-        rt.run(main)
-
-
-def test_sleep_for_advances_task_clock(rt):
-    def main():
-        sleep_for(2.5)
-
-    rt.run(main)
-    assert rt.makespan == pytest.approx(2.5)
-
-
-def test_sleep_for_negative_rejected(rt):
-    with pytest.raises(RuntimeStateError):
-        rt.run(lambda: sleep_for(-0.1))

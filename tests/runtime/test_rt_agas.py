@@ -1,4 +1,4 @@
-"""Unit tests for AGAS: GIDs, resolution, refcounting, migration."""
+"""Unit tests for AGAS: GIDs, resolution, migration."""
 
 import pytest
 
@@ -59,52 +59,6 @@ def test_invalid_locality():
     agas = AgasService(2)
     with pytest.raises(AgasError):
         agas.register(object(), home=2)
-
-
-def test_unregister():
-    agas = AgasService(1)
-    obj = object()
-    gid = agas.register(obj, 0)
-    assert agas.unregister(gid) is obj
-    assert gid not in agas
-
-
-# Refcounting -----------------------------------------------------------------------
-
-def test_refcount_lifecycle():
-    agas = AgasService(1)
-    gid = agas.register(object(), 0)
-    assert agas.refcount(gid) == 1
-    assert agas.incref(gid, 2) == 3
-    assert agas.decref(gid) == 2
-    assert agas.decref(gid, 2) == 0
-    assert gid not in agas
-
-
-def test_destroy_hook_fires_at_zero():
-    agas = AgasService(1)
-    destroyed = []
-    agas.on_destroy = lambda gid, obj: destroyed.append((gid, obj))
-    obj = object()
-    gid = agas.register(obj, 0)
-    agas.decref(gid)
-    assert destroyed == [(gid, obj)]
-
-
-def test_refcount_underflow_rejected():
-    agas = AgasService(1)
-    gid = agas.register(object(), 0)
-    with pytest.raises(AgasError):
-        agas.decref(gid, 2)
-
-
-def test_refcount_credit_validation():
-    agas = AgasService(1)
-    gid = agas.register(object(), 0)
-    with pytest.raises(AgasError):
-        agas.incref(gid, 0)
-    with pytest.raises(AgasError):
-        agas.decref(gid, 0)
 
 
 # Migration -------------------------------------------------------------------------

@@ -7,8 +7,7 @@ from repro.errors import (
     FutureAlreadySetError,
     FutureNotReadyError,
 )
-from repro.runtime import Promise, make_ready_future, when_all, when_any
-from repro.runtime.futures import make_exceptional_future
+from repro.runtime import Promise, make_ready_future, when_all
 
 
 def test_promise_fulfils_future():
@@ -81,12 +80,6 @@ def test_break_after_set_is_noop():
     assert promise.get_future().get() == 1
 
 
-def test_make_exceptional_future():
-    future = make_exceptional_future(KeyError("k"))
-    with pytest.raises(KeyError):
-        future.get()
-
-
 def test_then_runs_inline_outside_runtime():
     future = make_ready_future(10)
     doubled = future.then(lambda f: f.get() * 2)
@@ -120,20 +113,6 @@ def test_when_all_ready_order_preserved():
     p1.set_value("a")
     values = [f.get() for f in combined.get()]
     assert values == ["a", "b"]
-
-
-def test_when_any_reports_first_index():
-    p1, p2 = Promise(), Promise()
-    first = when_any([p1.get_future(), p2.get_future()])
-    p2.set_value("late?")
-    index, futures = first.get()
-    assert index == 1
-    assert futures[1].get() == "late?"
-
-
-def test_when_any_empty_rejected():
-    with pytest.raises(ValueError):
-        when_any([])
 
 
 def test_ready_time_defaults_to_zero_outside_runtime():

@@ -124,6 +124,16 @@ def test_ready_time_respected():
     assert pool.run_all() == pytest.approx(11.0)
 
 
+def test_workers_fill_a_ready_time_gap_with_other_work():
+    pool = ThreadPool(4)
+    pool.submit(lambda: ctx.add_cost(1.0), ready_time=5.0)
+    for _ in range(3):
+        pool.submit(lambda: ctx.add_cost(1.0))
+    # The ready tasks fill t in [0, 1]; the timed one runs [5, 6]:
+    # makespan 6, not 5 + 1 + 3 sequentialised.
+    assert pool.run_all() == pytest.approx(6.0)
+
+
 def test_worker_pinning():
     pool = ThreadPool(2, scheduler="static")
     seen = []

@@ -263,7 +263,7 @@ RULES = {
                 ("src/repro/runtime/",),
                 (
                     "src/repro/runtime/lco/dataflow.py",
-                    "        probe.state_linked([], state, label, 'all')\n",
+                    "        probe.state_linked([], state, label)\n",
                 ),
                 exempt_path=r"^src/repro/runtime/futures\.py$",
             ),
@@ -439,10 +439,12 @@ RULES = {
     ),
     "application-surface": Rule(
         "Only the surface an application reaches (no collectives, RemoteChannel, executors, "
-        "unused algorithms or Pack layer; a policy is a name, parallel and a chunk size)",
+        "unused algorithms, Pack layer, latch/barrier/semaphore/and-gate LCOs, replay, "
+        "replicate or timed actions, when_any/when_each/unwrap or AGAS reference counts; "
+        "a policy is a name, parallel and a chunk size)",
         "an application, exhibit, bench workload, explorer demo or CLI command must reach "
-        "a runtime API; for_each/for_each_block, Channel and VnsLayout are the kept surface "
-        "(docs/api.md)",
+        "a runtime API; futures with then/when_all, dataflow, Channel, "
+        "for_each/for_each_block and VnsLayout are the kept surface (docs/api.md)",
         (
             Grep(
                 r"\bcollectives\b|RemoteChannel|ChannelComponent|PoolExecutor|BlockExecutor"
@@ -467,6 +469,16 @@ RULES = {
                     "src/repro/runtime/algorithms/execution_policy.py",
                     "    executor: Optional[object] = None\n",
                 ),
+            ),
+            Grep(
+                r"\b(Latch|Barrier|CountingSemaphore|AndGate|lco_labelled"
+                r"|async_replay|async_replicate|async_after|sleep_for"
+                r"|ReplayExhaustedError|ReplicateError"
+                r"|when_any|when_each|unwrap|make_exceptional_future"
+                r"|incref|decref|refcount|unregister|on_destroy)\b"
+                r"|from \.(latch|barrier|semaphore|and_gate) import",
+                ("src/", "examples/"),
+                ("examples/quickstart.py", "latch = Latch(4)\n"),
             ),
         ),
     ),
