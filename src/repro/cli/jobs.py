@@ -5,7 +5,6 @@ gateway, or run the kill -9 crash-restart storm CI runs nightly."""
 from __future__ import annotations
 
 import argparse
-import asyncio
 import json
 import sys
 import time
@@ -15,7 +14,6 @@ from ..errors import JobShedError, JobStateError, UnknownJobError
 from ..reporting import format_table
 from ..service import JobService, ServicePolicy
 from ..service.executor import JobRunner
-from ..service.gateway import JobGateway
 from ..service.jobs import JobState
 
 
@@ -244,6 +242,10 @@ def _work(args: argparse.Namespace) -> int:
 
 
 def _serve(args: argparse.Namespace) -> int:
+    import asyncio
+
+    from ..service.gateway import JobGateway
+
     with JobService(args.root) as service:
         gateway = JobGateway(service, host=args.host, port=args.port)
 

@@ -25,7 +25,8 @@ Layers (see ``docs/job-service.md``):
 * :mod:`~repro.service.service` -- :class:`JobService`, tying the
   layers together, with per-tenant ``/jobs{tenant}`` perfcounters and
   trace events.
-* :mod:`~repro.service.gateway` -- asyncio HTTP front end.
+* :mod:`~repro.service.gateway` -- asyncio HTTP front end; import it from
+  there (it is not re-exported, so no other process loads asyncio).
 * :mod:`~repro.service.chaos` -- the kill -9 chaos harness CI runs
   nightly.
 """
@@ -33,7 +34,6 @@ Layers (see ``docs/job-service.md``):
 from .admission import AdmissionControl, TenantQuota
 from .clock import ManualClock, wall_clock
 from .executor import JobRunner, job_digest
-from .gateway import JobGateway
 from .jobs import Job, JobState, JobStore, Lease, TERMINAL_STATES
 from .journal import Journal, read_journal
 from .scheduler import FairJobScheduler
@@ -43,7 +43,6 @@ __all__ = [
     "AdmissionControl",
     "FairJobScheduler",
     "Job",
-    "JobGateway",
     "JobRunner",
     "JobService",
     "JobState",

@@ -53,7 +53,7 @@ EpochHook = Callable[[str, int], None]
 def job_digest(field: np.ndarray) -> str:
     """Canonical digest of a solution field (bit-identity witness)."""
     data = np.ascontiguousarray(field, dtype=np.float64)
-    return hashlib.sha256(data.tobytes()).hexdigest()
+    return hashlib.sha256(data).hexdigest()
 
 
 class JobRunner:

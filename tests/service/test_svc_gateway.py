@@ -3,7 +3,8 @@
 import asyncio
 import json
 
-from repro.service import JobGateway, JobService, ManualClock, ServicePolicy, TenantQuota
+from repro.service import JobService, ManualClock, ServicePolicy, TenantQuota
+from repro.service.gateway import JobGateway
 
 POLICY = ServicePolicy(sync_journal=False)
 

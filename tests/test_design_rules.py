@@ -482,6 +482,25 @@ RULES = {
             ),
         ),
     ),
+    "runtime-footprint": Rule(
+        "A process imports only the layers it runs (no re-exported gateway, no eager "
+        "asyncio, no exhibit layer in the package facade)",
+        "import the HTTP gateway from repro.service.gateway inside its caller, and let "
+        "repro's subpackages load on import (docs/performance.md)",
+        (
+            Grep(
+                r"^from \.gateway import|^from \.\.service\.gateway import|^import asyncio",
+                ("src/",),
+                ("src/repro/service/__init__.py", "from .gateway import JobGateway\n"),
+                exempt_path=r"^src/repro/service/gateway\.py$",
+            ),
+            Grep(
+                r"^from \. import .*\b(exhibits|reporting)\b",
+                ("src/repro/__init__.py",),
+                ("src/repro/__init__.py", "from . import exhibits\n"),
+            ),
+        ),
+    ),
 }
 
 
