@@ -4,9 +4,11 @@
 Demonstrates the generic-kernel design: the *same* solver runs with a
 scalar (auto-vectorizable) container layout and with explicit SIMD packs
 in the Virtual Node Scheme layout, for three ISAs including frozen-width
-SVE.  Verifies that all variants agree bit-for-bit, measures real host
-rates, and then projects the paper's full-scale runs with the calibrated
-models (the Fig 4/6 curves).
+SVE, in float and in double -- the paper's four variants.  Verifies that
+every variant agrees bit-for-bit with the scalar kernel of its dtype,
+measures real host rates beside the roofline bound the host's STREAM
+COPY bandwidth gives, and then projects the paper's full-scale runs with
+the calibrated models (the Fig 4/6 curves).
 
 Run:  python examples/jacobi2d_simd.py
 """
@@ -17,38 +19,61 @@ import numpy as np
 
 from repro.hardware import machine
 from repro.perf import stencil2d_glups, stencil2d_time
+from repro.perf.stream import stream_host
 from repro.reporting import format_table
 from repro.simd import AVX2, NEON, sve
 from repro.stencil import Jacobi2D, max_error
 
-NY, NX, STEPS = 128, 1026, 20
+#: 8.4 MB per float32 buffer (16.8 MB in double): at least 4x a 2 MiB
+#: L2, so every step streams the field from beyond L2.  The width is
+#: whole packs for every ISA below (16 float lanes on SVE-512).
+NY, NX, STEPS = 1026, 2050, 4
+
+#: STREAM COPY array for the roofline: 32 MB per array in double.
+STREAM_ELEMENTS = 4_000_000
 
 
-def host_rates() -> list[list[str]]:
-    """Run every kernel variant for real; verify and time them."""
-    reference = None
+def host_rates(copy_gbs: float) -> list[list[str]]:
+    """Run every kernel variant for real; verify and time them.
+
+    The bound beside each rate is the paper's roofline: with three rows
+    in cache a site update moves three items to or from memory (the read
+    of level t, the write-allocate read and the write of level t+1), so
+    the rate is at most COPY bandwidth / (3 x itemsize) bytes per LUP.
+    """
     rows = []
     variants = [
         ("auto (scalar layout)", "auto", None),
-        ("simd / NEON (4 x f32)", "simd", NEON),
-        ("simd / AVX2 (8 x f32)", "simd", AVX2),
-        ("simd / SVE-512 (16 x f32)", "simd", sve(512)),
+        ("simd / NEON", "simd", NEON),
+        ("simd / AVX2", "simd", AVX2),
+        ("simd / SVE-512", "simd", sve(512)),
     ]
-    for label, mode, isa in variants:
-        solver = Jacobi2D(NY, NX, np.float32, mode=mode, isa=isa)
-        solver.initialize()
-        start = time.perf_counter()
-        solver.run(STEPS)
-        elapsed = time.perf_counter() - start
-        result = solver.solution()
-        if reference is None:
-            reference = result
-            error = 0.0
-        else:
+    for dtype in (np.float32, np.float64):
+        itemsize = np.dtype(dtype).itemsize
+        bound = copy_gbs / (3 * itemsize)
+        reference = None
+        for label, mode, isa in variants:
+            solver = Jacobi2D(NY, NX, dtype, mode=mode, isa=isa)
+            solver.initialize()
+            start = time.perf_counter()
+            solver.run(STEPS)
+            elapsed = time.perf_counter() - start
+            result = solver.solution()
+            if reference is None:
+                reference = result
             error = max_error(result, reference)
-        assert error == 0.0, f"{label} diverged from the scalar kernel"
-        glups = solver.lattice_site_updates / elapsed / 1e9
-        rows.append([label, f"{glups:.3f}", f"{error:.0e}"])
+            assert error == 0.0, f"{label} ({dtype.__name__}) diverged from auto"
+            glups = solver.lattice_site_updates / elapsed / 1e9
+            lanes = f" ({solver.lanes} lanes)" if mode == "simd" else ""
+            rows.append(
+                [
+                    f"{np.dtype(dtype).name} {label}{lanes}",
+                    f"{glups:.3f}",
+                    f"{bound:.3f}",
+                    f"{glups / bound:.0%}",
+                    f"{error:.0e}",
+                ]
+            )
     return rows
 
 
@@ -72,10 +97,19 @@ def paper_projection() -> list[list[str]]:
 
 
 def main() -> None:
-    print(f"Host kernel rates (grid {NY}x{NX}, {STEPS} steps, float32):")
-    print(format_table(["variant", "GLUP/s (host)", "max err vs auto"], host_rates()))
+    copy = stream_host(STREAM_ELEMENTS, "copy")
+    print(
+        f"Host kernel rates (grid {NY}x{NX}, {STEPS} steps; roofline from "
+        f"STREAM COPY {copy.bandwidth_gbs:.1f} GB/s over {STREAM_ELEMENTS:,} doubles):"
+    )
+    print(
+        format_table(
+            ["variant", "GLUP/s (host)", "bound (COPY / 3 items)", "of bound", "max err vs auto"],
+            host_rates(copy.bandwidth_gbs),
+        )
+    )
     print("\nEvery explicitly vectorized variant reproduces the scalar "
-          "kernel exactly -- the VNS halo shuffle is correct.\n")
+          "kernel of its dtype exactly -- the VNS halo shuffle is correct.\n")
 
     print("Paper-scale projection (full node, 8192x131072, 100 steps):")
     print(

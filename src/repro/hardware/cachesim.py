@@ -141,9 +141,8 @@ def jacobi_row_traffic(
 ) -> float:
     """Run the exact 5-point row-sweep trace; return bytes/LUP.
 
-    The trace mirrors one row of
-    :meth:`repro.stencil.jacobi2d.Jacobi2D.stencil_update_block`: for each
-    interior row ``y``, load ``curr[y-1][x]``, ``curr[y+1][x]``,
+    The trace mirrors Listing 2's per-site loop: for each interior row
+    ``y`` and site ``x``, load ``curr[y-1][x]``, ``curr[y+1][x]``,
     ``curr[y][x-1]``, ``curr[y][x+1]`` and store ``next[y][x]``.  The two
     buffers ping-pong between sweeps.  ``warmup_sweeps`` run first so
     cold-start misses do not pollute the steady-state measurement.
@@ -200,7 +199,9 @@ def jacobi_blocked_traffic(
     :func:`jacobi_row_traffic`), tiling restores row reuse inside each
     tile and recovers the 3-transfers figure -- the mechanism behind the
     paper's "a cache blocked version ... essentially reduces the number
-    of memory transfers per iteration".
+    of memory transfers per iteration".  It is a model of that order
+    only: the repository's Jacobi kernels block by L2-sized runs of whole
+    rows instead (:mod:`repro.stencil.jacobi2d_dist`).
     """
     if ny < 3 or nx < 3:
         raise TopologyError("grid must be at least 3x3")

@@ -3,8 +3,8 @@
 * :mod:`~repro.stencil.grid` -- the custom ``Grid`` container of
   Listing 2 (double-buffered, scalar or Virtual-Node-Scheme layout);
 * :mod:`~repro.stencil.heat1d` -- Sec. IV-A / V-A: the 1D heat equation,
-  as a serial kernel, a shared-memory partitioned solver (Listing 1),
-  and the fully distributed futurized solver used for Fig 3;
+  as a serial kernel and the fully distributed futurized solver used
+  for Fig 3;
 * :mod:`~repro.stencil.jacobi2d` -- Sec. IV-B / V-B: the shared-memory
   2D Jacobi solver with auto-vectorized ("scalar") and explicitly
   vectorized (VNS/pack) kernels used for Figs 4-8;
@@ -21,7 +21,6 @@ from .grid import Grid, GridPair
 from .heat1d import (
     heat1d_reference,
     heat1d_steps,
-    Heat1DPartitioned,
     Heat1DPartition,
     DistributedHeat1D,
     Heat1DParams,
@@ -41,7 +40,6 @@ __all__ = [
     "GridPair",
     "heat1d_reference",
     "heat1d_steps",
-    "Heat1DPartitioned",
     "Heat1DPartition",
     "DistributedHeat1D",
     "Heat1DParams",

@@ -1,6 +1,6 @@
 """1D heat-equation solvers (paper Sec. IV-A, V-A, VII-A).
 
-Four implementations of the 3-point stencil of Eq. (3), all with
+Three implementations of the 3-point stencil of Eq. (3), all with
 periodic boundaries (as in the canonical HPX ``1d_stencil`` the paper's
 benchmark derives from):
 
@@ -13,9 +13,6 @@ benchmark derives from):
   oracle, with every step inside one call (about 0.2 interpreter calls
   per step, against ~34 for NumPy's ``roll``, which handles its axes in
   Python).  The job service's local jobs run it;
-* :class:`Heat1DPartitioned` -- shared-memory solver structured exactly
-  like Listing 1: the grid is cut into ``nlp`` partitions and each time
-  step is an ``hpx::parallel::for_each`` over partitions;
 * :class:`DistributedHeat1D` -- the fully distributed, *futurized*
   solver used for Fig 3: one :class:`Heat1DPartition` component per
   locality slot, halo values travelling as parcels, and a per-partition
@@ -30,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ValidationError
-from ..runtime.algorithms import ExecutionPolicy, for_each_block, seq
 from ..runtime.runtime import Runtime
 from .halo import HaloDriver, HaloPartition
 
@@ -38,7 +34,6 @@ __all__ = [
     "Heat1DParams",
     "heat1d_reference",
     "heat1d_steps",
-    "Heat1DPartitioned",
     "Heat1DPartition",
     "DistributedHeat1D",
 ]
@@ -127,77 +122,6 @@ def heat1d_steps(u0: np.ndarray, steps: int, params: Heat1DParams) -> np.ndarray
     w = _padded(u, u[-1], u[0])
     _heat_steps(w, params.k, steps)
     return w[1:-1]
-
-
-class Heat1DPartitioned:
-    """Shared-memory solver in the shape of Listing 1.
-
-    The grid is a flat array of ``nx`` points cut into ``nlp``
-    partitions; each time step is a ``for_each_block`` over partitions.
-    Periodic halos come straight from the shared array (no messages on
-    one node).
-    """
-
-    def __init__(self, nx: int, nlp: int, params: Heat1DParams | None = None) -> None:
-        if nlp < 1:
-            raise ValidationError("need at least one partition")
-        if nx < nlp or nx % nlp != 0:
-            raise ValidationError(
-                f"{nx} points do not split evenly into {nlp} partitions"
-            )
-        self.nx = nx
-        self.nlp = nlp
-        self.local_nx = nx // nlp
-        self.params = params or Heat1DParams()
-        self.params.check_stability()
-        self._u = [np.zeros(nx), np.zeros(nx)]
-        self.steps_done = 0
-
-    def initialize(self, u0: np.ndarray) -> None:
-        u0 = np.asarray(u0, dtype=np.float64)
-        if u0.shape != (self.nx,):
-            raise ValidationError(f"expected initial field of shape ({self.nx},)")
-        self._u[0][...] = u0
-        self._u[1][...] = u0
-
-    def _stencil_update_block(self, parts: range, t: int) -> None:
-        """Listing 1 body over a run of partitions.
-
-        Every partition reads halos from the *previous* time level, so a
-        contiguous run of partitions is just a wider 3-point stencil over
-        their combined span: the interior partition boundaries resolve to
-        exactly the ``curr`` values a per-partition update would read.
-        """
-        curr = self._u[t % 2]
-        new = self._u[(t + 1) % 2]
-        lo = parts.start * self.local_nx
-        hi = parts.stop * self.local_nx
-        w = _padded(curr[lo:hi], curr[(lo - 1) % self.nx], curr[hi % self.nx])
-        _heat_steps(w, self.params.k)
-        new[lo:hi] = w[1:-1]
-
-    def run(self, steps: int, policy: ExecutionPolicy = seq) -> np.ndarray:
-        """Iterate ``steps`` time steps; returns the final field.
-
-        Each time step goes through
-        :func:`~repro.runtime.algorithms.for_each_block`: Listing 1's
-        chunk partitioning and one HPX-thread per chunk, each thread
-        applying one vectorized update over its whole span of partitions.
-        """
-        if steps < 0:
-            raise ValidationError("steps must be non-negative")
-        for t in range(self.steps_done, self.steps_done + steps):
-            for_each_block(
-                policy,
-                0,
-                self.nlp,
-                lambda rng, t=t: self._stencil_update_block(rng, t),
-            )
-        self.steps_done += steps
-        return self.solution()
-
-    def solution(self) -> np.ndarray:
-        return np.array(self._u[self.steps_done % 2], copy=True)
 
 
 class Heat1DPartition(HaloPartition):

@@ -10,15 +10,17 @@ ping-pong buffers.  Two kernels, one generic driver -- exactly the shape
 of Listing 2:
 
 * ``mode="auto"``: the row-major layout the compiler's auto-vectorizer
-  sees.  Each HPX-thread updates its chunk of rows as one contiguous
-  block of slice arithmetic.
+  sees.  Each HPX-thread updates its chunk of rows with the distributed
+  solver's flat passes (:func:`~repro.stencil.jacobi2d_dist._neighbour_sum`),
+  in L2-sized runs of rows, from level t straight into level t+1.
 * ``mode="simd"``: the explicitly vectorized kernel over the Virtual
   Node Scheme layout.  Every row update is followed by the halo shuffle
   (``helper<Container>::shuffle`` -- here
   :meth:`~repro.simd.layout.VnsLayout.refresh_halo`).
 
-Both kernels produce bit-comparable fields (up to dtype rounding), which
-the tests verify against each other and against a dense reference.
+Both kernels take the reference's operands in the reference's order, so
+in either dtype both equal :func:`jacobi_reference_step` computed in that
+dtype bit for bit, which the tests verify.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from ..runtime import context as ctx
 from ..runtime.algorithms import ExecutionPolicy, for_each, for_each_block, seq
 from ..simd.isa import Isa
 from .grid import GridPair
+from .jacobi2d_dist import _chunk_rows, _neighbour_sum
 
 __all__ = ["Jacobi2D", "jacobi_reference_step", "update_row_vns"]
 
@@ -54,9 +57,11 @@ def update_row_vns(curr: np.ndarray, nxt: np.ndarray, y: int, layout) -> None:
     neighbours of packed position ``j`` are positions ``j-1``/``j+1`` --
     provided the per-lane halos are fresh, which is what the trailing
     :meth:`refresh_halo` guarantees for the *next* consumer of this row.
+    Operands go in the reference's order (y+1, y-1, x+1, x-1), so the
+    VNS kernel's bits are the scalar kernel's.
     """
     nxt[y, 1:-1, :] = 0.25 * (
-        curr[y, :-2, :] + curr[y, 2:, :] + curr[y - 1, 1:-1, :] + curr[y + 1, 1:-1, :]
+        curr[y + 1, 1:-1, :] + curr[y - 1, 1:-1, :] + curr[y, 2:, :] + curr[y, :-2, :]
     )
     layout.refresh_halo(nxt[y])
 
@@ -122,19 +127,26 @@ class Jacobi2D:
     def stencil_update_block(self, rows: range, t: int) -> None:
         """Scalar layout: update a block of rows from ``t`` to ``t+1``.
 
-        Jacobi reads only the previous time level, so a run of interior
-        rows updates as one 2D slice operation, in the operand order
-        :meth:`run_blocked` shares.  Costs ``cost_per_row`` per row.
+        The rows go in runs of about 512 KiB
+        (:func:`~repro.stencil.jacobi2d_dist._chunk_rows`), each summed by
+        :func:`~repro.stencil.jacobi2d_dist._neighbour_sum` from level
+        ``t``'s flat array straight into level ``t+1``'s and scaled there,
+        so a run stays in L2 across the passes.  A flat range also writes
+        the side walls between its rows; they are copied back from level
+        ``t`` last.  A block reads only level ``t``, so parallel blocks
+        never race.  Costs ``cost_per_row`` per row.
         """
         curr = self.U.current(t).data
         nxt = self.U.next(t).data
+        nx, f, g = self.nx, curr.reshape(-1), nxt.reshape(-1)
         y0, y1 = rows.start, rows.stop
-        nxt[y0:y1, 1:-1] = 0.25 * (
-            curr[y0:y1, :-2]
-            + curr[y0:y1, 2:]
-            + curr[y0 - 1 : y1 - 1, 1:-1]
-            + curr[y0 + 1 : y1 + 1, 1:-1]
-        )
+        step = _chunk_rows(nx, self.dtype.itemsize)
+        for r in range(y0, y1, step):
+            lo, hi = r * nx + 1, min(r + step, y1) * nx - 1
+            out = g[lo:hi]
+            _neighbour_sum(f, nx, lo, hi, out)
+            np.multiply(out, 0.25, out=out)
+        nxt[y0:y1, :: nx - 1] = curr[y0:y1, :: nx - 1]
         if self.cost_per_row:
             ctx.add_cost(self.cost_per_row * len(rows))
 
@@ -167,74 +179,12 @@ class Jacobi2D:
         self.steps_done += steps
         return self.solution()
 
-    def run_blocked(self, steps: int, tile_nx: int) -> np.ndarray:
-        """Iterate using the explicitly cache-blocked sweep order.
-
-        Columns are processed in tiles of ``tile_nx``; each tile walks
-        all rows before moving right.  Jacobi reads only the previous
-        time level, so the result is *identical* to :meth:`run` -- the
-        ordering exists purely to keep three tile-rows cache-resident
-        when full rows do not fit (the paper's "cache blocked version of
-        2D stencil"; see
-        :func:`repro.hardware.cachesim.jacobi_blocked_traffic` for the
-        traffic this buys).  Scalar layout only.
-        """
-        if self.mode != "auto":
-            raise ValidationError("run_blocked supports the scalar layout only")
-        if steps < 0:
-            raise ValidationError("steps must be non-negative")
-        if tile_nx < 2:
-            raise ValidationError("tile width must be >= 2")
-        for t in range(self.steps_done, self.steps_done + steps):
-            curr = self.U.current(t).data
-            nxt = self.U.next(t).data
-            for x_lo in range(1, self.nx - 1, tile_nx):
-                x_hi = min(x_lo + tile_nx, self.nx - 1)
-                # Same operand order as stencil_update_block: the blocked
-                # sweep is bit-identical, not merely close.
-                nxt[1:-1, x_lo:x_hi] = 0.25 * (
-                    curr[1:-1, x_lo - 1 : x_hi - 1]
-                    + curr[1:-1, x_lo + 1 : x_hi + 1]
-                    + curr[:-2, x_lo:x_hi]
-                    + curr[2:, x_lo:x_hi]
-                )
-        self.steps_done += steps
-        return self.solution()
-
     def residual(self) -> float:
         """RMS change one more sweep would make (convergence metric)."""
         field = self.solution().astype(np.float64)
         sweep = jacobi_reference_step(field)
         diff = sweep[1:-1, 1:-1] - field[1:-1, 1:-1]
         return float(np.sqrt(np.mean(diff * diff)))
-
-    def run_until_converged(
-        self,
-        tol: float,
-        policy: ExecutionPolicy = seq,
-        check_every: int = 50,
-        max_steps: int = 1_000_000,
-    ) -> tuple[np.ndarray, int]:
-        """Iterate until the residual drops below ``tol``.
-
-        Returns ``(field, total steps run)``.  Raises
-        :class:`ValidationError` if ``max_steps`` sweeps do not reach
-        ``tol`` (Jacobi converges slowly; pick tolerances accordingly).
-        """
-        if tol <= 0:
-            raise ValidationError("tolerance must be positive")
-        if check_every < 1 or max_steps < 1:
-            raise ValidationError("check_every and max_steps must be >= 1")
-        start = self.steps_done
-        while self.steps_done - start < max_steps:
-            budget = min(check_every, max_steps - (self.steps_done - start))
-            self.run(budget, policy)
-            if self.residual() < tol:
-                return self.solution(), self.steps_done - start
-        raise ValidationError(
-            f"no convergence to {tol:g} within {max_steps} sweeps "
-            f"(residual {self.residual():g})"
-        )
 
     # Results ----------------------------------------------------------------
     def solution(self) -> np.ndarray:

@@ -51,51 +51,67 @@ __all__ = ["Jacobi2DPartition", "DistributedJacobi2D"]
 _CHUNK_BYTES = 1 << 19
 
 
-def _chunk_rows(nx: int) -> int:
-    """Rows of width ``nx`` in one chunk of :func:`_sweep`."""
-    return max(1, _CHUNK_BYTES // (8 * nx))
+def _chunk_rows(nx: int, itemsize: int) -> int:
+    """Rows of width ``nx`` and ``itemsize``-byte items in one chunk."""
+    return max(1, _CHUNK_BYTES // (itemsize * nx))
 
 
 def _scratch(shape: tuple[int, int]) -> np.ndarray:
     """:func:`_sweep`'s accumulator for a block of ``shape``: one chunk,
     plus the one row it holds back between chunks."""
     ny, nx = shape
-    return np.empty((min(_chunk_rows(nx), ny - 2) + 1) * nx)
+    return np.empty((min(_chunk_rows(nx, 8), ny - 2) + 1) * nx)
+
+
+def _neighbour_sum(f: np.ndarray, nx: int, lo: int, hi: int, out: np.ndarray) -> None:
+    """Write the five-point neighbour sum of the flat sites ``lo..hi``
+    of the C-ordered rows ``f`` (width ``nx``) into ``out``.
+
+    Operands and order are the reference's -- down + up, + right, +
+    left -- as three contiguous ``out=`` passes, so ``out * 0.25`` is
+    bit-identical to :func:`~repro.stencil.jacobi2d.jacobi_reference_step`
+    at every interior site.  The sites between two rows (the side walls)
+    get sums too, which the caller discards.  ``out`` must not overlap
+    ``f[lo - nx : hi + nx]``.
+    """
+    np.add(f[lo + nx : hi + nx], f[lo - nx : hi - nx], out=out)
+    np.add(out, f[lo + 1 : hi + 1], out=out)
+    np.add(out, f[lo - 1 : hi - 1], out=out)
 
 
 def _sweep(u: np.ndarray, scratch: np.ndarray) -> None:
     """One Jacobi sweep of the C-ordered block ``u``, in place.
 
-    The interior runs as four contiguous ``out=`` passes over flat ranges
-    ``u[r, 1]`` .. ``u[r + rows - 1, -2]``: NumPy streams a flat slice much
-    faster than a 2D view with a short inner extent.  The passes go chunk
-    by chunk, ``rows`` rows of about :data:`_CHUNK_BYTES` each,
-    accumulating into ``scratch`` (:func:`_scratch`), so the chunk stays
-    in L2 across all four and the block streams from memory once per
-    step, not four times.  Operands and order are the reference's (down
-    + up, + right, + left, x 0.25), so the result is bit-identical to
+    The interior runs as :func:`_neighbour_sum`'s three passes and a
+    ``x 0.25`` pass over flat ranges ``u[r, 1]`` .. ``u[r + rows - 1, -2]``:
+    NumPy streams a flat slice much faster than a 2D view with a short
+    inner extent.  The passes go chunk by chunk, ``rows`` rows of about
+    :data:`_CHUNK_BYTES` each, accumulating into ``scratch``
+    (:func:`_scratch`), so the chunk stays in L2 across all four and the
+    block streams from memory once per step, not four times.  The result
+    is bit-identical to
     :func:`~repro.stencil.jacobi2d.jacobi_reference_step`.
 
     The last pass writes the chunk back into ``u``, except the chunk's
     last row: the next chunk's first pass reads its old values as "up".
     That row goes to the held row at the end of ``scratch`` and is
-    written back right after that pass.  A flat range also writes the
-    side walls between its rows, so the walls are saved first and put
-    back last.  Halo rows 0 and -1 are only read.
+    written back once the next chunk's sum is taken (its right and left
+    passes start at the wall of the chunk's first row, below the held
+    one).  A flat range also writes the side walls between its rows, so
+    the walls are saved first and put back last.  Halo rows 0 and -1 are
+    only read.
     """
     ny, nx = u.shape
     walls = u[1:-1, :: nx - 1].copy()
     f = u.reshape(-1)
-    rows, end = _chunk_rows(nx), (ny - 1) * nx - 1
+    rows, end = _chunk_rows(nx, 8), (ny - 1) * nx - 1
     held, held_at = scratch[-nx:-2], 0
     for r in range(1, ny - 1, rows):
         lo, hi = r * nx + 1, min(r + rows, ny - 1) * nx - 1
         acc = scratch[: hi - lo]
-        np.add(f[lo + nx : hi + nx], f[lo - nx : hi - nx], out=acc)
+        _neighbour_sum(f, nx, lo, hi, acc)
         if held_at:
             f[held_at : held_at + nx - 2] = held
-        np.add(acc, f[lo + 1 : hi + 1], out=acc)
-        np.add(acc, f[lo - 1 : hi - 1], out=acc)
         if hi == end:
             np.multiply(acc, 0.25, out=f[lo:hi])
         else:

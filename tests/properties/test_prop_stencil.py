@@ -13,7 +13,6 @@ from repro.simd.isa import AVX2, NEON
 from repro.stencil import (
     Heat1DParams,
     Heat1DPartition,
-    Heat1DPartitioned,
     Jacobi2D,
     Jacobi2DPartition,
     heat1d_reference,
@@ -176,28 +175,6 @@ def test_jacobi_chunked_sweep_is_the_oracle_bit_for_bit(rt, case):
         _assert_partition_step_is_the_oracle(rt, block, up, down)
 
 
-def _field_and_divisor(n):
-    divisors = [d for d in range(1, n + 1) if n % d == 0]
-    return st.tuples(arrays(np.float64, n, elements=wide), st.sampled_from(divisors))
-
-
-@given(
-    case=st.one_of(st.sampled_from([1, 2, 3, 48]), st.integers(1, 300)).flatmap(
-        _field_and_divisor
-    ),
-    steps=st.integers(0, 25),
-)
-@example(case=(np.array([5e15, 1e16, 1.0, -7.0]), 2), steps=3)
-@settings(max_examples=60)
-def test_partitioned_solver_agnostic_to_partition_count(case, steps):
-    """Any partitioning of Listing 1's solver gives the oracle's field
-    bit for bit: every chunk runs the oracle's operations in its order."""
-    u0, nlp = case
-    solver = Heat1DPartitioned(u0.shape[0], nlp, PARAMS)
-    solver.initialize(u0)
-    assert solver.run(steps).tobytes() == heat1d_reference(u0, steps, PARAMS).tobytes()
-
-
 @given(
     field=arrays(np.float64, (7, 9), elements=bounded),
     steps=st.integers(0, 10),
@@ -221,7 +198,7 @@ def test_jacobi_row_driver_equals_whole_grid_reference(field, steps):
     ref = np.array(field)
     for _ in range(steps):
         ref = jacobi_reference_step(ref)
-    assert max_error(out, ref) < 1e-12
+    assert np.array_equal(out, ref)
 
 
 @given(

@@ -1,57 +1,13 @@
-"""Tests for the explicit cache-blocked 2D sweep.
+"""Tests for the cache-blocked 2D sweep's traffic model.
 
-Numerics: identical to the plain sweep (Jacobi reads only the previous
-level).  Traffic: derived with the cache simulator -- blocking restores
-the 3-transfers figure when full rows overflow the cache.
+Derived with the cache simulator: blocking restores the 3-transfers
+figure when full rows overflow the cache.
 """
 
-import numpy as np
 import pytest
 
-from repro.errors import TopologyError, ValidationError
+from repro.errors import TopologyError
 from repro.hardware.cachesim import CacheSim, jacobi_blocked_traffic, jacobi_row_traffic
-from repro.stencil import Jacobi2D, max_error
-
-
-def hot_top(ny, nx):
-    field = np.zeros((ny, nx))
-    field[0, :] = 1.0
-    return field
-
-
-class TestBlockedKernelNumerics:
-    @pytest.mark.parametrize("tile_nx", [2, 3, 7, 16, 100])
-    def test_identical_to_plain_sweep(self, tile_nx):
-        field = np.random.default_rng(11).random((12, 20))
-        plain = Jacobi2D(12, 20, np.float64)
-        plain.initialize(field)
-        blocked = Jacobi2D(12, 20, np.float64)
-        blocked.initialize(field)
-        assert max_error(plain.run(15), blocked.run_blocked(15, tile_nx)) == 0.0
-
-    def test_mixing_plain_and_blocked_steps(self):
-        field = hot_top(10, 14)
-        solver = Jacobi2D(10, 14, np.float64)
-        solver.initialize(field)
-        solver.run(5)
-        solver.run_blocked(5, 4)
-        reference = Jacobi2D(10, 14, np.float64)
-        reference.initialize(field)
-        assert max_error(solver.solution(), reference.run(10)) == 0.0
-
-    def test_validation(self):
-        solver = Jacobi2D(8, 10, np.float64)
-        solver.initialize()
-        with pytest.raises(ValidationError):
-            solver.run_blocked(-1, 4)
-        with pytest.raises(ValidationError):
-            solver.run_blocked(1, 1)
-        from repro.simd.isa import NEON
-
-        simd_solver = Jacobi2D(8, 18, np.float32, mode="simd", isa=NEON)
-        simd_solver.initialize()
-        with pytest.raises(ValidationError):
-            simd_solver.run_blocked(1, 4)
 
 
 class TestBlockedTraffic:

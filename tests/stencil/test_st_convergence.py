@@ -1,9 +1,7 @@
-"""Tests for convergence-driven Jacobi iteration."""
+"""Tests for the Jacobi residual and convergence to the dense solution."""
 
 import numpy as np
-import pytest
 
-from repro.errors import ValidationError
 from repro.stencil import Jacobi2D, jacobi_dense_solution, max_error
 
 
@@ -30,45 +28,10 @@ def test_residual_zero_for_fixed_point():
     assert solver.residual() < 1e-14
 
 
-def test_run_until_converged_reaches_dense_solution():
+def test_fixed_steps_reach_dense_solution():
     field = hot_top(10, 10)
     solver = Jacobi2D(10, 10, np.float64)
     solver.initialize(field)
-    out, steps = solver.run_until_converged(1e-10, check_every=100)
-    assert steps > 0
+    out = solver.run(400)
+    assert solver.residual() < 1e-10
     assert max_error(out, jacobi_dense_solution(field)) < 1e-7
-
-
-def test_run_until_converged_counts_steps_in_multiples():
-    solver = Jacobi2D(8, 8, np.float64)
-    solver.initialize(hot_top(8, 8))
-    _, steps = solver.run_until_converged(1e-6, check_every=25)
-    assert steps % 25 == 0
-
-
-def test_tighter_tolerance_needs_more_steps():
-    def steps_for(tol):
-        solver = Jacobi2D(10, 10, np.float64)
-        solver.initialize(hot_top(10, 10))
-        _, steps = solver.run_until_converged(tol, check_every=10)
-        return steps
-
-    assert steps_for(1e-8) > steps_for(1e-4)
-
-
-def test_max_steps_guard():
-    solver = Jacobi2D(16, 16, np.float64)
-    solver.initialize(hot_top(16, 16))
-    with pytest.raises(ValidationError, match="no convergence"):
-        solver.run_until_converged(1e-15, check_every=10, max_steps=20)
-
-
-def test_validation():
-    solver = Jacobi2D(8, 8, np.float64)
-    solver.initialize(hot_top(8, 8))
-    with pytest.raises(ValidationError):
-        solver.run_until_converged(0.0)
-    with pytest.raises(ValidationError):
-        solver.run_until_converged(1e-3, check_every=0)
-    with pytest.raises(ValidationError):
-        solver.run_until_converged(1e-3, max_steps=0)

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from repro.errors import ValidationError
-from repro.runtime import Runtime, par, seq
+from repro.runtime import Runtime
 from repro.stencil import (
     DistributedHeat1D,
     Heat1DParams,
-    Heat1DPartitioned,
     analytic_heat_profile,
     discrete_heat_decay_factor,
     heat1d_reference,
@@ -70,50 +69,6 @@ class TestSteps:
         assert out.dtype == np.float64 and np.array_equal(out, u0)
         out[0] = 99.0
         assert u0[0] == 0
-
-
-# Partitioned (Listing 1) ------------------------------------------------------
-
-class TestPartitioned:
-    def test_matches_reference_seq(self):
-        u0 = analytic_heat_profile(60)
-        solver = Heat1DPartitioned(60, 6, PARAMS)
-        solver.initialize(u0)
-        out = solver.run(40, seq)
-        assert l2_error(out, heat1d_reference(u0, 40, PARAMS)) < 1e-13
-
-    def test_matches_reference_par(self, rt):
-        u0 = analytic_heat_profile(64)
-        solver = Heat1DPartitioned(64, 8, PARAMS)
-        solver.initialize(u0)
-        out = rt.run(lambda: solver.run(40, par))
-        assert l2_error(out, heat1d_reference(u0, 40, PARAMS)) < 1e-13
-
-    def test_single_partition(self):
-        u0 = analytic_heat_profile(16)
-        solver = Heat1DPartitioned(16, 1, PARAMS)
-        solver.initialize(u0)
-        out = solver.run(10)
-        assert l2_error(out, heat1d_reference(u0, 10, PARAMS)) < 1e-13
-
-    def test_incremental_runs_compose(self):
-        u0 = analytic_heat_profile(32)
-        solver = Heat1DPartitioned(32, 4, PARAMS)
-        solver.initialize(u0)
-        solver.run(10)
-        out = solver.run(15)
-        assert l2_error(out, heat1d_reference(u0, 25, PARAMS)) < 1e-13
-
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            Heat1DPartitioned(10, 3, PARAMS)  # uneven split
-        with pytest.raises(ValidationError):
-            Heat1DPartitioned(10, 0, PARAMS)
-        solver = Heat1DPartitioned(10, 2, PARAMS)
-        with pytest.raises(ValidationError):
-            solver.initialize(np.zeros(11))
-        with pytest.raises(ValidationError):
-            solver.run(-1)
 
 
 # Distributed (Fig 3's application) ---------------------------------------------

@@ -6,11 +6,17 @@ import pytest
 from repro.errors import ValidationError
 from repro.runtime import par
 from repro.simd.isa import AVX2, NEON, sve
-from repro.stencil import Jacobi2D, jacobi_dense_solution, jacobi_reference_step, max_error
+from repro.stencil import (
+    Jacobi2D,
+    jacobi2d_dist,
+    jacobi_dense_solution,
+    jacobi_reference_step,
+    max_error,
+)
 
 
-def reference_solution(field, steps):
-    out = np.array(field, dtype=np.float64)
+def reference_solution(field, steps, dtype=np.float64):
+    out = np.array(field, dtype=dtype)
     for _ in range(steps):
         out = jacobi_reference_step(out)
     return out
@@ -28,7 +34,7 @@ class TestAutoKernel:
         solver = Jacobi2D(10, 18, np.float64, mode="auto")
         solver.initialize(field)
         out = solver.run(30)
-        assert max_error(out, reference_solution(field, 30)) < 1e-14
+        assert np.array_equal(out, reference_solution(field, 30))
 
     def test_boundaries_never_change(self):
         field = np.random.default_rng(1).random((8, 12))
@@ -75,6 +81,33 @@ class TestSimdKernel:
         assert Jacobi2D(8, 34, np.float64, mode="simd", isa=sve(512)).lanes == 8
 
 
+#: 80 interior rows of width 2 + 16 * 256 (whole packs for every ISA
+#: below) in ``for_each_block`` chunks of 40 rows: each chunk spans two
+#: L2 runs of rows in float32 (31 + 9) and three in float64 (15 + 15 + 10).
+SPANNING = (82, 4098)
+SPANNING_CHUNK = 40
+
+
+@pytest.mark.parametrize(
+    "mode, isa",
+    [("auto", None), ("simd", NEON), ("simd", AVX2), ("simd", sve(512))],
+    ids=["auto", "simd-neon", "simd-avx2", "simd-sve512"],
+)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+def test_every_variant_is_the_reference_in_its_dtype(rt, mode, isa, dtype):
+    """The paper's four variants (float and double, auto and explicit
+    SIMD) give the oracle's bits computed in their own dtype, under
+    ``par``, with every chunk crossing a run-of-rows boundary."""
+    ny, nx = SPANNING
+    assert SPANNING_CHUNK > jacobi2d_dist._chunk_rows(nx, np.dtype(dtype).itemsize)
+    field = np.random.default_rng(5).random(SPANNING)
+    solver = Jacobi2D(ny, nx, dtype, mode=mode, isa=isa)
+    solver.initialize(field)
+    out = rt.run(lambda: solver.run(6, par.with_chunk_size(SPANNING_CHUNK)))
+    assert out.dtype == np.dtype(dtype)
+    assert np.array_equal(out, reference_solution(field, 6, dtype))
+
+
 class TestDriver:
     def test_parallel_run_matches_sequential(self, rt):
         field = hot_top(16, 20)
@@ -118,7 +151,7 @@ class TestDriver:
         a.initialize(field)
         a.run(7)
         out = a.run(8)
-        assert max_error(out, reference_solution(field, 15)) < 1e-14
+        assert np.array_equal(out, reference_solution(field, 15))
 
     def test_float32_accumulates_like_float64_reference(self):
         """float32 runs deviate only by rounding, not by structure."""

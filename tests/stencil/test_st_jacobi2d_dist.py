@@ -61,7 +61,7 @@ def test_matches_shared_memory_solver():
     distributed, _ = run_distributed(field, 12, 2)
     shared = Jacobi2D(10, 14, np.float64)
     shared.initialize(field)
-    assert max_error(distributed, shared.run(12)) < 1e-12
+    assert np.array_equal(distributed, shared.run(12))
 
 
 def test_boundaries_stay_fixed():
@@ -173,6 +173,16 @@ def test_residual_reads_the_neighbours_current_edges(parts_per_loc, machine, con
 
 
 @pytest.mark.parametrize(
+    "nx, itemsize, rows",
+    [(2048, 8, 32), (2048, 4, 64), (4098, 4, 31), (65536, 8, 1), (1 << 20, 4, 1)],
+)
+def test_a_chunk_is_512_kib_of_rows_in_either_dtype(nx, itemsize, rows):
+    """float32 rows are half as wide in bytes, so a chunk holds twice
+    as many; a row wider than the chunk is a chunk of one row."""
+    assert jacobi2d_dist._chunk_rows(nx, itemsize) == rows
+
+
+@pytest.mark.parametrize(
     "shape, chunks",
     [((35, 2048), 2), ((100, 2048), 4), ((5, 65536), 3), ((3, 2048), 1)],
     ids=["32+1-rows", "3x32+2-rows", "1-row-chunks", "1-interior-row"],
@@ -215,7 +225,7 @@ def test_multi_chunk_partitions_give_the_oracles_bits(config, injector):
     """The chunk hand-off across processes and through a checkpoint
     rollback, whose ``restore_state`` replaces ``u`` mid-run."""
     ny, nx = MULTI_CHUNK
-    assert (ny - 2) // 2 > jacobi2d_dist._chunk_rows(nx)
+    assert (ny - 2) // 2 > jacobi2d_dist._chunk_rows(nx, 8)
     field = np.random.default_rng(13).random(MULTI_CHUNK)
     with Runtime(
         n_localities=2,

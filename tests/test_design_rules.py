@@ -394,10 +394,10 @@ RULES = {
         ),
     ),
     "one-jacobi-sweep": Rule(
-        "One Jacobi sweep (the partition kernel is written once; the 2D slice sum is the "
-        "oracles')",
-        "advance and local_residual both call _sweep; jacobi_reference_step stays the "
-        "2D oracle",
+        "One Jacobi sweep (the neighbour sum is written once, for both Jacobi apps; the "
+        "2D slice sum is the oracle's and the VNS row kernel's)",
+        "advance and local_residual call _sweep, Jacobi2D's scalar blocks call "
+        "_neighbour_sum; jacobi_reference_step stays the 2D oracle",
         (
             Grep(
                 re.escape("[2:, 1:-1] +"),
@@ -405,6 +405,23 @@ RULES = {
                 (
                     "src/repro/stencil/jacobi2d_dist.py",
                     "    new = (u[2:, 1:-1] + u[:-2, 1:-1]) * 0.5\n",
+                ),
+            ),
+            Scoped(
+                r"\w\[[^\]]*,[^\]]*\]\s*\+|\+\s*\w+\[[^\]]*,",
+                "src/repro/stencil/jacobi2d.py",
+                start=r"^def (jacobi_reference_step|update_row_vns)\b",
+                end=r"^(def|class) ",
+                inside=False,
+                offending=(
+                    "src/repro/stencil/jacobi2d.py",
+                    "    def stencil_update_block(self, rows, t):\n"
+                    "        nxt[y0:y1, 1:-1] = 0.25 * (\n"
+                    "            curr[y0:y1, :-2]\n"
+                    "            + curr[y0:y1, 2:]\n"
+                    "            + curr[y0 - 1 : y1 - 1, 1:-1]\n"
+                    "            + curr[y0 + 1 : y1 + 1, 1:-1]\n"
+                    "        )\n",
                 ),
             ),
         ),
@@ -440,8 +457,9 @@ RULES = {
     "application-surface": Rule(
         "Only the surface an application reaches (no collectives, RemoteChannel, executors, "
         "unused algorithms, Pack layer, latch/barrier/semaphore/and-gate LCOs, replay, "
-        "replicate or timed actions, when_any/when_each/unwrap or AGAS reference counts; "
-        "a policy is a name, parallel and a chunk size)",
+        "replicate or timed actions, when_any/when_each/unwrap, AGAS reference counts, "
+        "Jacobi2D's blocked or convergence runs or a partitioned heat1d; a policy is a "
+        "name, parallel and a chunk size)",
         "an application, exhibit, bench workload, explorer demo or CLI command must reach "
         "a runtime API; futures with then/when_all, dataflow, Channel, "
         "for_each/for_each_block and VnsLayout are the kept surface (docs/api.md)",
@@ -479,6 +497,11 @@ RULES = {
                 r"|from \.(latch|barrier|semaphore|and_gate) import",
                 ("src/", "examples/"),
                 ("examples/quickstart.py", "latch = Latch(4)\n"),
+            ),
+            Grep(
+                r"\b(run_blocked|run_until_converged|Heat1DPartitioned)\b",
+                ("src/", "examples/"),
+                ("src/repro/stencil/heat1d.py", "class Heat1DPartitioned:\n"),
             ),
         ),
     ),
