@@ -13,7 +13,6 @@ Subpackage map::
     repro.hardware       calibrated machine models + cache simulator
     repro.simd           ISA lane widths and the Virtual Node Scheme layout
     repro.stencil        the paper's 1D/2D stencil applications
-    repro.containers     distributed data structures (partitioned_vector)
     repro.resilience     fault injection, parcel retry, checkpoint/restart
     repro.service        the durable multi-tenant job service
     repro.observability  tracer, Chrome trace export, counter sampling, histograms

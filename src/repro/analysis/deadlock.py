@@ -306,10 +306,6 @@ class DeadlockDetector(Probe):
 
         return graph
 
-    def pending_links(self) -> List[_Link]:
-        """Combinator targets that never became ready (lost continuations)."""
-        return [link for link in self._links if link.target not in self._fulfilled]
-
     # Verdicts --------------------------------------------------------------
     def _emit(self, graph: WaitGraph, verdict: str) -> None:
         if instrument.probe is None:

@@ -74,7 +74,6 @@ __all__ = [
     "explore",
     "get_app",
     "register_app",
-    "registered_apps",
     "replay_file",
     "write_replay",
 ]
@@ -318,10 +317,6 @@ def get_app(name: str) -> ExploreApp:
         raise ValidationError(
             f"unknown explore app {name!r} (registered: {known})"
         ) from None
-
-
-def registered_apps() -> list[str]:
-    return sorted(_REGISTRY)
 
 
 # ---------------------------------------------------------------------------
@@ -812,14 +807,6 @@ def replay_file(path: str) -> ReplayOutcome:
 # ---------------------------------------------------------------------------
 
 
-def _scale3(values: Any) -> Any:
-    return values * 3.0
-
-
-def _seg_sum(values: Any) -> float:
-    return float(values.sum())
-
-
 def _build_heat1d(rt: Runtime) -> Callable[[], Any]:
     from ..stencil import DistributedHeat1D, Heat1DParams, analytic_heat_profile
 
@@ -842,19 +829,7 @@ def _build_jacobi2d(rt: Runtime) -> Callable[[], Any]:
     return lambda: solver.run(2)
 
 
-def _build_partitioned_vector(rt: Runtime) -> Callable[[], Any]:
-    from ..containers.partitioned_vector import PartitionedVector
-
-    def job() -> Any:
-        vector = PartitionedVector(rt, 12, initial=1.5, segments_per_locality=2)
-        vector.map_inplace(_scale3)
-        total = vector.reduce(_seg_sum, lambda a, b: a + b, 0.0)
-        return total, vector.to_array()
-
-    return job
-
-
-DEMO_APPS = ("heat1d", "jacobi2d", "partitioned_vector")
+DEMO_APPS = ("heat1d", "jacobi2d")
 
 register_app(
     ExploreApp(name="heat1d", build=_build_heat1d, n_localities=2,
@@ -863,8 +838,4 @@ register_app(
 register_app(
     ExploreApp(name="jacobi2d", build=_build_jacobi2d, n_localities=2,
                workers_per_locality=2)
-)
-register_app(
-    ExploreApp(name="partitioned_vector", build=_build_partitioned_vector,
-               n_localities=2, workers_per_locality=2)
 )

@@ -24,8 +24,8 @@ synchronisation the runtime reports:
 
 Shared data is tracked at explicitly instrumented locations --
 :meth:`~repro.runtime.agas.component.Component.mark_read` /
-``mark_write`` in component actions, and the built-in hooks in
-``partitioned_vector`` segments and the stencil partitions.  Two
+``mark_write`` in component actions, and the built-in hooks in the
+stencil partitions.  Two
 accesses to one location where at least one is a write and neither
 happens-before the other raise :class:`~repro.errors.DataRaceError`
 naming both access sites and the missing edge.

@@ -65,10 +65,6 @@ class CacheHierarchy:
         return self.levels[0]
 
     @property
-    def last_level(self) -> CacheLevel:
-        return self.levels[-1]
-
-    @property
     def line_bytes(self) -> int:
         """Line size used for memory traffic (the L1/L2 line)."""
         return self.l1.line_bytes
@@ -111,10 +107,3 @@ class CacheHierarchy:
         else:
             transfers = 3.0
         return transfers * elem_bytes
-
-    def stream_misses(self, bytes_streamed: int) -> int:
-        """Cold/streaming miss count for ``bytes_streamed`` of traffic."""
-        if bytes_streamed < 0:
-            raise TopologyError("bytes_streamed must be non-negative")
-        line = self.line_bytes
-        return -(-bytes_streamed // line)  # ceil division

@@ -103,9 +103,3 @@ class MemorySystem:
         reaches via HPX block allocators.
         """
         return self.aggregate_bandwidth(n_cores, pinning)
-
-    def per_core_bandwidth(self, n_cores: int, pinning: str = "compact") -> float:
-        """Bandwidth available to each of ``n_cores`` workers (lockstep)."""
-        if n_cores <= 0:
-            raise TopologyError("core count must be positive")
-        return self.lockstep_bandwidth(n_cores, pinning) / n_cores

@@ -78,11 +78,6 @@ class ProcessorSpec:
         return self.cores_per_node // self.numa_domains
 
     @property
-    def pus_per_node(self) -> int:
-        """Total hardware threads (processing units) in one node."""
-        return self.cores_per_node * self.threads_per_core
-
-    @property
     def peak_gflops(self) -> float:
         """Node-level double-precision peak in GFLOP/s (Table I last row)."""
         return self.clock_ghz * self.dp_flops_per_cycle * self.cores_per_node

@@ -50,13 +50,6 @@ class CpuSet:
     def __hash__(self) -> int:
         return hash(frozenset(self._ids))
 
-    def union(self, other: "CpuSet") -> "CpuSet":
-        return CpuSet(tuple(self._ids) + tuple(other._ids))
-
-    def intersection(self, other: "CpuSet") -> "CpuSet":
-        other_set = set(other._ids)
-        return CpuSet(tuple(i for i in self._ids if i in other_set))
-
     def first(self, n: int) -> "CpuSet":
         return CpuSet(self._ids[:n])
 
@@ -167,9 +160,6 @@ class Machine:
         if not 0 <= core_id < len(cores):
             raise TopologyError(f"core id {core_id} out of range [0, {len(cores)})")
         return cores[core_id]
-
-    def domain_of_core(self, core_id: int) -> NumaDomain:
-        return self.domains[self.core(core_id).domain_id]
 
     # Pinning ---------------------------------------------------------------
     def pin_compact(self, n_workers: int) -> CpuSet:

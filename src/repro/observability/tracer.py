@@ -167,14 +167,6 @@ class Tracer(instrument.Probe):
         raise RuntimeStateError(f"cannot attach tracer to {type(target).__name__}")
 
     # Analysis --------------------------------------------------------------------
-    def by_worker(self) -> dict[tuple[str, int], list[TaskRecord]]:
-        lanes: dict[tuple[str, int], list[TaskRecord]] = {}
-        for record in self.records:
-            lanes.setdefault((record.pool, record.worker_id), []).append(record)
-        for lane in lanes.values():
-            lane.sort(key=lambda r: r.start_time)
-        return lanes
-
     def events_of(self, kind: str) -> list[TraceEvent]:
         return [e for e in self.events if e.kind == kind]
 

@@ -172,10 +172,6 @@ class CounterModel:
             counters.add(name, rate * lups)
         return counters
 
-    def table_row(self, dtype: str, mode: str) -> dict[str, float]:
-        """The Table III-VI row (counts on the paper's counter grid)."""
-        return dict(self._table[(_Variant(dtype, mode).dtype, mode)])
-
     def counter_names(self) -> tuple[str, ...]:
         """Which counters this machine's PMU exposes in the paper."""
         first = next(iter(self._table.values()))
@@ -201,11 +197,3 @@ class CounterModel:
         """Lanes-equivalent throughput implied by the measured counts."""
         measured = self.per_lup(dtype, mode)[PAPI_TOT_INS]
         return (_MEM_OPS + _FLOPS + _LOOP_OVERHEAD) / measured
-
-    def traffic_per_lup_bytes(self, dtype: str, blocking: bool = False) -> float:
-        """Main-memory bytes per LUP from the cache model."""
-        elem = np.dtype(dtype).itemsize
-        row_bytes = COUNTER_GRID[1] * elem
-        return self.machine.caches.stencil_transfers_per_update(
-            row_bytes, elem, prefetch_blocking=blocking
-        )

@@ -1,4 +1,4 @@
-"""HPX-style checkpoint/restart for components, LCOs, and containers.
+"""HPX-style checkpoint/restart for components and LCOs.
 
 Mirrors ``hpx::util::checkpoint``: :func:`save_checkpoint` serializes
 any mix of AGAS components, LCOs, or plain picklable values into a

@@ -89,9 +89,6 @@ class AgasService:
     def home_of(self, gid: Gid) -> int:
         return self._lookup(gid).home
 
-    def is_local(self, gid: Gid, locality: int) -> bool:
-        return self._lookup(gid).home == locality
-
     def __contains__(self, gid: Gid) -> bool:
         return gid in self._table
 

@@ -7,7 +7,7 @@ paper pulls when discussing A64FX ("HPX is known to have contention
 overheads when the grain size is too small") -- the grain-size ablation
 benchmark sweeps exactly this.  :func:`static_chunks` is the other
 rule: one near-equal contiguous run per owner, for data that is placed
-once (the segments of a partitioned vector).
+once.
 """
 
 from __future__ import annotations

@@ -561,9 +561,6 @@ class MultiprocessBackend(_PipeBackend):
             super()._dispatch_control(message)
 
     # Observability ---------------------------------------------------------
-    def worker_stats(self) -> dict[int, dict[str, Any]]:
-        return dict(self._worker_stats)
-
     def counters(self) -> dict[str, float]:
         out = super().counters()
         out["processes"] = float(getattr(self, "processes", 1))

@@ -111,9 +111,6 @@ class Future:
         """True once a value or exception has been stored."""
         return self._state.ready
 
-    def has_exception(self) -> bool:
-        return self._state.ready and self._state.exception is not None
-
     @property
     def ready_time(self) -> float:
         """Virtual time at which the future became ready (0 if pending)."""

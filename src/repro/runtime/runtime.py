@@ -278,9 +278,6 @@ class Runtime:
         """The locality of the calling context."""
         return ctx.here()
 
-    def find_all_localities(self) -> list[Locality]:
-        return list(self.localities)
-
     def locality(self, locality_id: int) -> Locality:
         if not 0 <= locality_id < self.n_localities:
             raise RuntimeStateError(

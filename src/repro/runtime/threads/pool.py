@@ -407,13 +407,6 @@ class ThreadPool:
             self._execute(task, worker)
         return self.makespan
 
-    def reset_clock(self) -> None:
-        """Rewind all workers to t=0 (between benchmark repetitions)."""
-        if len(self.scheduler) or self._in_flight:
-            raise RuntimeStateError("cannot reset clock while work is pending")
-        for worker in self.workers:
-            worker.available_at = 0.0
-
     def __repr__(self) -> str:  # pragma: no cover
         return (
             f"ThreadPool({self.name!r}, workers={self.n_workers}, "

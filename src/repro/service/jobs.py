@@ -138,17 +138,6 @@ class Job:
             return None
         return Lease(self.lease_owner, self.lease_expires_at)
 
-    def to_record(self) -> dict[str, Any]:
-        return {
-            "job_id": self.job_id,
-            "tenant": self.tenant,
-            "kind": self.kind,
-            "params": self.params,
-            "dedupe_key": self.dedupe_key,
-            "max_attempts": self.max_attempts,
-            "submitted_at": self.submitted_at,
-        }
-
     def describe(self) -> dict[str, Any]:
         """JSON-safe snapshot (CLI ``status`` / gateway responses)."""
         return {

@@ -141,9 +141,6 @@ class JobService:
                     out[f"/jobs{{{tenant}}}/count/{name}"] = tally[key]
         return dict(sorted(out.items()))
 
-    def query_counter(self, path: str) -> int:
-        return self.counters().get(path, 0)
-
     # ------------------------------------------------------------------
     # recovery
 

@@ -55,10 +55,6 @@ class Isa:
             )
         return self.register_bits // bits
 
-    @property
-    def is_scalar(self) -> bool:
-        return False
-
 
 @dataclass(frozen=True)
 class FixedIsa(Isa):
@@ -96,10 +92,6 @@ class ScalarIsa(Isa):
     def lanes(self, dtype: np.dtype) -> int:
         _elem_bits(dtype)  # validate dtype
         return 1
-
-    @property
-    def is_scalar(self) -> bool:
-        return True
 
 
 #: Intel AVX2: 256-bit, dual pipe on Haswell.

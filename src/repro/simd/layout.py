@@ -50,11 +50,6 @@ class VnsLayout:
         self.lanes = lanes
         self.chunk = interior // lanes
 
-    @property
-    def packed_rows(self) -> int:
-        """First dimension of a packed row: chunk + 2 halo positions."""
-        return self.chunk + 2
-
     # Packing ------------------------------------------------------------------
     def pack_row(self, row: np.ndarray) -> np.ndarray:
         """Pack a 1D row of ``width`` elements into VNS layout.

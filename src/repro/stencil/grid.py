@@ -56,14 +56,6 @@ class Grid:
         """Row length in elements (``curr.row_size()``)."""
         return self.nx
 
-    def in_(self, nx: int, ny: int) -> float:
-        """Element access (``curr.in(nx, ny)``) -- layout-transparent."""
-        if not (0 <= ny < self.ny and 0 <= nx < self.nx):
-            raise LayoutError(f"index ({nx}, {ny}) outside {self.nx}x{self.ny}")
-        if self.layout == "scalar":
-            return float(self._data[ny, nx])
-        return float(self.to_scalar_array()[ny, nx])
-
     # Bulk access ------------------------------------------------------------------
     @property
     def data(self) -> np.ndarray:

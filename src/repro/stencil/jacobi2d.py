@@ -195,8 +195,3 @@ class Jacobi2D:
     def lattice_site_updates(self) -> int:
         """Interior LUPs performed so far (the paper's LUP metric)."""
         return self.steps_done * (self.ny - 2) * (self.nx - 2)
-
-    @property
-    def grid_bytes(self) -> int:
-        """Bytes of one buffer (the paper's "9 GB worth of DRAM" check)."""
-        return self.U[0].nbytes

@@ -65,6 +65,17 @@ def test_analyze_explore_single_app_clean(capsys):
     assert "no violations" in out
 
 
+def test_analyze_explore_prints_the_two_demo_lines(capsys):
+    """The explorer's demos are the paper's two applications, and their
+    search is pinned line for line."""
+    code, out = run_cli(capsys, "analyze", "--explore", "--budget", "40")
+    assert code == 0
+    assert out.splitlines() == [
+        "heat1d [dpor]: 40 schedules, budget 40 reached, no violations",
+        "jacobi2d [dpor]: 14 schedules, search space exhausted, no violations",
+    ]
+
+
 def test_analyze_explore_finds_corpus_bug_and_writes_replay(tmp_path, capsys):
     import corpus  # noqa: F401 - registers the corpus apps
 

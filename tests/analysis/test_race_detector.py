@@ -129,18 +129,3 @@ def test_jacobi2d_demo_is_race_free(scheduler):
             solver.initialize(field)
             result = rt.run(lambda: solver.run(3))
     assert np.isfinite(result).all()
-
-
-def test_partitioned_vector_bulk_ops_are_race_free():
-    from repro.containers.partitioned_vector import PartitionedVector
-
-    with analysis.attach(deadlocks=False):
-        with Runtime(n_localities=2, workers_per_locality=2) as rt:
-            def main():
-                vec = PartitionedVector(rt, 8, initial=1.0)
-                vec.fill(2.0)
-                vec.set(3, 5.0)
-                return vec.to_array()
-
-            out = rt.run(main)
-    assert out[3] == 5.0 and out[0] == 2.0

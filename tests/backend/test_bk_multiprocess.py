@@ -233,8 +233,8 @@ def test_final_large_reply_and_worker_stats_arrive():
         rt.apply_at(1, _push_big, n)
     assert np.array_equal(result.get(), _big(n))
     assert len(_ARRIVED) == 1 and np.array_equal(_ARRIVED[0], _big(n))
-    assert sorted(rt.backend.worker_stats()) == [1]
-    assert rt.backend.worker_stats()[1]["tasks_executed"] > 0
+    assert sorted(rt.backend._worker_stats) == [1]
+    assert rt.backend._worker_stats[1]["tasks_executed"] > 0
 
 
 def test_a_worker_answers_a_sync_round_after_running_its_work():
@@ -390,7 +390,7 @@ def test_backend_counters_read_zero_on_virtual():
 def test_worker_stats_aggregate_to_driver():
     with _mp_runtime(n=3) as rt:
         when_all([rt.async_at(i, _double, [i]) for i in (1, 2)]).get()
-    stats = rt.backend.worker_stats()
+    stats = rt.backend._worker_stats
     assert sorted(stats) == [1, 2]
     for worker_id, entry in stats.items():
         assert entry["locality"] == worker_id

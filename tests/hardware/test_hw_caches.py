@@ -38,7 +38,6 @@ def test_empty_hierarchy_rejected():
 def test_hierarchy_accessors():
     h = small_hierarchy()
     assert h.l1.name == "L1"
-    assert h.last_level.name == "L2"
     assert h.line_bytes == 64
 
 
@@ -71,16 +70,6 @@ def test_stencil_transfers_rows_do_not_fit():
     h = small_hierarchy()
     # Rows too large for cache: every neighbour misses -> 5 transfers.
     assert h.stencil_transfers_per_update(10**6, 4) == 20.0
-
-
-def test_stream_misses_ceil():
-    h = small_hierarchy()
-    assert h.stream_misses(0) == 0
-    assert h.stream_misses(1) == 1
-    assert h.stream_misses(64) == 1
-    assert h.stream_misses(65) == 2
-    with pytest.raises(TopologyError):
-        h.stream_misses(-1)
 
 
 def test_paper_ai_derivation():

@@ -81,10 +81,3 @@ def test_first_touch_equals_aggregate(any_machine):
     mem = any_machine.memory
     n = any_machine.spec.cores_per_node
     assert mem.first_touch_bandwidth(n) == mem.aggregate_bandwidth(n)
-
-
-def test_per_core_bandwidth():
-    mem = machine("xeon-e5-2660v3").memory
-    assert mem.per_core_bandwidth(1) == pytest.approx(11.0)
-    with pytest.raises(TopologyError):
-        mem.per_core_bandwidth(0)

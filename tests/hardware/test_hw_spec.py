@@ -33,10 +33,6 @@ def test_cores_per_domain():
     assert make_spec().cores_per_domain == 8
 
 
-def test_pus_per_node_counts_smt():
-    assert make_spec().pus_per_node == 32
-
-
 def test_peak_gflops_formula():
     # 2.0 GHz x 8 FLOP/cycle x 16 cores = 256 GFLOP/s
     assert make_spec().peak_gflops == pytest.approx(256.0)

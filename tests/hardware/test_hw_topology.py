@@ -20,8 +20,6 @@ def test_cpuset_negative_rejected():
 def test_cpuset_set_operations():
     a = CpuSet([0, 1, 2])
     b = CpuSet([2, 3])
-    assert list(a.union(b)) == [0, 1, 2, 3]
-    assert list(a.intersection(b)) == [2]
     assert a.first(2) == CpuSet([0, 1])
 
 
@@ -50,7 +48,7 @@ def test_core_lookup_and_domain():
     topo = machine("kunpeng916").topology
     core = topo.core(17)
     assert core.core_id == 17
-    assert topo.domain_of_core(17).domain_id == 1  # 16 cores per domain
+    assert core.domain_id == 1  # 16 cores per domain
 
 
 def test_core_lookup_out_of_range():
@@ -98,4 +96,4 @@ def test_all_machines_have_consistent_trees(any_machine):
     assert len(topo.domains) == spec.numa_domains
     pu_ids = [pu.pu_id for c in topo.cores for pu in c.pus]
     assert pu_ids == sorted(pu_ids)
-    assert len(set(pu_ids)) == len(pu_ids) == spec.pus_per_node
+    assert len(set(pu_ids)) == len(pu_ids) == spec.cores_per_node * spec.threads_per_core

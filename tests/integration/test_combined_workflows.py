@@ -1,13 +1,8 @@
 """Cross-feature integration: the subsystems composed, as a user would."""
 
-import operator
-
-import numpy as np
 import pytest
 
-from repro.containers import PartitionedVector
 from repro.runtime import Runtime, perfcounters
-from repro.runtime.actions import action
 from repro.observability.tracer import Tracer
 from repro.stencil import (
     DistributedHeat1D,
@@ -16,28 +11,6 @@ from repro.stencil import (
     heat1d_reference,
     l2_error,
 )
-
-
-@action(name="combo.norm2")
-def norm2_segment(data):
-    return float(np.dot(data, data))
-
-
-def test_vector_migration_during_active_use():
-    """Migrate segments while a computation keeps reading them."""
-    with Runtime(machine="a64fx", n_localities=3, workers_per_locality=2) as rt:
-        vec = PartitionedVector(rt, 12, initial=np.arange(12.0))
-
-        def main():
-            totals = []
-            for round_ in range(3):
-                vec.migrate_segment(round_, (round_ + 1) % 3)
-                totals.append(vec.reduce("combo.norm2", operator.add, 0.0))
-            return totals
-
-        totals = rt.run(main)
-    expected = float(np.dot(np.arange(12.0), np.arange(12.0)))
-    assert totals == [pytest.approx(expected)] * 3
 
 
 def test_solver_plus_counters_plus_trace():

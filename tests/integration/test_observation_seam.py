@@ -57,7 +57,7 @@ def test_tracer_sanitizers_and_sampler_compose_on_one_run():
                     interval=1e-4,
                 )
         assert sanitizers.race.findings() == []
-        assert sanitizers.deadlock.pending_links() == []
+        assert sanitizers.deadlock.wait_graph().names == {}
     assert instrument.active_probes() == [] and instrument.enabled is False
     assert np.array_equal(series.result, bare)
     assert rt.makespan == bare_makespan

@@ -10,7 +10,7 @@ from repro.hardware import (
     STALL_FRONTEND,
     machine,
 )
-from repro.perf import COUNTER_STEPS, CounterModel
+from repro.perf import COUNTER_GRID, COUNTER_STEPS, CounterModel
 from repro.perf.counters import counter_lups
 
 
@@ -30,6 +30,13 @@ def test_table3_regenerated_exactly():
     assert vec[PAPI_TOT_INS] == pytest.approx(1.783e10, rel=1e-6)
     # ... and the auto code has *fewer* cache misses (GCC's x86 tuning).
     assert predicted[PAPI_L2_TCM] < vec[PAPI_L2_TCM]
+
+
+def test_table4_regenerated_exactly():
+    """Table IV: Kunpeng 916."""
+    model = CounterModel(machine("kunpeng916"))
+    row = model.predict("float64", "simd")
+    assert row[PAPI_TOT_INS] == pytest.approx(8.236e10, rel=1e-6)
 
 
 def test_table5_regenerated_exactly():
@@ -141,9 +148,10 @@ def test_structural_estimate_within_band(any_machine):
 
 
 def test_traffic_per_lup():
-    model = CounterModel(machine("xeon-e5-2660v3"))
-    assert model.traffic_per_lup_bytes("float64") == 24.0
-    assert model.traffic_per_lup_bytes("float64", blocking=True) == 16.0
+    caches = machine("xeon-e5-2660v3").caches
+    row_bytes = COUNTER_GRID[1] * 8
+    assert caches.stencil_transfers_per_update(row_bytes, 8) == 24.0
+    assert caches.stencil_transfers_per_update(row_bytes, 8, prefetch_blocking=True) == 16.0
 
 
 def test_invalid_variant_rejected():
@@ -152,9 +160,3 @@ def test_invalid_variant_rejected():
         model.per_lup("float16", "auto")
     with pytest.raises(ValidationError):
         model.per_lup("float32", "gpu")
-
-
-def test_table_row_returns_paper_values():
-    model = CounterModel(machine("kunpeng916"))
-    row = model.table_row("float64", "simd")
-    assert row[PAPI_TOT_INS] == 8.236e10

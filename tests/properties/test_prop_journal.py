@@ -12,6 +12,7 @@ Damage that is *not* explainable as a torn tail -- a flipped byte in
 the middle of the file -- must refuse to replay loudly instead.
 """
 
+import dataclasses
 import tempfile
 from pathlib import Path
 
@@ -195,7 +196,7 @@ def test_replay_is_deterministic_and_append_preserving(picks):
         path = _build_history(root, [_TRAJECTORIES[p] for p in picks])
         first = JobStore(path, clock=ManualClock(), sync=False)
         second = JobStore(path, clock=ManualClock(), sync=False)
-        snap = lambda s: [job.to_record() for job in s.jobs()]  # noqa: E731
+        snap = lambda s: [dataclasses.asdict(job) for job in s.jobs()]  # noqa: E731
         assert snap(first) == snap(second)
         before = snap(first)
         second.close()

@@ -24,6 +24,7 @@ from repro.resilience import (
     restore_checkpoint,
     save_checkpoint,
 )
+from repro.runtime.agas.component import Component
 from repro.runtime.lco import Channel
 from repro.runtime.runtime import Runtime
 
@@ -39,6 +40,30 @@ class Box:
 
     def restore_state(self, state):
         self.value = state["value"]
+
+
+class Segment(Component):
+    def __init__(self, data):
+        super().__init__()
+        self.data = np.array(data, dtype=np.float64)
+
+
+class Segments:
+    """A multi-part object: its components checkpoint as one state list."""
+
+    def __init__(self, rt, *parts):
+        self.parts = [Segment(part) for part in parts]
+        self.gids = [
+            rt.new_component(part, locality_id=i % rt.n_localities)
+            for i, part in enumerate(self.parts)
+        ]
+
+    def checkpoint_state(self):
+        return [part.checkpoint_state() for part in self.parts]
+
+    def restore_state(self, state):
+        for part, part_state in zip(self.parts, state):
+            part.restore_state(part_state)
 
 
 # Checkpoint object ----------------------------------------------------------
@@ -57,6 +82,20 @@ def test_save_restore_round_trip_protocol_objects():
     box.value[:] = -1.0
     restore_checkpoint(ckpt, box)
     assert np.array_equal(box.value, np.arange(5.0))
+
+
+def test_save_restore_round_trip_multi_part_object():
+    """Components on two localities save and restore as one object, and
+    keep their AGAS identity."""
+    with Runtime(n_localities=2, workers_per_locality=1) as rt:
+        segments = Segments(rt, [1.0, 2.0], [3.0], [4.0, 5.0])
+        ckpt = save_checkpoint(segments)
+        for part in segments.parts:
+            part.data[:] = -1.0
+        restore_checkpoint(ckpt, segments)
+        assert [part.data.tolist() for part in segments.parts] == [[1.0, 2.0], [3.0], [4.0, 5.0]]
+        assert [part.gid for part in segments.parts] == segments.gids
+        assert [rt.agas.home_of(gid) for gid in segments.gids] == [0, 1, 0]
 
 
 def test_restore_positional_count_mismatch_raises():

@@ -37,7 +37,6 @@ def test_register_and_resolve():
     assert gid.msb_locality == 1
     home, resolved = agas.resolve(gid)
     assert home == 1 and resolved is obj
-    assert agas.is_local(gid, 1)
     assert gid in agas
 
 

@@ -190,21 +190,6 @@ def test_fifo_pool_has_no_steals():
     assert pool.steals == 0
 
 
-def test_reset_clock():
-    pool = ThreadPool(1)
-    pool.submit(lambda: ctx.add_cost(3.0))
-    pool.run_all()
-    pool.reset_clock()
-    assert pool.makespan == 0.0
-
-
-def test_reset_clock_with_pending_rejected():
-    pool = ThreadPool(1)
-    pool.submit(lambda: None)
-    with pytest.raises(RuntimeStateError):
-        pool.reset_clock()
-
-
 def test_children_inherit_parent_virtual_time():
     pool = ThreadPool(2)
 

@@ -82,7 +82,7 @@ def test_worker_count_validation():
 
 def test_here_and_localities():
     with Runtime(n_localities=3, workers_per_locality=1) as rt:
-        assert len(rt.find_all_localities()) == 3
+        assert len(rt.localities) == 3
         assert rt.run(lambda: rt.here().locality_id) == 0
         with pytest.raises(RuntimeStateError):
             rt.locality(3)

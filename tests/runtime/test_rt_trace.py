@@ -63,20 +63,6 @@ def test_attach_rejects_other_objects():
             pass
 
 
-def test_by_worker_lanes_sorted():
-    pool = ThreadPool(2)
-    tracer = Tracer()
-    with tracer.attach(pool):
-        for _ in range(6):
-            pool.submit(lambda: ctx.add_cost(1.0))
-        pool.run_all()
-    lanes = tracer.by_worker()
-    assert len(lanes) == 2
-    for lane in lanes.values():
-        starts = [r.start_time for r in lane]
-        assert starts == sorted(starts)
-
-
 def test_busy_fraction_full_when_balanced():
     pool = ThreadPool(2)
     tracer = Tracer()

@@ -53,7 +53,7 @@ class TestLifecycle:
         done = service.complete(job.job_id, "w1", {"digest": "d"})
         assert done.state is JobState.DONE
         assert done.result == {"digest": "d"}
-        assert service.query_counter("/jobs{t}/count/completed") == 1
+        assert service.counters().get("/jobs{t}/count/completed", 0) == 1
 
     def test_claim_order_is_fair_across_tenants(self, service):
         service.set_quota("a", TenantQuota(weight=1.0, max_active=8))
@@ -105,7 +105,7 @@ class TestLifecycle:
         with pytest.raises(JobShedError) as info:
             _submit_faulty(service, key="over")
         assert info.value.retry_after > 0
-        assert service.query_counter("/jobs{t}/count/shed") == 1
+        assert service.counters().get("/jobs{t}/count/shed", 0) == 1
         # The shed submission was never journalled.
         assert len(service.store) == 1
 
@@ -121,7 +121,7 @@ class TestRetries:
         settled = service.run_one("w1")  # attempt 2 succeeds
         assert settled.state is JobState.DONE
         assert settled.attempts == 2
-        assert service.query_counter("/jobs{t}/count/retried") == 1
+        assert service.counters().get("/jobs{t}/count/retried", 0) == 1
 
     def test_backoff_grows_and_caps(self, service, clock):
         job = _submit_faulty(service, fails=10, max_attempts=4)
@@ -142,7 +142,7 @@ class TestRetries:
         assert settled.state is JobState.FAILED
         assert "injected failure" in settled.failure
         assert "2/2 attempts" in settled.failure
-        assert service.query_counter("/jobs{t}/count/failed") == 1
+        assert service.counters().get("/jobs{t}/count/failed", 0) == 1
         assert service.claim("w1") is None
 
 
@@ -156,7 +156,7 @@ class TestLeaseExpiry:
         # The claim that notices the expiry harvests it and requeues the
         # job with retry backoff; once that elapses it is re-claimable.
         assert service.claim("w2") is None
-        assert service.query_counter("/jobs{t}/count/lease-expired") == 1
+        assert service.counters().get("/jobs{t}/count/lease-expired", 0) == 1
         clock.advance(1.0)
         reclaimed, lease = service.claim("w2")
         assert reclaimed.job_id == job.job_id
@@ -228,7 +228,7 @@ class TestRecovery:
             assert states["claimed"] is JobState.PENDING
             assert states["finished"] is JobState.DONE  # terminal untouched
             assert states["fresh"] is JobState.PENDING
-            assert svc2.query_counter("/jobs{t}/count/requeued") == 2
+            assert svc2.counters().get("/jobs{t}/count/requeued", 0) == 2
             # Attempt counts survive: the requeued jobs already burned one.
             by_key = {j.dedupe_key: j for j in svc2.store.jobs()}
             assert by_key["running"].attempts == 1
@@ -251,8 +251,8 @@ class TestRecovery:
             with pytest.raises(JobStateError, match="exactly-once"):
                 svc2.cancel(original.job_id)
             # Durable counters were rebuilt from the journal.
-            assert svc2.query_counter("/jobs{t}/count/submitted") == 1
-            assert svc2.query_counter("/jobs{t}/count/completed") == 1
+            assert svc2.counters().get("/jobs{t}/count/submitted", 0) == 1
+            assert svc2.counters().get("/jobs{t}/count/completed", 0) == 1
 
     def test_retried_counter_survives_restart(self, tmp_path, clock):
         """A job that failed once and waits in backoff was retried once,
@@ -261,9 +261,9 @@ class TestRecovery:
         with JobService(root, clock=clock, policy=FAST) as svc:
             _submit_faulty(svc, fails=1)
             assert svc.run_one("w1").state is JobState.PENDING
-            live = svc.query_counter("/jobs{t}/count/retried")
+            live = svc.counters().get("/jobs{t}/count/retried", 0)
         with JobService(root, clock=clock, policy=FAST) as svc2:
-            assert live == svc2.query_counter("/jobs{t}/count/retried") == 1
+            assert live == svc2.counters().get("/jobs{t}/count/retried", 0) == 1
 
 
 class TestObservability:

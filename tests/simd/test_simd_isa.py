@@ -42,8 +42,6 @@ def test_sve_frozen_width_is_not_portable():
 def test_scalar_isa_single_lane():
     assert SCALAR.lanes(np.float32) == 1
     assert SCALAR.lanes(np.float64) == 1
-    assert SCALAR.is_scalar
-    assert not AVX2.is_scalar
 
 
 def test_unsupported_dtype_rejected():

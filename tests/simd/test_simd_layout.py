@@ -10,7 +10,6 @@ from repro.simd import VnsLayout
 def test_layout_shape():
     layout = VnsLayout(width=18, lanes=4)  # 16 interior / 4 lanes = chunk 4
     assert layout.chunk == 4
-    assert layout.packed_rows == 6
 
 
 def test_invalid_layouts_rejected():

@@ -40,7 +40,6 @@ def test_fill_and_read_back_scalar():
     field = np.arange(12.0).reshape(3, 4)
     grid.fill_from(field)
     assert np.array_equal(grid.to_scalar_array(), field)
-    assert grid.in_(2, 1) == 6.0  # (nx=2, ny=1)
 
 
 def test_fill_and_read_back_vns():
@@ -48,20 +47,11 @@ def test_fill_and_read_back_vns():
     field = np.arange(30.0).reshape(3, 10)
     grid.fill_from(field)
     assert np.allclose(grid.to_scalar_array(), field)
-    assert grid.in_(5, 1) == field[1, 5]
 
 
 def test_fill_wrong_shape_rejected():
     with pytest.raises(LayoutError):
         Grid(3, 4).fill_from(np.zeros((4, 4)))
-
-
-def test_in_bounds_checked():
-    grid = Grid(3, 4)
-    with pytest.raises(LayoutError):
-        grid.in_(4, 0)
-    with pytest.raises(LayoutError):
-        grid.in_(0, 3)
 
 
 def test_vns_descriptor_only_on_vns_grids():

@@ -141,10 +141,6 @@ class TestDriver:
         solver.run(5)
         assert solver.lattice_site_updates == 8 * 10 * 5
 
-    def test_grid_bytes(self):
-        solver = Jacobi2D(10, 12, np.float32)
-        assert solver.grid_bytes == 10 * 12 * 4
-
     def test_incremental_runs_compose(self):
         field = hot_top(8, 10)
         a = Jacobi2D(8, 10, np.float64)

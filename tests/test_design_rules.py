@@ -16,7 +16,9 @@ every pattern it forbids.
 
 from __future__ import annotations
 
+import ast
 import re
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -156,6 +158,69 @@ class Scoped:
             if inside == self.inside and re.search(self.pattern, line):
                 found.append(f"{self.path}:{n}: {line}")
         return found
+
+
+#: Names that only tests reach, kept on purpose: an oracle a document
+#: cites, an invariant only a test reads, or protocol a planned change needs.
+KEPT = {
+    "structural_instructions_per_lup":
+        "the first-principles instructions/LUP oracle (docs/calibration.md)",
+    "effective_vector_width":
+        "the vector width DESIGN.md's SIMD row names, checked against the ISA lanes",
+    "resident_lines": "the cache simulator's capacity invariant (test_prop_cachesim.py)",
+    "stencil_transfers_per_update":
+        "the analytic traffic rule test_hw_cachesim.py checks the cache simulator against",
+    "ys": "a figure series' y column, twin of xs, read by the paper-exhibit asserts",
+    "events_of": "the tracer query docs/observability.md documents",
+    "renew": "lease renewal, the job-service protocol ROADMAP item 13 needs",
+}
+
+
+def _definitions(module: ast.Module):
+    """``(name, line)`` of each top-level function and class and of each
+    method, minus dunders and an ``ast.NodeVisitor``'s ``visit_*``."""
+    for node in module.body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        yield node.name, node.lineno
+        if not isinstance(node, ast.ClassDef):
+            continue
+        visitor = any(ast.unparse(base).endswith("NodeVisitor") for base in node.bases)
+        for sub in node.body:
+            if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                visitor and sub.name.startswith("visit_")
+            ):
+                yield sub.name, sub.lineno
+
+
+@dataclass(frozen=True)
+class Reached:
+    """Every function, class and method defined under ``defs`` is named
+    under ``uses`` somewhere besides its own ``def``/``class`` line, as a
+    word or inside a string (actions are invoked by name); dunders and
+    ``KEPT`` are exempt.  A name that only tests reach fails."""
+
+    defs: str
+    uses: tuple[str, ...]
+    offending: tuple[str, str]
+
+    def __call__(self, tree: Tree) -> list[str]:
+        words: Counter[str] = Counter()
+        for root in self.uses:
+            for path in tree.files(root):
+                if path.endswith(".py"):
+                    words.update(re.findall(r"\w+", "\n".join(tree.lines(path))))
+        sites: dict[str, list[str]] = {}
+        for path in tree.files(self.defs):
+            if not path.endswith(".py"):
+                continue
+            lines = tree.lines(path)
+            for name, n in _definitions(ast.parse("\n".join(lines))):
+                if name.startswith("__") and name.endswith("__") or name in KEPT:
+                    continue
+                words[name] -= re.findall(r"\w+", lines[n - 1]).count(name)
+                sites.setdefault(name, []).append(f"{path}:{n}: {lines[n - 1].strip()}")
+        return [site for name, at in sorted(sites.items()) if words[name] <= 0 for site in at]
 
 
 @dataclass(frozen=True)
@@ -458,8 +523,9 @@ RULES = {
         "Only the surface an application reaches (no collectives, RemoteChannel, executors, "
         "unused algorithms, Pack layer, latch/barrier/semaphore/and-gate LCOs, replay, "
         "replicate or timed actions, when_any/when_each/unwrap, AGAS reference counts, "
-        "Jacobi2D's blocked or convergence runs or a partitioned heat1d; a policy is a "
-        "name, parallel and a chunk size)",
+        "Jacobi2D's blocked or convergence runs, a partitioned heat1d, a partitioned "
+        "vector or the accessors only tests called; a policy is a name, parallel and a "
+        "chunk size)",
         "an application, exhibit, bench workload, explorer demo or CLI command must reach "
         "a runtime API; futures with then/when_all, dataflow, Channel, "
         "for_each/for_each_block and VnsLayout are the kept surface (docs/api.md)",
@@ -502,6 +568,31 @@ RULES = {
                 r"\b(run_blocked|run_until_converged|Heat1DPartitioned)\b",
                 ("src/", "examples/"),
                 ("src/repro/stencil/heat1d.py", "class Heat1DPartitioned:\n"),
+            ),
+            Grep(
+                r"PartitionedVector|VectorSegment|repro\.containers|from \.\.containers"
+                r"|\b(pending_links|registered_apps|last_level|stream_misses"
+                r"|per_core_bandwidth|pus_per_node|domain_of_core|by_worker|table_row"
+                r"|traffic_per_lup_bytes|is_local|worker_stats|has_exception"
+                r"|find_all_localities|reset_clock|to_record|is_scalar|packed_rows|in_"
+                r"|grid_bytes|query_counter)\b|def (union|intersection)\b",
+                ("src/", "examples/"),
+                (
+                    "src/repro/analysis/explore.py",
+                    "from ..containers.partitioned_vector import PartitionedVector\n",
+                ),
+            ),
+        ),
+    ),
+    "test-only-surface": Rule(
+        "No surface that only tests reach (every function, class and method under src/ "
+        "is named in src/, examples/ or bench/ besides its own definition)",
+        "delete it with its tests, or give KEPT a one-line reason (docs/api.md)",
+        (
+            Reached(
+                "src/repro/",
+                ("src/", "examples/", "bench/"),
+                ("src/repro/analysis/deadlock.py", "def unreached_helper():\n    return None\n"),
             ),
         ),
     ),
