@@ -11,7 +11,6 @@ import time
 from typing import Sequence
 
 from ..errors import JobShedError, JobStateError, UnknownJobError
-from ..reporting import format_table
 from ..service import JobService, ServicePolicy
 from ..service.executor import JobRunner
 from ..service.jobs import JobState
@@ -195,6 +194,8 @@ def _cancel(args: argparse.Namespace) -> int:
 
 
 def _list(args: argparse.Namespace) -> int:
+    from ..reporting import format_table
+
     with JobService(args.root) as service:
         jobs = service.list_jobs(tenant=args.tenant, state=args.state)
         if args.json:

@@ -9,14 +9,32 @@ import sys
 
 import numpy as np
 
-from .. import exhibits
 from ..errors import RuntimeStateError, ValidationError
 from ..hardware.registry import machine, machine_names
-from ..perf.cost import stencil1d_time, stencil2d_glups
-from ..perf.stream import stream_model
-from ..reporting import Series, format_figure, format_table
 from ..runtime import Runtime
 from .observe import distributed_demo
+
+# The exhibit, model and reporting layers are imported inside the
+# handlers that use them: every verb parses this module's sub-parsers,
+# and a ``repro jobs work`` worker should not load them.
+
+#: ``repro.exhibits.EXHIBITS`` in paper order, spelled out so building
+#: the parser imports no exhibit (tests/test_cli.py keeps them equal).
+EXHIBIT_NAMES = (
+    "table1",
+    "table2",
+    "fig2",
+    "fig3",
+    "fig4",
+    "fig5",
+    "fig6",
+    "fig7",
+    "fig8",
+    "table3",
+    "table4",
+    "table5",
+    "table6",
+)
 
 
 def add_commands(sub: argparse._SubParsersAction) -> None:
@@ -27,7 +45,7 @@ def add_commands(sub: argparse._SubParsersAction) -> None:
     p_ex.add_argument(
         "names",
         nargs="*",
-        choices=[[], *exhibits.EXHIBITS],  # empty means all
+        choices=[[], *EXHIBIT_NAMES],  # empty means all
         help="which exhibits (default: all, in paper order)",
     )
     p_ex.set_defaults(handler=_exhibits)
@@ -86,6 +104,8 @@ def add_commands(sub: argparse._SubParsersAction) -> None:
 
 
 def _machines(args: argparse.Namespace) -> int:
+    from ..reporting import format_table
+
     rows = []
     for name in machine_names():
         m = machine(name)
@@ -104,12 +124,17 @@ def _machines(args: argparse.Namespace) -> int:
 
 
 def _exhibits(args: argparse.Namespace) -> int:
+    from .. import exhibits
+
     parts = [exhibits.EXHIBITS[name]() for name in args.names or exhibits.EXHIBITS]
     print(("\n\n" + "=" * 78 + "\n\n").join(parts))
     return 0
 
 
 def _stream(args: argparse.Namespace) -> int:
+    from ..perf.stream import stream_model
+    from ..reporting import Series, format_figure
+
     m = machine(args.machine)
     series = Series(m.spec.name)
     for cores in range(1, m.spec.cores_per_node + 1):
@@ -127,6 +152,9 @@ def _stream(args: argparse.Namespace) -> int:
 
 
 def _stencil1d(args: argparse.Namespace) -> int:
+    from ..perf.cost import stencil1d_time
+    from ..reporting import Series, format_figure
+
     m = machine(args.machine)
     series = Series(m.spec.name)
     for n in args.nodes:
@@ -148,6 +176,10 @@ def _stencil1d(args: argparse.Namespace) -> int:
 
 
 def _stencil2d(args: argparse.Namespace) -> int:
+    from .. import exhibits
+    from ..perf.cost import stencil2d_glups
+    from ..reporting import Series, format_figure
+
     m = machine(args.machine)
     np_dtype = np.float32 if args.dtype == "float32" else np.float64
     series = Series(f"{args.dtype}/{args.mode}")
@@ -176,6 +208,8 @@ _SAMPLE_PATHS = (
 
 def _counters(args: argparse.Namespace) -> int:
     if args.sample_interval is None:
+        from .. import exhibits
+
         table, _ = exhibits.COUNTER_TABLES[args.machine]
         print(exhibits.EXHIBITS[table]())
         return 0

@@ -12,7 +12,7 @@ provides that call surface:
 """
 
 from .execution_policy import ExecutionPolicy, seq, par
-from .partitioner import auto_chunk_size, partition, static_chunks
+from .partitioner import auto_chunk_size, partition
 from .algorithms import for_each, for_each_block
 
 __all__ = [
@@ -21,7 +21,6 @@ __all__ = [
     "par",
     "auto_chunk_size",
     "partition",
-    "static_chunks",
     "for_each",
     "for_each_block",
 ]

@@ -5,16 +5,14 @@ balance load without drowning the scheduler in tiny tasks; the same
 heuristic lives in :func:`auto_chunk_size`.  Grain size is the lever the
 paper pulls when discussing A64FX ("HPX is known to have contention
 overheads when the grain size is too small") -- the grain-size ablation
-benchmark sweeps exactly this.  :func:`static_chunks` is the other
-rule: one near-equal contiguous run per owner, for data that is placed
-once.
+benchmark sweeps exactly this.
 """
 
 from __future__ import annotations
 
 from ...errors import RuntimeStateError
 
-__all__ = ["auto_chunk_size", "partition", "static_chunks", "CHUNKS_PER_WORKER"]
+__all__ = ["auto_chunk_size", "partition", "CHUNKS_PER_WORKER"]
 
 #: Target chunks per worker for the auto partitioner (HPX uses 4x).
 CHUNKS_PER_WORKER = 4
@@ -48,23 +46,3 @@ def partition(start: int, stop: int, chunk_size: int) -> list[range]:
         range(lo, min(lo + chunk_size, stop)) for lo in range(start, stop, chunk_size)
     ]
 
-
-def static_chunks(n_items: int, n_chunks: int) -> list[range]:
-    """Split ``range(n_items)`` into ``n_chunks`` near-equal contiguous runs.
-
-    The first ``n_items % n_chunks`` chunks get one extra element --
-    OpenMP ``schedule(static)`` semantics.  Empty chunks are returned when
-    ``n_chunks > n_items`` so placement stays aligned with workers.
-    """
-    if n_items < 0:
-        raise RuntimeStateError("n_items must be non-negative")
-    if n_chunks < 1:
-        raise RuntimeStateError("n_chunks must be >= 1")
-    base, extra = divmod(n_items, n_chunks)
-    chunks: list[range] = []
-    start = 0
-    for i in range(n_chunks):
-        size = base + (1 if i < extra else 0)
-        chunks.append(range(start, start + size))
-        start += size
-    return chunks

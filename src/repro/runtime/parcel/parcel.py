@@ -26,8 +26,9 @@ class Parcel:
     the destination deserializes it -- see
     :mod:`repro.runtime.parcel.serialization`.
 
-    A parcel is a hot-path object (one per action invocation), so it is
-    a plain ``__slots__`` class: every transport-layer annex the runtime
+    A parcel is a hot-path object (one per plain action and per remote
+    component action), so it is a plain ``__slots__`` class: every
+    transport-layer annex the runtime
     or parcelport may attach (``target_entry``, ``reply_promise``,
     ``by_ref_body``, ``fire_and_forget``, ``unreachable_destination``)
     is a declared slot

@@ -1,11 +1,13 @@
 """Argument serialization for parcels.
 
-Arguments really are encoded (pickle) and decoded at delivery, even for
-same-process localities -- matching HPX, which serializes through its
-parcel layer whenever a boundary is crossed.  This catches the classic
-distributed-programming bug (shipping something unshippable: an open
-file, a lambda closing over local state) in *every* test run, and gives
-the network model honest byte counts.
+Every parcel's arguments really are encoded (pickle), also between
+localities that share this process, and decoded where a modelled
+network or a process boundary lies between sender and handler.  This
+catches the classic distributed-programming bug (shipping something
+unshippable: an open file, a lambda closing over local state) in every
+test run that crosses localities, and gives the network model honest
+byte counts.  As in HPX, a component action on the caller's own
+locality is no parcel and is not encoded (``Runtime._invoke``).
 """
 
 from __future__ import annotations

@@ -16,7 +16,9 @@ Supported counter types::
     /threads/time/average          average attributed cost per task (s)
     /threads/time/busy             attributed compute seconds
     /threads/idle-rate             idle fraction of the pool's makespan
-    /parcels/count/sent            parcels sent (job-wide counter only)
+    /parcels/count/sent            parcels sent (job-wide counter only); as
+                                   in HPX, a component action on the
+                                   caller's own locality is no parcel
     /parcels/data/sent             bytes sent   (job-wide counter only)
     /parcels/count/delivered       parcels handed to the destination router
     /parcels/time/average-latency  mean send-to-arrival virtual latency (s)

@@ -11,6 +11,11 @@ machine model's interconnect.  Use it as a context manager::
 ``rt.run`` executes ``main`` as the first HPX-thread on locality 0 and
 cooperatively drives *all* localities until the result is ready --
 including parcels that bounce work between nodes.
+
+As in HPX, a component action whose target is homed on the calling
+locality is no parcel: its handler is posted straight onto that
+locality's pool.  Remote component actions and every plain action
+(``apply_at``/``async_at``) travel as parcels.
 """
 
 from __future__ import annotations
@@ -491,14 +496,14 @@ class Runtime:
         return gid
 
     def invoke_async(self, gid: Gid, method: str, *args: Any, **kwargs: Any) -> Future:
-        """Invoke a component action where the component lives (parcel)."""
-        entry = self.agas.entry(gid)  # the one lookup; validates the target
-        payload, by_ref = self._encode((method, args, kwargs))
-        source, send_time = self._source_and_time()
-        parcel = Parcel(source, payload, gid, None, send_time)
-        parcel.target_entry = entry
-        parcel.by_ref_body = by_ref
-        return self._ship(parcel)
+        """Invoke a component action where the component lives.
+
+        See :meth:`invoke_apply` for how the action travels; the result
+        comes back as a reply task on the calling locality.
+        """
+        promise = Promise()
+        self._invoke(gid, (method, args, kwargs), promise)
+        return promise.get_future()
 
     def invoke(self, gid: Gid, method: str, *args: Any, **kwargs: Any) -> Any:
         return self.invoke_async(gid, method, *args, **kwargs).get()
@@ -510,14 +515,68 @@ class Runtime:
         deposits, event signals) cost one transfer instead of two --
         which matters on platforms that cannot hide network time.
         """
+        self._invoke(gid, (method, args, kwargs), None)
+
+    def _invoke(self, gid: Gid, body: tuple, reply: Promise | None) -> None:
+        """Send component action ``body`` to ``gid``'s home locality.
+
+        As in HPX, only a remote target gets a parcel: a target homed on
+        the calling locality has its handler posted straight onto that
+        pool, ready at the sender's virtual time -- no encode, parcelport,
+        fault draw or admission, and no parcel counted.  Its arguments
+        travel by reference, so they need not be picklable.
+        """
         entry = self.agas.entry(gid)  # the one lookup; validates the target
-        payload, by_ref = self._encode((method, args, kwargs))
-        source, send_time = self._source_and_time()
+        # Inlined ``_source_and_time()``: one stack peek instead of a
+        # call -- every halo deposit comes through here.
+        source, send_time = 0, 0.0
+        if _context_stack:
+            frame = _context_stack[-1]
+            if frame.locality is not None:
+                source = frame.locality.locality_id
+            pool = frame.pool
+            if pool is not None:
+                task = frame.task
+                send_time = (
+                    task.current_virtual_time() if task is not None else pool.makespan
+                )
+        # A decommissioned sender's pool runs nothing more: its sends take
+        # the parcel path, which reports them lost.
+        if entry.home == source and source not in self.decommissioned:
+            self.localities[source].pool.post(
+                self._handle_action,
+                source,
+                body,
+                gid,
+                entry,
+                reply,
+                source,
+                None,
+                ready_time=send_time,
+                description=("action:%s", body[0]),
+            )
+        else:
+            self.parcelport.send(
+                self._component_parcel(source, send_time, gid, entry, body, reply)
+            )
+
+    def _component_parcel(
+        self,
+        source: int,
+        send_time: float,
+        gid: Gid,
+        entry: "_Entry",
+        body: tuple,
+        reply: Promise | None,
+    ) -> Parcel:
+        """Encode component action ``body`` into a parcel for ``gid``."""
+        payload, by_ref = self._encode(body)
         parcel = Parcel(source, payload, gid, None, send_time)
         parcel.target_entry = entry
         parcel.by_ref_body = by_ref
-        parcel.fire_and_forget = True
-        self.parcelport.send(parcel)
+        parcel.reply_promise = reply
+        parcel.fire_and_forget = reply is None
+        return parcel
 
     def apply_at(
         self,
@@ -570,11 +629,13 @@ class Runtime:
         (``target_gid`` or ``target_locality``), which also tells the
         handler which kind of action ``action`` names.
 
-        Returns ``(wire_bytes, by_reference_body)``.  The body is always
-        encoded -- picklability is validated and the cost model sees the
-        honest byte count.  On a loopback (same-process) port it *also*
-        travels by reference, so delivery skips the decode; over a
+        Returns ``(wire_bytes, by_reference_body)``.  A parcel's body is
+        always encoded -- picklability is validated and the cost model
+        sees the honest byte count.  On a loopback (same-process) port it
+        *also* travels by reference, so delivery skips the decode; over a
         modelled network or a process boundary the receiver decodes.
+        (A component action on the sender's own locality is no parcel and
+        is never encoded: see :meth:`_invoke`.)
         """
         data = serialize(parcel_body)
         return data, None if self._network_port else parcel_body
@@ -681,58 +742,86 @@ class Runtime:
         # raises into the pool's failure list): its own result has no
         # reader, so it runs detached.
         self.localities[destination].pool.post(
-            self._handle_parcel
+            self._handle_action
             if self.parcelport.overload is None
             else self._handle_parcel_and_ack,
-            parcel,
             destination,
             body,
+            parcel.target_gid,
+            parcel.target_entry,
+            parcel.reply_promise,
+            parcel.source_locality,
+            parcel,
             ready_time=arrival_time,
             description=("parcel#%d", parcel.parcel_id),
             priority=parcel.priority,
         )
 
-    def _handle_parcel(self, parcel: Parcel, destination: int, body: tuple) -> None:
-        """Run a delivered parcel's action (the handler HPX-thread's body).
+    def _handle_action(
+        self,
+        destination: int,
+        body: tuple,
+        gid: Gid | None,
+        entry: "_Entry | None",
+        reply: Promise | None,
+        source: int,
+        parcel: Parcel | None,
+    ) -> None:
+        """Run an action on ``destination`` (the handler HPX-thread's body,
+        for a delivered parcel and a locality-local post alike).
 
         ``body`` is ``(action, args, kwargs)``: a method name when the
-        parcel targets a component (``target_gid`` set), else a plain
-        callable or registered action name.
+        action targets component ``gid`` (whose AGAS row is ``entry``),
+        else a plain callable or registered action name (``gid`` and
+        ``entry`` None).  ``reply`` is the caller's promise on locality
+        ``source``, None for a one-way action; ``parcel`` is the parcel
+        that delivered the action, None for a local post.
         """
         action, args, kwargs = body
         try:
-            if parcel.target_gid is not None:
-                entry = parcel.target_entry
-                if entry.home != destination:
-                    # The object migrated between send and delivery:
-                    # forward the parcel to its new home (AGAS routing).
-                    self._reship(parcel)
-                    return
-                if self.fault_injector is not None and self._duplicate_delivery(parcel):
-                    return
+            if entry is not None and entry.home != destination:
+                # The object migrated between send and run: forward the
+                # action to its new home (AGAS routing), as a parcel.
+                if parcel is None:
+                    parcel = self._component_parcel(source, 0.0, gid, entry, body, reply)
+                self._reship(parcel)
+                return
+            if (
+                parcel is not None
+                and self.fault_injector is not None
+                and self._duplicate_delivery(parcel)
+            ):
+                return
+            if entry is not None:
                 entry.pinned += 1  # AgasService.pin/unpin, on the handle
                 try:
                     result = entry.obj.act(action, *args, **kwargs)
                 finally:
                     entry.pinned -= 1
             else:
-                if self.fault_injector is not None and self._duplicate_delivery(parcel):
-                    return
                 if isinstance(action, str):
                     action = get_action(action)
                 result = action(*args, **kwargs)
         except BaseException as exc:  # noqa: BLE001 - forwarded
-            if parcel.fire_and_forget:
+            if reply is None:
                 raise  # surface in the destination pool's failure list
-            self._reply(
-                parcel.reply_promise, exc, destination, parcel.source_locality, is_error=True
-            )
+            self._reply(reply, exc, destination, source, is_error=True)
         else:
-            if not parcel.fire_and_forget:
-                self._reply(parcel.reply_promise, result, destination, parcel.source_locality)
+            if reply is not None:
+                self._reply(reply, result, destination, source)
 
-    def _handle_parcel_and_ack(self, parcel: Parcel, destination: int, body: tuple) -> None:
-        """:meth:`_handle_parcel` under overload admission control.
+    def _handle_parcel_and_ack(
+        self,
+        destination: int,
+        body: tuple,
+        gid: Gid | None,
+        entry: "_Entry | None",
+        reply: Promise | None,
+        source: int,
+        parcel: Parcel,
+    ) -> None:
+        """:meth:`_handle_action` for a parcel under overload admission
+        control.
 
         Handler completion is the ack: it returns the send credit, feeds
         the phi detector, and closes breakers.  Early returns (migration
@@ -741,7 +830,7 @@ class Runtime:
         fresh.
         """
         try:
-            self._handle_parcel(parcel, destination, body)
+            self._handle_action(destination, body, gid, entry, reply, source, parcel)
         finally:
             self.parcelport.overload.on_ack(parcel, destination, self._send_time())
 

@@ -25,6 +25,7 @@ U0 = np.sin(np.linspace(0.0, 2.0 * np.pi, NX, endpoint=False))
 
 
 def _time_to_solution(drop_rate: float, retry: bool) -> tuple[float, np.ndarray]:
+    """(virtual makespan, solution); asserts a nonzero rate dropped parcels."""
     injector = (
         FaultInjector(seed=SEED, drop_rate=drop_rate) if drop_rate > 0 else None
     )
@@ -38,6 +39,8 @@ def _time_to_solution(drop_rate: float, retry: bool) -> tuple[float, np.ndarray]
         solver = DistributedHeat1D(rt, NX, Heat1DParams())
         solver.initialize(U0)
         solution = solver.run(STEPS) if retry else solver.run_resilient(STEPS)
+        # A lossy point of the sweep that loses nothing measures nothing.
+        assert (rt.parcelport.parcels_dropped > 0) == (drop_rate > 0)
         return rt.makespan, solution
 
 

@@ -29,8 +29,9 @@ SCHEDULES = {
     "static": (1084, 1.1007999999999994e-05),
 }
 #: Bytes: per parcel, 64 of modelled header plus the pickled
-#: ``(action, args, kwargs)`` body.
-PARCELS_SENT, PARCEL_BYTES = 736, 84_448
+#: ``(action, args, kwargs)`` body.  Only inter-locality actions are
+#: parcels: a halo deposit between partitions of one locality is a task.
+PARCELS_SENT, PARCEL_BYTES = 60, 6_650
 
 
 @pytest.mark.parametrize("scheduler", sorted(SCHEDULES))

@@ -29,7 +29,9 @@ SCHEDULES = {
     "fifo": (71, 9.216000000000001e-06),
     "static": (73, 1.0240000000000002e-05),
 }
-PARCELS_SENT, PARCEL_BYTES = 46, 32_312
+#: Inter-locality parcels only: halo rows between blocks of one locality
+#: are handed over as tasks.
+PARCELS_SENT, PARCEL_BYTES = 16, 10_836
 
 
 @pytest.mark.parametrize("scheduler", sorted(SCHEDULES))

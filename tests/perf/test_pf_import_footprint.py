@@ -3,7 +3,8 @@
 The stencil, runtime and job-service modules (what a bench workload, a
 service job or a forked multiprocess worker loads) must not pull in the
 HTTP gateway (asyncio, ssl) or the exhibit layer, and the CLI loads the
-gateway only inside ``repro jobs serve``.  Each check runs in a fresh
+gateway only inside ``repro jobs serve`` and the exhibit, model,
+reporting and analysis layers only inside the verbs that run them.  Each check runs in a fresh
 interpreter, so nothing an earlier test imported hides a regression.
 With ``-s`` the first test prints the fresh interpreter's module count
 and resident set, the footprint a runtime process starts from:
@@ -29,6 +30,9 @@ RUNTIME_MODULES = (
     "repro.service.executor",
 )
 HTTP_STACK = {"asyncio", "ssl", "repro.service.gateway"}
+#: Layers only some CLI verbs run (exhibits, models, tables, sanitizers):
+#: their handlers import them, so a ``repro jobs work`` worker does not.
+CLI_DEFERRED = {"repro.exhibits", "repro.reporting", "repro.perf", "repro.analysis"}
 
 
 def _fresh_import(*statements: str) -> dict:
@@ -57,6 +61,15 @@ def test_runtime_process_loads_no_gateway_or_exhibits():
 def test_cli_loads_the_http_stack_only_for_serve():
     loaded = set(_fresh_import("import repro.cli")["modules"])
     assert not loaded & HTTP_STACK
+
+
+def test_cli_defers_the_exhibit_model_reporting_and_analysis_layers():
+    loaded = _fresh_import("import repro.cli")["modules"]
+    assert not [
+        name
+        for name in loaded
+        if any(name == layer or name.startswith(layer + ".") for layer in CLI_DEFERRED)
+    ]
 
 
 def test_unexported_layers_still_import_by_path():

@@ -4,6 +4,11 @@ For any fault seed, drop rate (within the retryable regime) and step
 count, the distributed heat solver on a lossy substrate must produce a
 solution bit-identical to the fault-free reference -- losses cost
 virtual time, never correctness.
+
+The drawn drop rate includes zero and rates too small to hit the few
+parcels of a short run, so the properties cannot demand that a fault
+landed; ``test_top_of_the_drawn_range_drops_parcels`` checks, from the
+parcelport's counters, that the substrate they run on does drop.
 """
 
 import numpy as np
@@ -20,7 +25,8 @@ U0 = np.cos(np.linspace(0.0, 2.0 * np.pi, NX, endpoint=False))
 SCHEDULERS = ("work-stealing", "static", "fifo")
 
 
-def _faulty_solution(seed, drop_rate, steps):
+def _faulty_run(seed, drop_rate, steps):
+    """(solution, parcels dropped) of a heat run on a lossy substrate."""
     with Runtime(
         machine="xeon-e5-2660v3",
         n_localities=2,
@@ -29,7 +35,13 @@ def _faulty_solution(seed, drop_rate, steps):
     ) as rt:
         solver = DistributedHeat1D(rt, NX, Heat1DParams())
         solver.initialize(U0)
-        return solver.run(steps)
+        return solver.run(steps), rt.parcelport.parcels_dropped
+
+
+def test_top_of_the_drawn_range_drops_parcels():
+    solution, dropped = _faulty_run(seed=0, drop_rate=0.15, steps=20)
+    assert dropped > 0
+    assert np.array_equal(solution, heat1d_reference(U0, 20, Heat1DParams()))
 
 
 @settings(max_examples=12, deadline=None)
@@ -39,7 +51,7 @@ def _faulty_solution(seed, drop_rate, steps):
     steps=st.integers(min_value=1, max_value=20),
 )
 def test_faulty_run_is_bit_identical_to_reference(seed, drop_rate, steps):
-    faulty = _faulty_solution(seed, drop_rate, steps)
+    faulty, _ = _faulty_run(seed, drop_rate, steps)
     assert np.array_equal(faulty, heat1d_reference(U0, steps, Heat1DParams()))
 
 
@@ -49,9 +61,10 @@ def test_faulty_run_is_bit_identical_to_reference(seed, drop_rate, steps):
     drop_rate=st.floats(min_value=0.0, max_value=0.15),
 )
 def test_same_seed_same_solution_and_no_dead_letters(seed, drop_rate):
-    a = _faulty_solution(seed, drop_rate, steps=10)
-    b = _faulty_solution(seed, drop_rate, steps=10)
+    a, dropped_a = _faulty_run(seed, drop_rate, steps=10)
+    b, dropped_b = _faulty_run(seed, drop_rate, steps=10)
     assert np.array_equal(a, b)
+    assert dropped_a == dropped_b
 
 
 # Permanent crashes + checkpoint restart --------------------------------------

@@ -6,23 +6,10 @@ from hypothesis import strategies as st
 
 from repro.runtime import Promise, Runtime, when_all
 from repro.runtime import context as ctx
-from repro.runtime.algorithms.partitioner import auto_chunk_size, partition, static_chunks
+from repro.runtime.algorithms.partitioner import auto_chunk_size, partition
 from repro.runtime.threads.hpx_thread import HpxThread
 from repro.runtime.threads.pool import ThreadPool
 from repro.runtime.threads.scheduler import Scheduler
-
-
-@given(
-    n_items=st.integers(min_value=0, max_value=500),
-    n_chunks=st.integers(min_value=1, max_value=64),
-)
-def test_static_chunks_partition_properties(n_items, n_chunks):
-    chunks = static_chunks(n_items, n_chunks)
-    assert len(chunks) == n_chunks
-    flat = [i for c in chunks for i in c]
-    assert flat == list(range(n_items))  # cover exactly once, in order
-    sizes = [len(c) for c in chunks]
-    assert max(sizes) - min(sizes) <= 1  # balanced
 
 
 @given(

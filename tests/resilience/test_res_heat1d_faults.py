@@ -5,6 +5,10 @@ schedule with retries converges bit-identically to the fault-free run;
 the same schedule with retries disabled surfaces
 :class:`ParcelDeadLetterError`; and two same-seed runs produce identical
 virtual-time traces (makespan + counters + solution).
+
+Every test that sets a nonzero fault rate also asserts, from the
+parcelport's counters, that such a fault landed: a fault test whose
+faults never land tests only the fault-free path.
 """
 
 import numpy as np
@@ -66,7 +70,7 @@ def test_five_percent_drop_with_retry_is_bit_identical():
 
 
 def test_same_schedule_with_retry_disabled_dead_letters():
-    with pytest.raises(ParcelDeadLetterError):
+    with pytest.raises(ParcelDeadLetterError, match="dropped in flight"):
         _run(
             FaultInjector(seed=42, drop_rate=0.05),
             config=Config(parcel__retry=False),
@@ -81,6 +85,7 @@ def test_same_seed_runs_produce_identical_traces():
         FaultInjector(seed=7, drop_rate=0.05, duplicate_rate=0.03)
     )
     assert np.array_equal(sol_a, sol_b)
+    assert trace_a["dropped"] > 0 and trace_a["duplicated"] > 0
     assert trace_a == trace_b  # exact: makespan and every counter
     assert counters_a == counters_b
 
@@ -88,6 +93,7 @@ def test_same_seed_runs_produce_identical_traces():
 def test_different_seeds_produce_different_schedules():
     _, trace_a, _ = _run(FaultInjector(seed=1, drop_rate=0.08))
     _, trace_b, _ = _run(FaultInjector(seed=2, drop_rate=0.08))
+    assert trace_a["dropped"] > 0 and trace_b["dropped"] > 0
     assert trace_a != trace_b
 
 
@@ -108,16 +114,18 @@ def test_recovery_survives_dead_letters():
         resilient=True,
     )
     assert np.array_equal(solution, REFERENCE)
+    assert trace["dropped"] > 0
     assert trace["dead"] > 0  # recovery actually had work to do
 
 
 def test_recovery_without_transparent_retry():
-    solution, _, _ = _run(
+    solution, trace, _ = _run(
         FaultInjector(seed=3, drop_rate=0.08),
         config=Config(parcel__retry=False),
         resilient=True,
     )
     assert np.array_equal(solution, REFERENCE)
+    assert trace["dropped"] > 0
 
 
 def test_mixed_fault_kinds_four_localities():
@@ -127,6 +135,7 @@ def test_mixed_fault_kinds_four_localities():
     )
     solution, trace, _ = _run(injector, resilient=True, n_localities=4)
     assert np.array_equal(solution, REFERENCE)
+    assert trace["dropped"] > 0
     assert trace["duplicated"] > 0 and trace["delayed"] > 0
 
 
@@ -140,6 +149,7 @@ def test_run_resilient_on_clean_runtime_matches_run():
 
 def test_fault_counters_discoverable_and_queryable():
     _, trace, counters = _run(FaultInjector(seed=42, drop_rate=0.05))
+    assert trace["dropped"] > 0
     assert counters["/parcels{total}/count/dropped"] == trace["dropped"]
     assert counters["/parcels{total}/count/retried"] == trace["retried"]
     assert counters["/parcels{total}/count/dead-lettered"] == 0.0

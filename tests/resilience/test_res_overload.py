@@ -476,7 +476,7 @@ def test_dlq_shrink_mid_run_keeps_counters_reconciled():
         port.send(_parcel())
         reconciled()
         assert len(port.dead_letters) == 3
-    assert port.parcels_dead_lettered == 7
+    assert port.parcels_dropped == port.parcels_dead_lettered == 7
     assert port.parcels_shed_lettered == 2
     assert port.parcels_dlq_evicted == 6
 

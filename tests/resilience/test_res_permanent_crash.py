@@ -52,6 +52,7 @@ def _heat_run(injector=None, n_localities=4, **resilient_kwargs):
         else:
             solution = solver.run_resilient(STEPS, **resilient_kwargs)
         stats = {
+            "dropped": rt.parcelport.parcels_dropped,
             "saved": rt.checkpoints_saved,
             "restored": rt.checkpoints_restored,
             "decommissioned": sorted(rt.decommissioned),
@@ -96,6 +97,7 @@ def test_heat1d_crash_triggered_checkpoint_only():
 def test_heat1d_without_permanent_faults_takes_no_checkpoints():
     """Transient-only schedules must not pay any checkpoint overhead."""
     _, stats = _heat_run(FaultInjector(seed=7, drop_rate=0.05))
+    assert stats["dropped"] > 0  # the transient faults did land
     assert stats["saved"] == 0
     assert stats["restored"] == 0
     assert stats["decommissioned"] == []

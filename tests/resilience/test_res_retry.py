@@ -109,6 +109,7 @@ def test_loss_schedules_retry_with_backoff():
     # The runtime's retry task would call retransmit; emulate it.
     port.retransmit(parcel)
     assert parcel.attempts == 2
+    assert port.parcels_dropped == 2
     assert scheduled[1][1] == pytest.approx(parcel.send_time + 2e-5)
 
 
@@ -126,6 +127,7 @@ def test_attempts_exhausted_dead_letters_and_fails_reply_promise():
     port.retransmit(parcel)
     port.retransmit(parcel)  # third and last transmission
     assert parcel.attempts == 3
+    assert port.parcels_dropped == 3
     assert port.parcels_retried == 2
     assert port.parcels_dead_lettered == 1
     assert len(port.dead_letters) == 1
@@ -141,6 +143,7 @@ def test_retry_disabled_dead_letters_on_first_loss():
         scheduler=lambda parcel, at: pytest.fail("must not schedule retries"),
     )
     port.send(_parcel())
+    assert port.parcels_dropped == 1
     assert port.parcels_retried == 0
     assert port.parcels_dead_lettered == 1
 
@@ -175,6 +178,7 @@ def test_successful_retransmit_after_transient_drop():
     fresh = Parcel(source_locality=0, payload=b"x" * 32, target_locality=1)
     port.send(fresh)
     assert delivered == [] and len(scheduled) == 1
+    assert port.parcels_dropped == 1
     port.retransmit(fresh)
     assert len(delivered) == 1
     assert port.parcels_dead_lettered == 0

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import RuntimeStateError
 from repro.runtime import for_each, par, seq
-from repro.runtime.algorithms import auto_chunk_size, partition, static_chunks
+from repro.runtime.algorithms import auto_chunk_size, partition
 
 
 # Policies ----------------------------------------------------------------------
@@ -58,35 +58,6 @@ def test_partition_validation():
         partition(0, 10, 0)
     with pytest.raises(RuntimeStateError):
         partition(10, 0, 1)
-
-
-def test_static_chunks_even():
-    assert static_chunks(8, 4) == [range(0, 2), range(2, 4), range(4, 6), range(6, 8)]
-
-
-def test_static_chunks_remainder_spread_front():
-    chunks = static_chunks(10, 4)
-    assert [len(c) for c in chunks] == [3, 3, 2, 2]
-    assert chunks[0] == range(0, 3)
-    assert chunks[-1] == range(8, 10)
-
-
-def test_static_chunks_more_workers_than_items():
-    chunks = static_chunks(2, 4)
-    assert [len(c) for c in chunks] == [1, 1, 0, 0]
-
-
-def test_static_chunks_cover_everything_exactly_once():
-    chunks = static_chunks(17, 5)
-    flat = [i for c in chunks for i in c]
-    assert flat == list(range(17))
-
-
-def test_static_chunks_validation():
-    with pytest.raises(RuntimeStateError):
-        static_chunks(-1, 2)
-    with pytest.raises(RuntimeStateError):
-        static_chunks(2, 0)
 
 
 # for_each ----------------------------------------------------------------

@@ -151,6 +151,23 @@ def test_parser_lists_all_exhibits():
     assert "exhibits" in parser.format_help()
 
 
+def _choices(argv_prefix, dest):
+    """The ``choices`` of option ``dest`` on the sub-parser ``argv_prefix``."""
+    parser = dict(_subparsers(build_parser()))[argv_prefix]
+    (action,) = [a for a in parser._actions if a.dest == dest]
+    return list(action.choices)
+
+
+def test_parser_choices_match_the_lists_they_spell_out():
+    """The CLI names exhibits and exploration strategies without importing
+    their layers; the names must stay the real ones, in the same order."""
+    from repro import exhibits
+    from repro.analysis import explore
+
+    assert _choices(("exhibits",), "names") == [[], *exhibits.EXHIBITS]
+    assert _choices(("analyze",), "strategy") == list(explore.STRATEGIES)
+
+
 def _subparsers(parser, prefix=()):
     """(argv prefix, parser) of every sub-parser below ``parser``."""
     import argparse
